@@ -16,8 +16,10 @@ sampling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 from .core import ContractError, DomainError, FiniteTransitionSystem, ReachAvoidSpec
@@ -127,33 +129,58 @@ class AbstractInput:
 
 @dataclass(frozen=True)
 class CellCover:
-    """Ordered list of named cells; may overlap, may leave gaps."""
+    """Ordered list of named cells; may overlap, may leave gaps, must not be
+    empty.
+
+    Construction sorts the cells by lower endpoint once, in O(n log n), and
+    keeps an index of them: the cells in that order with their lower
+    endpoints, the running maximum of the upper endpoints in the same order,
+    the hull, and a name -> cell dict.  ``hull()`` and ``cell()`` are then
+    O(1) and ``quantize`` is O(log n + cells visited).
+    """
 
     cells: tuple[tuple[str, IntervalCell], ...]
+    _by_lo: tuple[tuple[str, IntervalCell], ...] = field(init=False, repr=False, compare=False)
+    _los: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _max_hi: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _hull: IntervalCell = field(init=False, repr=False, compare=False)
+    _by_name: dict[str, IntervalCell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cells = tuple((str(name), cell) for name, cell in self.cells)
-        names = [name for name, _ in cells]
-        if len(names) != len(set(names)):
+        if not cells:
+            raise ContractError("a cover needs at least one cell")
+        by_name = dict(cells)
+        if len(by_name) != len(cells):
             raise ContractError("cell names must be unique")
+        by_lo = tuple(sorted(cells, key=lambda item: item[1].lo))
+        max_hi = tuple(accumulate((cell.hi for _, cell in by_lo), max))
+        lo, hi = by_lo[0][1].lo, max_hi[-1]
+        hull = IntervalCell(
+            lo,
+            hi,
+            any(cell.lo_closed for _, cell in cells if cell.lo == lo),
+            any(cell.hi_closed for _, cell in cells if cell.hi == hi),
+        )
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_by_lo", by_lo)
+        object.__setattr__(self, "_los", tuple(cell.lo for _, cell in by_lo))
+        object.__setattr__(self, "_max_hi", max_hi)
+        object.__setattr__(self, "_hull", hull)
+        object.__setattr__(self, "_by_name", by_name)
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.cells)
 
     def cell(self, name: str) -> IntervalCell:
-        for cell_name, cell in self.cells:
-            if cell_name == name:
-                return cell
-        raise DomainError(f"unknown cell {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise DomainError(f"unknown cell {name!r}") from None
 
     def hull(self) -> IntervalCell:
-        lo = min(cell.lo for _, cell in self.cells)
-        hi = max(cell.hi for _, cell in self.cells)
-        lo_closed = any(cell.lo_closed for _, cell in self.cells if cell.lo == lo)
-        hi_closed = any(cell.hi_closed for _, cell in self.cells if cell.hi == hi)
-        return IntervalCell(lo, hi, lo_closed, hi_closed)
+        return self._hull
 
     def covers(self, target: IntervalCell) -> bool:
         return interval_covered(target, [cell for _, cell in self.cells])
@@ -200,14 +227,34 @@ def affine_image(cell: IntervalCell, law: AffineMap) -> IntervalCell:
 
 def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str]:
     """Names of all cells meeting ``target``, exactly honouring endpoint
-    flags.  Raises if the target is not contained in the covered segment."""
+    flags.  Raises if the target is not contained in the covered segment.
+
+    O(log n + cells visited): a bisection finds the last cell whose lower
+    endpoint is at most ``target.hi``, and the walk left from it stops once
+    the running maximum of the upper endpoints drops below ``target.lo``.
+    Every visited cell is decided by ``IntervalCell.intersects``.
+    """
     if not isinstance(target, IntervalCell):
         target = IntervalCell.point(target)
-    if not target.is_subset_of(cover.hull()):
-        raise OutOfDomainError(
-            f"{target.describe()} escapes the domain {cover.hull().describe()}"
-        )
-    return frozenset(name for name, cell in cover.cells if cell.intersects(target))
+    hull = cover.hull()
+    if not target.is_subset_of(hull):
+        raise OutOfDomainError(f"{target.describe()} escapes the domain {hull.describe()}")
+    by_lo, max_hi = cover._by_lo, cover._max_hi
+    names = []
+    i = bisect_right(cover._los, target.hi) - 1
+    while i >= 0 and max_hi[i] >= target.lo:
+        name, cell = by_lo[i]
+        if cell.intersects(target):
+            names.append(name)
+        i -= 1
+    return frozenset(names)
+
+
+def _law(laws: Mapping[str, AffineMap], input_name: str) -> AffineMap:
+    try:
+        return laws[input_name]
+    except KeyError:
+        raise DomainError(f"unknown abstract input {input_name!r}") from None
 
 
 def build_abstraction(
@@ -221,14 +268,15 @@ def build_abstraction(
     the quantization of the exact closed-loop image of the cell.  This is the
     smallest successor assignment under which the memoryless containment
     holds for every point of the cell.
+
+    One ``quantize`` per (cell, input) row: O(r log n + v) for r rows over n
+    cells, where v counts the cells the quantizations visit.
     """
     laws = {ai.name: ai.law for ai in inputs}
     trans: dict[tuple[str, str], frozenset[str]] = {}
     for name, cell in cover.cells:
         for input_name in sorted(set(availability.get(name, ()))):
-            if input_name not in laws:
-                raise DomainError(f"unknown abstract input {input_name!r}")
-            image = affine_image(cell, laws[input_name])
+            image = affine_image(cell, _law(laws, input_name))
             try:
                 trans[(name, input_name)] = quantize(cover, image)
             except OutOfDomainError as err:
@@ -245,11 +293,14 @@ def verify_mcr_interval(
 ) -> bool:
     """Exact memoryless containment check of an abstraction over ``cover``:
     every quantization of every point of a cell's closed-loop image must be a
-    declared successor.  Availability is read off the abstraction's rows."""
+    declared successor.  Availability is read off the abstraction's rows.
+
+    One ``quantize`` per row, as in ``build_abstraction``: O(r log n + v).
+    """
     laws = {ai.name: ai.law for ai in inputs}
     for name, cell in cover.cells:
         for input_name in abstraction.available_inputs(name):
-            image = affine_image(cell, laws[input_name])
+            image = affine_image(cell, _law(laws, input_name))
             if not quantize(cover, image) <= abstraction.successors(name, input_name):
                 return False
     return True
@@ -262,11 +313,16 @@ def verify_asr_interval(
 ) -> bool:
     """Exact existential counterpart: every point of the closed-loop image
     must fall in at least one declared successor cell, i.e. the image is
-    covered by the successors' union."""
+    covered by the successors' union.
+
+    Per row, the s successor cells are looked up in O(1) each and the union
+    test checks O(s) sample points against each of them: O(s^2) per row,
+    independent of the size of the cover.
+    """
     laws = {ai.name: ai.law for ai in inputs}
     for name, cell in cover.cells:
         for input_name in abstraction.available_inputs(name):
-            image = affine_image(cell, laws[input_name])
+            image = affine_image(cell, _law(laws, input_name))
             pieces = [cover.cell(q) for q in abstraction.successors(name, input_name)]
             if not interval_covered(image, pieces):
                 return False

@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcret import (
     AbstractInput,
     AffineMap,
     CellCover,
     ContractError,
+    DomainError,
     FiniteTransitionSystem,
     IntervalCell,
     OutOfDomainError,
@@ -29,6 +32,7 @@ from symcret import (
     verify_asr_interval,
     verify_mcr_interval,
 )
+from symcret import jsonio
 from symcret.interval import FIG8_AVAILABILITY
 
 L = Fraction(1)
@@ -102,6 +106,146 @@ class TestAffineImage:
         assert image.hi == law.closed_loop(NEGATIVES.hi)
 
 
+# Reference: the linear scans that the cover index replaced.
+
+
+def reference_hull(cover):
+    lo = min(cell.lo for _, cell in cover.cells)
+    hi = max(cell.hi for _, cell in cover.cells)
+    lo_closed = any(cell.lo_closed for _, cell in cover.cells if cell.lo == lo)
+    hi_closed = any(cell.hi_closed for _, cell in cover.cells if cell.hi == hi)
+    return IntervalCell(lo, hi, lo_closed, hi_closed)
+
+
+def reference_cell(cover, name):
+    for cell_name, cell in cover.cells:
+        if cell_name == name:
+            return cell
+    raise DomainError(f"unknown cell {name!r}")
+
+
+def reference_quantize(cover, target):
+    if not isinstance(target, IntervalCell):
+        target = IntervalCell.point(target)
+    if not target.is_subset_of(reference_hull(cover)):
+        raise OutOfDomainError(target.describe())
+    return frozenset(n for n, c in cover.cells if c.intersects(target))
+
+
+def reference_build(cover, inputs, availability):
+    laws = {ai.name: ai.law for ai in inputs}
+    trans = {
+        (name, u): reference_quantize(cover, affine_image(cell, laws[u]))
+        for name, cell in cover.cells
+        for u in sorted(set(availability.get(name, ())))
+    }
+    return FiniteTransitionSystem(cover.names, tuple(sorted(laws)), trans)
+
+
+# Endpoints on a coarse half-integer grid, so that equal endpoints, shared
+# boundaries and point cells come up often.
+ENDPOINTS = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+
+
+@st.composite
+def intervals(draw, values):
+    lo, hi = sorted((draw(values), draw(values)))
+    if lo == hi:
+        return IntervalCell.point(lo)
+    return IntervalCell(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@st.composite
+def covers(draw, max_cells=8):
+    cells = draw(st.lists(intervals(ENDPOINTS), min_size=1, max_size=max_cells))
+    named = [(f"c{i}", cell) for i, cell in enumerate(cells)]
+    return CellCover(tuple(draw(st.permutations(named))))
+
+
+def probe_points(cover):
+    """Every cell endpoint, a point inside each gap between consecutive
+    endpoints, and one point beyond each end of the hull."""
+    ends = sorted({v for _, cell in cover.cells for v in (cell.lo, cell.hi)})
+    mids = [(a + b) / 2 for a, b in zip(ends, ends[1:])]
+    return ends + mids + [ends[0] - 1, ends[-1] + 1]
+
+
+@st.composite
+def covers_and_targets(draw):
+    cover = draw(covers())
+    values = st.sampled_from(probe_points(cover))
+    return cover, draw(values | intervals(values))
+
+
+class TestCoverIndexAgainstScan:
+    @settings(max_examples=300, deadline=None)
+    @given(case=covers_and_targets())
+    def test_quantize_matches_the_scan(self, case):
+        cover, target = case
+        try:
+            expected = reference_quantize(cover, target)
+        except OutOfDomainError:
+            with pytest.raises(OutOfDomainError):
+                quantize(cover, target)
+        else:
+            assert quantize(cover, target) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(cover=covers())
+    def test_hull_and_lookup_match_the_scan(self, cover):
+        assert cover.hull() == reference_hull(cover)
+        for name in cover.names:
+            assert cover.cell(name) is reference_cell(cover, name)
+        with pytest.raises(DomainError):
+            cover.cell("missing")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cover=covers(),
+        laws=st.lists(
+            st.tuples(
+                st.integers(-4, 2).map(lambda k: Fraction(k, 2)),
+                st.integers(-4, 4).map(lambda k: Fraction(k, 4)),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        data=st.data(),
+    )
+    def test_build_abstraction_matches_the_scan(self, cover, laws, data):
+        inputs = tuple(AbstractInput(f"k{j}", AffineMap(g, o)) for j, (g, o) in enumerate(laws))
+        names = [ai.name for ai in inputs]
+        availability = {
+            q: data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
+            for q in cover.names
+        }
+        try:
+            expected = reference_build(cover, inputs, availability)
+        except OutOfDomainError:
+            with pytest.raises(OutOfDomainError):
+                build_abstraction(cover, inputs, availability)
+        else:
+            built = build_abstraction(cover, inputs, availability)
+            assert built == expected
+            assert verify_mcr_interval(cover, built, inputs)
+
+
+class TestCellCover:
+    def test_empty_cover_rejected(self):
+        with pytest.raises(ContractError):
+            CellCover(())
+
+    def test_empty_cover_document_rejected(self):
+        obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+        obj["cells"] = []
+        with pytest.raises(ContractError):
+            jsonio.cover_from_obj(obj)
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ContractError):
+            CellCover((("q", IntervalCell.point(0)), ("q", IntervalCell.point(1))))
+
+
 class TestQuantize:
     def test_origin_is_its_own_cell(self):
         assert quantize(fig8_cover(L), 0) == frozenset({"q2"})
@@ -171,6 +315,12 @@ class TestVerification:
         }
         shrunk = FiniteTransitionSystem(sys.states, sys.inputs, trimmed)
         assert not verify_mcr_interval(fig8_cover(L), shrunk, inputs)
+
+    @pytest.mark.parametrize("verify", [verify_mcr_interval, verify_asr_interval])
+    def test_row_input_without_law_is_named(self, verify):
+        sys = build_abstraction(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+        with pytest.raises(DomainError, match="unknown abstract input 'k2'"):
+            verify(fig8_cover(L), sys, fig8_affine_inputs()[:1])
 
     def test_empty_availability_vacuous(self):
         sys = build_abstraction(fig8_cover(L), fig8_affine_inputs(), {})
