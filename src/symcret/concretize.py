@@ -254,16 +254,6 @@ def closed_loop_run(
     return Trajectory(tuple(states), tuple(inputs))
 
 
-def closed_loop_tree(
-    sys: FiniteTransitionSystem, controller: Controller, x1_0: str, horizon: int
-) -> tuple[Trajectory, ...]:
-    """All maximal closed-loop runs under every resolver choice.  Runs end
-    where the controller is undefined or the horizon is reached."""
-    from .core import controlled_system, maximal_trajectories
-
-    return maximal_trajectories(controlled_system(sys, controller), {x1_0}, horizon)
-
-
 @dataclass(frozen=True)
 class DynamicRun:
     """One fully resolved execution of the dynamic architecture."""

@@ -9,7 +9,7 @@ value; every operation is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class SymcretError(Exception):
@@ -227,6 +227,25 @@ def _moves(sys: FiniteTransitionSystem, x: str) -> list[tuple[str, str]]:
     return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
 
 
+def _walk(
+    sys: FiniteTransitionSystem, start: Iterable[str], horizon: int
+) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], bool]]:
+    """Yield (states, inputs, maximal) for every trajectory of length at most
+    ``horizon`` from ``start``; ``maximal`` means it cannot be extended within
+    the horizon.  Runs on an explicit stack, in no specified order."""
+    if horizon < 1:
+        raise ContractError("horizon must be at least 1")
+    roots = sorted(set(start))
+    for x0 in roots:
+        sys.require_state(x0)
+    stack: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((x0,), ()) for x0 in roots]
+    while stack:
+        states, inputs = stack.pop()
+        moves = _moves(sys, states[-1]) if len(states) < horizon else []
+        yield states, inputs, not moves
+        stack.extend((states + (xp,), inputs + (u,)) for u, xp in moves)
+
+
 def bounded_behavior(
     sys: FiniteTransitionSystem, start: Iterable[str], horizon: int
 ) -> frozenset[Trajectory]:
@@ -234,21 +253,9 @@ def bounded_behavior(
 
     The result is prefix-closed and monotone in the horizon.
     """
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
-    out: set[Trajectory] = set()
-
-    def grow(states: tuple[str, ...], inputs: tuple[str, ...]) -> None:
-        out.add(Trajectory(states, inputs))
-        if len(states) == horizon:
-            return
-        for u, xp in _moves(sys, states[-1]):
-            grow(states + (xp,), inputs + (u,))
-
-    for x0 in sorted(set(start)):
-        sys.require_state(x0)
-        grow((x0,), ())
-    return frozenset(out)
+    return frozenset(
+        Trajectory(states, inputs) for states, inputs, _ in _walk(sys, start, horizon)
+    )
 
 
 def maximal_trajectories(
@@ -256,22 +263,12 @@ def maximal_trajectories(
 ) -> tuple[Trajectory, ...]:
     """Trajectories from ``start`` that cannot be extended within ``horizon``,
     sorted by their state sequences."""
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
-    out: list[Trajectory] = []
-
-    def grow(states: tuple[str, ...], inputs: tuple[str, ...]) -> None:
-        moves = _moves(sys, states[-1]) if len(states) < horizon else []
-        if not moves:
-            out.append(Trajectory(states, inputs))
-            return
-        for u, xp in moves:
-            grow(states + (xp,), inputs + (u,))
-
-    for x0 in sorted(set(start)):
-        sys.require_state(x0)
-        grow((x0,), ())
-    return tuple(sorted(out, key=lambda t: (t.states, t.inputs)))
+    runs = [
+        Trajectory(states, inputs)
+        for states, inputs, maximal in _walk(sys, start, horizon)
+        if maximal
+    ]
+    return tuple(sorted(runs, key=lambda t: (t.states, t.inputs)))
 
 
 def check_spec(

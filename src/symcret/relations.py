@@ -14,6 +14,11 @@ an abstraction S2 through a state relation R:
   input itself played on the concrete side, so abstract and concrete input
   alphabets coincide where related.
 
+All three kinds come from one admissible-input pass: for each related pair
+(x1, x2) and abstract input u2 available at x2, the concrete inputs u1 whose
+tuple (x1, x2, u1, u2) satisfies the local condition.  The checks, interfaces,
+extended relations, witness replay and the extension are all read off it.
+
 Checkers return refutation witnesses that are minimal in lexicographic order
 of (x1, x2, u2) and can be replayed against the raw definitions.
 """
@@ -22,7 +27,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     ContractError,
@@ -200,93 +205,108 @@ def _validate_triplet(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, re
         raise DomainError("relation codomain must be the abstract state set")
 
 
-def _tuple_ok(
-    kind: RelationKind,
-    s1: FiniteTransitionSystem,
-    s2: FiniteTransitionSystem,
-    rel: Relation,
-    x1: str,
-    x2: str,
-    u1: str,
-    u2: str,
-) -> bool:
-    """Local condition on one (x1, x2, u1, u2) candidate."""
-    if kind is RelationKind.FRR and u1 != u2:
-        return False
-    succ2 = s2.successors(x2, u2)
-    for x1p in s1.successors(x1, u1):
-        img = rel.forward(x1p)
-        if kind is RelationKind.ASR:
-            if img.isdisjoint(succ2):
-                return False
+def _require(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
+    rel: Relation, allow_non_strict: bool,
+) -> None:
+    """Preconditions of a check: matching carriers, and for MCR and FRR a
+    strict relation unless the bare definition is asked for."""
+    _validate_triplet(s1, s2, rel)
+    if kind is not RelationKind.ASR and not allow_non_strict and not rel.is_strict():
+        raise StrictnessError(
+            f"{kind.value} guarantees assume a strict relation; "
+            "pass allow_non_strict=True to evaluate the bare definition"
+        )
+
+
+def _triples(s2: FiniteTransitionSystem, rel: Relation) -> Iterator[tuple[str, str, str]]:
+    """Every (x1, x2, u2) the local condition quantifies over, in witness order."""
+    for x1, x2 in sorted(rel.pairs):
+        for u2 in s2.available_inputs(x2):
+            yield x1, x2, u2
+
+
+def _candidates(
+    kind: RelationKind, s1: FiniteTransitionSystem, x1: str, u2: str
+) -> tuple[str, ...]:
+    """Concrete inputs that may implement ``u2`` at ``x1``: the available ones,
+    and for FRR only ``u2`` itself."""
+    avail = s1.available_inputs(x1)
+    if kind is RelationKind.FRR:
+        return (u2,) if u2 in avail else ()
+    return avail
+
+
+def _admissible(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
+    rel: Relation, x1: str, x2: str, u2: str,
+) -> Iterator[str]:
+    """Lazily yield, in sorted order, each u1 whose tuple (x1, x2, u1, u2)
+    satisfies the local condition of ``kind``: the related images of every
+    successor under u1 meet (ASR) or lie inside (MCR, FRR) the abstract row
+    of (x2, u2).  The one place that condition is evaluated; callers validate
+    the triplet, so the tables are read directly."""
+    row = s2.trans[(x2, u2)]
+    fwd = rel._fwd  # type: ignore[attr-defined]
+    trans = s1.trans
+    some = kind is RelationKind.ASR
+    for u1 in _candidates(kind, s1, x1, u2):
+        for x1p in trans[(x1, u1)]:
+            image = fwd[x1p]
+            if image.isdisjoint(row) if some else not image <= row:
+                break
         else:
-            if not img <= succ2:
-                return False
-    return True
+            yield u1
+
+
+def _refutation(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
+    rel: Relation, x1: str, x2: str, u2: str,
+) -> RelationWitness:
+    """Witness for a triple with no admissible input.  For MCR and FRR the
+    evidence is the least, over the candidate inputs, of each one's first
+    escaping (x1', x2'); there is none when no input is a candidate."""
+    if kind is RelationKind.ASR:
+        return RelationWitness(x1, x2, u2)
+    row = s2.successors(x2, u2)
+    escapes: list[tuple[str, str]] = []
+    for u1 in _candidates(kind, s1, x1, u2):
+        for x1p in sorted(s1.successors(x1, u1)):
+            escaped = rel.forward(x1p) - row
+            if escaped:
+                escapes.append((x1p, min(escaped)))
+                break
+    return RelationWitness(x1, x2, u2, min(escapes, default=None))
+
+
+def _verdict(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
+    rel: Relation, allow_non_strict: bool,
+) -> RelationVerdict:
+    _require(kind, s1, s2, rel, allow_non_strict)
+    for x1, x2, u2 in _triples(s2, rel):
+        if next(_admissible(kind, s1, s2, rel, x1, x2, u2), None) is None:
+            return RelationVerdict(False, _refutation(kind, s1, s2, rel, x1, x2, u2))
+    return RelationVerdict(True, None)
+
+
+def check_relation(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
+) -> RelationVerdict:
+    """Decide the relation of ``kind`` from ``s1`` to ``s2`` along ``rel``,
+    refuted at the first (x1, x2, u2) in sorted order with no admissible u1.
+
+    Cost: O(P log P) for the P related pairs, plus at most O(T * m * d * r)
+    over T triples, m concrete inputs (tried up to the first admissible one),
+    d successors per row and r related abstract states per successor."""
+    return _verdict(RelationKind(kind), s1, s2, rel, allow_non_strict=False)
 
 
 def check_asr(
     s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> RelationVerdict:
     """Alternating simulation from ``s1`` to ``s2`` along ``rel``."""
-    _validate_triplet(s1, s2, rel)
-    for x1, x2 in sorted(rel.pairs):
-        for u2 in s2.available_inputs(x2):
-            if not any(
-                _tuple_ok(RelationKind.ASR, s1, s2, rel, x1, x2, u1, u2)
-                for u1 in s1.available_inputs(x1)
-            ):
-                return RelationVerdict(False, RelationWitness(x1, x2, u2))
-    return RelationVerdict(True, None)
-
-
-def _containment_failure(
-    s1: FiniteTransitionSystem,
-    s2: FiniteTransitionSystem,
-    rel: Relation,
-    x1: str,
-    u1: str,
-    succ2: frozenset[str],
-) -> tuple[str, str] | None:
-    """First (x1', x2') with x2' related to x1' but not an abstract successor."""
-    for x1p in sorted(s1.successors(x1, u1)):
-        escaped = sorted(rel.forward(x1p) - succ2)
-        if escaped:
-            return (x1p, escaped[0])
-    return None
-
-
-def _check_containment_kind(
-    kind: RelationKind,
-    s1: FiniteTransitionSystem,
-    s2: FiniteTransitionSystem,
-    rel: Relation,
-    allow_non_strict: bool,
-) -> RelationVerdict:
-    _validate_triplet(s1, s2, rel)
-    if not allow_non_strict and not rel.is_strict():
-        raise StrictnessError(
-            f"{kind.value} guarantees assume a strict relation; "
-            "pass allow_non_strict=True to evaluate the bare definition"
-        )
-    for x1, x2 in sorted(rel.pairs):
-        avail1 = s1.available_inputs(x1)
-        for u2 in s2.available_inputs(x2):
-            if kind is RelationKind.FRR and u2 not in avail1:
-                return RelationVerdict(False, RelationWitness(x1, x2, u2))
-            candidates = (u2,) if kind is RelationKind.FRR else avail1
-            succ2 = s2.successors(x2, u2)
-            violations: list[tuple[str, str]] = []
-            satisfied = False
-            for u1 in candidates:
-                failure = _containment_failure(s1, s2, rel, x1, u1, succ2)
-                if failure is None:
-                    satisfied = True
-                    break
-                violations.append(failure)
-            if not satisfied:
-                return RelationVerdict(False, RelationWitness(x1, x2, u2, min(violations)))
-    return RelationVerdict(True, None)
+    return _verdict(RelationKind.ASR, s1, s2, rel, allow_non_strict=False)
 
 
 def check_mcr(
@@ -297,7 +317,7 @@ def check_mcr(
     allow_non_strict: bool = False,
 ) -> RelationVerdict:
     """Memoryless concretization relation from ``s1`` to ``s2`` along ``rel``."""
-    return _check_containment_kind(RelationKind.MCR, s1, s2, rel, allow_non_strict)
+    return _verdict(RelationKind.MCR, s1, s2, rel, allow_non_strict)
 
 
 def check_frr(
@@ -308,20 +328,7 @@ def check_frr(
     allow_non_strict: bool = False,
 ) -> RelationVerdict:
     """Feedback refinement relation from ``s1`` to ``s2`` along ``rel``."""
-    return _check_containment_kind(RelationKind.FRR, s1, s2, rel, allow_non_strict)
-
-
-_CHECKERS = {
-    RelationKind.ASR: lambda s1, s2, rel: check_asr(s1, s2, rel),
-    RelationKind.MCR: lambda s1, s2, rel: check_mcr(s1, s2, rel),
-    RelationKind.FRR: lambda s1, s2, rel: check_frr(s1, s2, rel),
-}
-
-
-def check_relation(
-    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
-) -> RelationVerdict:
-    return _CHECKERS[RelationKind(kind)](s1, s2, rel)
+    return _verdict(RelationKind.FRR, s1, s2, rel, allow_non_strict)
 
 
 def replay_witness(
@@ -334,18 +341,18 @@ def replay_witness(
     """Re-evaluate a refutation against the raw definition.  True means the
     witness still refutes."""
     kind = RelationKind(kind)
+    _validate_triplet(s1, s2, rel)
     x1, x2, u2 = witness.x1, witness.x2, witness.u2
     if (x1, x2) not in rel.pairs or u2 not in s2.available_inputs(x2):
         return False
     if kind is RelationKind.FRR and u2 not in s1.available_inputs(x1):
         return True
-    candidates = (u2,) if kind is RelationKind.FRR else s1.available_inputs(x1)
-    if any(_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2) for u1 in candidates):
+    if next(_admissible(kind, s1, s2, rel, x1, x2, u2), None) is not None:
         return False
     if witness.evidence is not None:
         x1p, x2p = witness.evidence
         in_some_successor = any(
-            x1p in s1.successors(x1, u1) for u1 in candidates
+            x1p in s1.successors(x1, u1) for u1 in _candidates(kind, s1, x1, u2)
         )
         if not in_some_successor:
             return False
@@ -365,10 +372,8 @@ def extended_relation(
     _validate_triplet(s1, s2, rel)
     tuples = frozenset(
         (x1, x2, u1, u2)
-        for x1, x2 in rel.pairs
-        for u2 in s2.available_inputs(x2)
-        for u1 in s1.available_inputs(x1)
-        if _tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2)
+        for x1, x2, u2 in _triples(s2, rel)
+        for u1 in _admissible(kind, s1, s2, rel, x1, x2, u2)
     )
     return ExtendedRelation(kind, tuples)
 
@@ -380,21 +385,22 @@ def maximal_interface(
     kind: RelationKind,
 ) -> Interface:
     """The largest interface for ``kind``: every concrete input whose
-    annotated tuple satisfies the local condition.  Requires the relation
-    check of the same kind to hold, which guarantees non-empty entries."""
+    annotated tuple satisfies the local condition.  One pass over the triples
+    of :func:`check_relation` collects the entries; the first empty one raises
+    :class:`RelationCheckError` with the verdict that check returns.
+
+    Cost: that of the check with every concrete input tried,
+    O(P log P + T * m * d * r).
+    """
     kind = RelationKind(kind)
-    verdict = check_relation(kind, s1, s2, rel)
-    if not verdict.holds:
-        raise RelationCheckError(kind, verdict)
+    _require(kind, s1, s2, rel, allow_non_strict=False)
     table: dict[tuple[str, str, str], frozenset[str]] = {}
-    for x1, x2 in sorted(rel.pairs):
-        for u2 in s2.available_inputs(x2):
-            entry = frozenset(
-                u1
-                for u1 in s1.available_inputs(x1)
-                if _tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2)
-            )
-            table[(x1, x2, u2)] = entry
+    for x1, x2, u2 in _triples(s2, rel):
+        entry = frozenset(_admissible(kind, s1, s2, rel, x1, x2, u2))
+        if not entry:
+            witness = _refutation(kind, s1, s2, rel, x1, x2, u2)
+            raise RelationCheckError(kind, RelationVerdict(False, witness))
+        table[(x1, x2, u2)] = entry
     return Interface(kind, table)
 
 
@@ -407,20 +413,22 @@ def validate_interface(
     """Check the two defining interface conditions: entries exist and are
     non-empty for every (related pair, available abstract input), and each
     entry only contains inputs whose annotated tuple satisfies the local
-    condition of the interface's kind."""
-    for x1, x2 in sorted(rel.pairs):
-        for u2 in s2.available_inputs(x2):
-            entry = interface.inputs_for(x1, x2, u2)
-            for u1 in entry:
-                if u1 not in s1.available_inputs(x1):
-                    raise ContractError(
-                        f"interface offers unavailable input {u1!r} at ({x1!r}, {x2!r}, {u2!r})"
-                    )
-                if not _tuple_ok(interface.kind, s1, s2, rel, x1, x2, u1, u2):
-                    raise ContractError(
-                        f"interface entry ({x1!r}, {x2!r}, {u2!r}) -> {u1!r} violates "
-                        f"the {interface.kind.value} condition"
-                    )
+    condition of the interface's kind.  The error names the least offending
+    input of the first bad entry."""
+    _validate_triplet(s1, s2, rel)
+    kind = interface.kind
+    for x1, x2, u2 in _triples(s2, rel):
+        entry = interface.inputs_for(x1, x2, u2)
+        # Reports the least offending input only: the loop body always raises.
+        for u1 in sorted(entry.difference(_admissible(kind, s1, s2, rel, x1, x2, u2))):
+            if u1 not in s1.available_inputs(x1):
+                raise ContractError(
+                    f"interface offers unavailable input {u1!r} at ({x1!r}, {x2!r}, {u2!r})"
+                )
+            raise ContractError(
+                f"interface entry ({x1!r}, {x2!r}, {u2!r}) -> {u1!r} violates "
+                f"the {kind.value} condition"
+            )
 
 
 def mcr_extension(
@@ -433,21 +441,19 @@ def mcr_extension(
     Input availability is preserved row for row; only successor sets grow.
     The returned system is checked to stand in the memoryless concretization
     relation both with ``s1`` along ``rel`` and with ``s2`` along identity.
+    Cost: one maximal ASR interface, the union of its entries' images, and
+    the two MCR checks of that postcondition.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("extension needs a strict relation")
-    asr = check_asr(s1, s2, rel)
-    if not asr.holds:
-        raise RelationCheckError(RelationKind.ASR, asr)
+    interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
     table: dict[tuple[str, str], set[str]] = {
         key: set(succ) for key, succ in s2.trans.items()
     }
-    for x1, x2 in rel.pairs:
-        for u2 in s2.available_inputs(x2):
-            for u1 in s1.available_inputs(x1):
-                if _tuple_ok(RelationKind.ASR, s1, s2, rel, x1, x2, u1, u2):
-                    table[(x2, u2)] |= rel.image(s1.successors(x1, u1))
+    for (x1, x2, u2), entry in interface.table.items():
+        for u1 in entry:
+            table[(x2, u2)] |= rel.image(s1.successors(x1, u1))
     extended = FiniteTransitionSystem(
         s2.states, s2.inputs, {k: frozenset(v) for k, v in table.items()}
     )

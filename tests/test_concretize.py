@@ -14,7 +14,6 @@ from symcret import (
     RelationKind,
     Trajectory,
     closed_loop_run,
-    closed_loop_tree,
     controlled_system,
     dynamic_init,
     dynamic_step,
@@ -168,12 +167,10 @@ class TestClosedLoopRun:
         with pytest.raises(ContractError):
             closed_loop_run(fx.s1, fx.c1_safe, "1", 3, choose_input=scripted(["0"]))
 
-    def test_tree_matches_maximal_behavior(self, fx, asr_interface):
+    def test_closed_loop_maximal_runs(self, fx, asr_interface):
         c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)
-        tree = closed_loop_tree(fx.s1, c1, "1", 6)
-        expected = maximal_trajectories(controlled_system(fx.s1, c1), {"1"}, 6)
-        assert tree == expected
-        assert {t.states for t in tree} == {("1", "2", "3"), ("1", "2", "5")}
+        runs = maximal_trajectories(controlled_system(fx.s1, c1), {"1"}, 6)
+        assert {t.states for t in runs} == {("1", "2", "3"), ("1", "2", "5")}
 
 
 class TestDynamicEnumeration:

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcret import (
     Controller,
@@ -16,6 +17,44 @@ from symcret import (
 from symcret.fixtures import ALPHA, BETA, GAMMA
 
 from conftest import small_systems
+
+
+# Recursive reference versions of the two trajectory enumerations, kept to
+# test the shared explicit-stack traversal against.
+
+def _reference_moves(sys, x):
+    return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
+
+
+def reference_bounded_behavior(sys, start, horizon):
+    out = set()
+
+    def grow(states, inputs):
+        out.add(Trajectory(states, inputs))
+        if len(states) == horizon:
+            return
+        for u, xp in _reference_moves(sys, states[-1]):
+            grow(states + (xp,), inputs + (u,))
+
+    for x0 in sorted(set(start)):
+        grow((x0,), ())
+    return frozenset(out)
+
+
+def reference_maximal_trajectories(sys, start, horizon):
+    out = []
+
+    def grow(states, inputs):
+        moves = _reference_moves(sys, states[-1]) if len(states) < horizon else []
+        if not moves:
+            out.append(Trajectory(states, inputs))
+            return
+        for u, xp in moves:
+            grow(states + (xp,), inputs + (u,))
+
+    for x0 in sorted(set(start)):
+        grow((x0,), ())
+    return tuple(sorted(out, key=lambda t: (t.states, t.inputs)))
 
 
 def chain(n, loop_last=True):
@@ -133,6 +172,25 @@ class TestBoundedBehavior:
         ctrl = Controller({x: {"go"} for x in sys.states})
         runs = maximal_trajectories(controlled_system(sys, ctrl), {"s0"}, 5)
         assert len(runs) == 1
+
+
+    @settings(max_examples=80, deadline=None)
+    @given(sys=small_systems(), data=st.data())
+    def test_traversal_matches_recursive_reference(self, sys, data):
+        start = data.draw(st.frozensets(st.sampled_from(sys.states), min_size=1))
+        horizon = data.draw(st.integers(1, 5))
+        assert bounded_behavior(sys, start, horizon) == (
+            reference_bounded_behavior(sys, start, horizon))
+        assert maximal_trajectories(sys, start, horizon) == (
+            reference_maximal_trajectories(sys, start, horizon))
+
+    def test_long_chain_needs_no_recursion(self):
+        sys = chain(1500)
+        runs = bounded_behavior(sys, {"s0"}, 1501)
+        assert len(runs) == 1501
+        (longest,) = maximal_trajectories(sys, {"s0"}, 1501)
+        assert longest.states == tuple(f"s{i}" for i in range(1500)) + ("s1499",)
+        assert max(runs, key=lambda t: t.length) == longest
 
 
 class TestCheckSpec:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,13 @@ from symcret import (
     Relation,
     RelationCheckError,
     RelationKind,
+    RelationVerdict,
+    RelationWitness,
     StrictnessError,
     check_asr,
     check_frr,
     check_mcr,
+    check_relation,
     compose,
     extended_relation,
     maximal_interface,
@@ -27,6 +32,152 @@ from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
 from conftest import seeded_rng, small_systems, strict_relations
+
+
+# Reference implementations: the per-tuple evaluation every relation operation
+# used before the admissible-input kernel, kept to test the kernel against.
+
+def reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2):
+    if kind is RelationKind.FRR and u1 != u2:
+        return False
+    succ2 = s2.successors(x2, u2)
+    for x1p in s1.successors(x1, u1):
+        img = rel.forward(x1p)
+        if kind is RelationKind.ASR:
+            if img.isdisjoint(succ2):
+                return False
+        else:
+            if not img <= succ2:
+                return False
+    return True
+
+
+def reference_check(kind, s1, s2, rel, allow_non_strict=False):
+    if set(rel.domain) != set(s1.states) or set(rel.codomain) != set(s2.states):
+        raise DomainError("relation carriers must match the systems")
+    if kind is not RelationKind.ASR and not allow_non_strict and not rel.is_strict():
+        raise StrictnessError(kind.value)
+    for x1, x2 in sorted(rel.pairs):
+        avail1 = s1.available_inputs(x1)
+        for u2 in s2.available_inputs(x2):
+            if kind is RelationKind.ASR:
+                if not any(reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2)
+                           for u1 in avail1):
+                    return RelationVerdict(False, RelationWitness(x1, x2, u2))
+                continue
+            if kind is RelationKind.FRR and u2 not in avail1:
+                return RelationVerdict(False, RelationWitness(x1, x2, u2))
+            candidates = (u2,) if kind is RelationKind.FRR else avail1
+            succ2 = s2.successors(x2, u2)
+            violations = []
+            for u1 in candidates:
+                failure = None
+                for x1p in sorted(s1.successors(x1, u1)):
+                    escaped = sorted(rel.forward(x1p) - succ2)
+                    if escaped:
+                        failure = (x1p, escaped[0])
+                        break
+                if failure is None:
+                    break
+                violations.append(failure)
+            else:
+                return RelationVerdict(False, RelationWitness(x1, x2, u2, min(violations)))
+    return RelationVerdict(True, None)
+
+
+def reference_replay_witness(kind, s1, s2, rel, witness):
+    x1, x2, u2 = witness.x1, witness.x2, witness.u2
+    if (x1, x2) not in rel.pairs or u2 not in s2.available_inputs(x2):
+        return False
+    if kind is RelationKind.FRR and u2 not in s1.available_inputs(x1):
+        return True
+    candidates = (u2,) if kind is RelationKind.FRR else s1.available_inputs(x1)
+    if any(reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2) for u1 in candidates):
+        return False
+    if witness.evidence is not None:
+        x1p, x2p = witness.evidence
+        if not any(x1p in s1.successors(x1, u1) for u1 in candidates):
+            return False
+        if x2p not in rel.forward(x1p) or x2p in s2.successors(x2, u2):
+            return False
+    return True
+
+
+def reference_extended_relation(kind, s1, s2, rel):
+    return frozenset(
+        (x1, x2, u1, u2)
+        for x1, x2 in rel.pairs
+        for u2 in s2.available_inputs(x2)
+        for u1 in s1.available_inputs(x1)
+        if reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2)
+    )
+
+
+def reference_maximal_interface(s1, s2, rel, kind):
+    verdict = reference_check(kind, s1, s2, rel)
+    if not verdict.holds:
+        raise RelationCheckError(kind, verdict)
+    return Interface(kind, {
+        (x1, x2, u2): frozenset(
+            u1 for u1 in s1.available_inputs(x1)
+            if reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2)
+        )
+        for x1, x2 in rel.pairs
+        for u2 in s2.available_inputs(x2)
+    })
+
+
+def reference_mcr_extension(s1, s2, rel):
+    if not rel.is_strict():
+        raise StrictnessError("extension needs a strict relation")
+    asr = reference_check(RelationKind.ASR, s1, s2, rel)
+    if not asr.holds:
+        raise RelationCheckError(RelationKind.ASR, asr)
+    table = {key: set(succ) for key, succ in s2.trans.items()}
+    for x1, x2 in rel.pairs:
+        for u2 in s2.available_inputs(x2):
+            for u1 in s1.available_inputs(x1):
+                if reference_tuple_ok(RelationKind.ASR, s1, s2, rel, x1, x2, u1, u2):
+                    table[(x2, u2)] |= rel.image(s1.successors(x1, u1))
+    return FiniteTransitionSystem(s2.states, s2.inputs, table)
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the error it raised, in a comparable form."""
+    try:
+        return ("value", fn(*args, **kwargs))
+    except RelationCheckError as err:
+        return ("check", err.kind, err.verdict)
+    except StrictnessError:
+        return ("strict",)
+
+
+@st.composite
+def relation_instances(draw):
+    """A small concrete system, a strict (with or without overlap) or
+    non-strict relation, and an abstraction that is random, induced, or
+    induced and thinned."""
+    s1 = draw(small_systems())
+    shape = draw(st.sampled_from(["overlap", "partition", "non_strict"]))
+    if shape == "non_strict":
+        cells = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+        pairs = draw(st.frozensets(
+            st.tuples(st.sampled_from(s1.states), st.sampled_from(cells)), max_size=6))
+        rel = Relation(s1.states, cells, pairs)
+    else:
+        rel = draw(strict_relations(s1.states, allow_overlap=shape == "overlap"))
+    abstraction = draw(st.sampled_from(["random", "induced", "thinned"]))
+    if abstraction == "random":
+        rng = seeded_rng(draw(st.integers(0, 10**6)))
+        s2 = random_system(rng, len(rel.codomain), 2, state_prefix="q")
+    else:
+        s2 = induced_abstraction(s1, rel)
+        if abstraction == "thinned":
+            s2 = FiniteTransitionSystem(s2.states, s2.inputs, {
+                key: draw(st.frozensets(st.sampled_from(sorted(succ)), min_size=1))
+                for key, succ in s2.trans.items() if succ
+            })
+    return s1, s2, rel
 
 
 class TestRelationBasics:
@@ -117,6 +268,33 @@ class TestCheckers:
         with pytest.raises(DomainError):
             check_asr(fx.s1, fx.s2, rel)
 
+    @pytest.mark.parametrize("domain", [("1", "2"), ("1", "2", "3", "4", "5", "6")])
+    def test_every_entry_point_validates_the_triplet(self, fx, domain):
+        pairs = frozenset(p for p in fx.relation.pairs if p[0] in domain)
+        rel = Relation(domain, fx.s2.states, pairs)
+        iface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
+        witness = RelationWitness("1", "a", ALPHA, ("2", "c"))
+        with pytest.raises(DomainError):
+            replay_witness(RelationKind.MCR, fx.s1, fx.s2, rel, witness)
+        with pytest.raises(DomainError):
+            validate_interface(fx.s1, fx.s2, rel, iface)
+        for kind in RelationKind:
+            with pytest.raises(DomainError):
+                maximal_interface(fx.s1, fx.s2, rel, kind)
+            with pytest.raises(DomainError):
+                extended_relation(kind, fx.s1, fx.s2, rel)
+        with pytest.raises(DomainError):
+            mcr_extension(fx.s1, fx.s2, rel)
+
+    def test_blocking_concrete_state_refutes_without_evidence(self):
+        s1 = FiniteTransitionSystem(("x",), ("u",), {})
+        s2 = FiniteTransitionSystem(("q",), ("u",), {("q", "u"): {"q"}})
+        rel = Relation(s1.states, s2.states, frozenset({("x", "q")}))
+        for kind in RelationKind:
+            verdict = check_relation(kind, s1, s2, rel)
+            assert verdict == RelationVerdict(False, RelationWitness("x", "q", "u"))
+            assert replay_witness(kind, s1, s2, rel, verdict.witness)
+
 
 class TestWitnessReplay:
     def test_fig5_mcr_witness_replays(self, fx):
@@ -183,6 +361,23 @@ class TestInterfaces:
         table[("1", "a", ALPHA)] = frozenset({"1"})  # wrong side of the fork
         with pytest.raises(ContractError):
             validate_interface(fx.s1, fx.s2, fx.relation, Interface(RelationKind.ASR, table))
+
+    def test_least_offender_named(self):
+        # u1 and u2 both lead x out of q's row; only u3 keeps it there.
+        s1 = FiniteTransitionSystem(
+            ("x", "y"), ("u1", "u2", "u3"),
+            {("x", "u1"): {"y"}, ("x", "u2"): {"y"}, ("x", "u3"): {"x"}},
+        )
+        s2 = FiniteTransitionSystem(("q", "r"), ("v",), {("q", "v"): {"q"}})
+        rel = Relation(s1.states, s2.states, frozenset({("x", "q"), ("y", "r")}))
+        for entry, message in (
+            ({"u1", "u2"}, "-> 'u1' violates"),
+            ({"u2", "u3", "u9"}, "-> 'u2' violates"),
+            ({"u0", "u1"}, "unavailable input 'u0'"),
+        ):
+            iface = Interface(RelationKind.ASR, {("x", "q", "v"): frozenset(entry)})
+            with pytest.raises(ContractError, match=message):
+                validate_interface(s1, s2, rel, iface)
 
     def test_extended_relation_tuples(self, fx):
         ext = extended_relation(RelationKind.ASR, fx.s1, fx.s2, fx.relation)
@@ -287,6 +482,41 @@ class TestTranslateSpec:
         rel = Relation(("x0", "x1"), ("qa",), frozenset({("x0", "qa")}))
         with pytest.raises(StrictnessError):
             translate_spec(ReachAvoidSpec(frozenset(), frozenset(), frozenset()), rel)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=relation_instances())
+    def test_every_operation_matches(self, inst):
+        s1, s2, rel = inst
+        assert outcome(mcr_extension, s1, s2, rel) == outcome(
+            reference_mcr_extension, s1, s2, rel)
+        for kind, checker in (
+            (RelationKind.ASR, check_asr),
+            (RelationKind.MCR, partial(check_mcr, allow_non_strict=True)),
+            (RelationKind.FRR, partial(check_frr, allow_non_strict=True)),
+        ):
+            verdict = checker(s1, s2, rel)
+            assert verdict == reference_check(kind, s1, s2, rel, allow_non_strict=True)
+            assert outcome(check_relation, kind, s1, s2, rel) == outcome(
+                reference_check, kind, s1, s2, rel)
+            assert outcome(maximal_interface, s1, s2, rel, kind) == outcome(
+                reference_maximal_interface, s1, s2, rel, kind)
+            assert extended_relation(kind, s1, s2, rel).tuples == (
+                reference_extended_relation(kind, s1, s2, rel))
+            if not verdict.holds:
+                assert replay_witness(kind, s1, s2, rel, verdict.witness)
+            # Perturbed witnesses: every triple (related or not, any input)
+            # with no evidence and with every shifted evidence pair, which
+            # includes FRR witnesses whose u2 is unavailable at x1.
+            evidences = [None] + [(a, b) for a in s1.states for b in s2.states]
+            for x1 in s1.states:
+                for x2 in s2.states:
+                    for u2 in s2.inputs:
+                        for evidence in evidences:
+                            w = RelationWitness(x1, x2, u2, evidence)
+                            assert replay_witness(kind, s1, s2, rel, w) == (
+                                reference_replay_witness(kind, s1, s2, rel, w))
 
 
 class TestRelationLaws:
