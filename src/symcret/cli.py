@@ -42,7 +42,12 @@ from .relations import (
     maximal_interface,
     mcr_extension,
 )
-from .synthesis import is_sub_controller, losing_initial_states, synthesize_reach_avoid
+from .synthesis import (
+    is_sub_controller,
+    rank_decreasing_controller,
+    synthesize_reach_avoid,
+    winning_region,
+)
 
 
 class UsageError(SymcretError):
@@ -165,24 +170,25 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     sys_ = _load_system(args.sys)
     spec = _load_spec(args.spec)
-    spec.validate_for(sys_)
-    result = synthesize_reach_avoid(sys_, spec)
-    if result is None:
+    winning, rank = winning_region(sys_, spec)
+    losing = spec.initial - winning
+    if losing:
         payload = {
             "format": jsonio.FORMAT,
             "kind": "synthesis-result",
             "solvable": False,
-            "losing_initial": sorted(losing_initial_states(sys_, spec)),
+            "losing_initial": sorted(losing),
         }
         _emit(payload, args.json, ["unsolvable"])
         return 1
+    controller = rank_decreasing_controller(sys_, rank, spec.target)
     payload = {
         "format": jsonio.FORMAT,
         "kind": "synthesis-result",
         "solvable": True,
-        "controller": jsonio.controller_to_obj(result.controller),
-        "rank": {x: result.rank[x] for x in sorted(result.rank)},
-        "winning": sorted(result.winning),
+        "controller": jsonio.controller_to_obj(controller),
+        "rank": {x: rank[x] for x in sorted(rank)},
+        "winning": sorted(winning),
     }
     _maybe_save(payload, args.out)
     _emit(payload, args.json, ["solvable"])

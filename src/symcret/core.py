@@ -281,32 +281,45 @@ def check_spec(
     run that ends (stuck, or out of horizon) before reaching the target
     violates it as well, since no continuation could ever succeed.  The
     returned witness is the first violating run in lexicographic search
-    order.
+    order.  The search runs on an explicit stack and visits each
+    (state, depth) node at most once, so it costs O(states x horizon x
+    moves) rather than the number of runs.
     """
     spec.validate_for(sys)
     bound = default_horizon(sys) if horizon is None else horizon
     if bound < 1:
         raise ContractError("horizon must be at least 1")
 
-    def explore(states: tuple[str, ...], inputs: tuple[str, ...]) -> Trajectory | None:
-        x = states[-1]
+    def enter(x: str, depth: int) -> Iterator[tuple[str, str]] | None:
+        # The moves still to try below a node, or None if the run ends here
+        # in a violation.
         if x in spec.target:
+            return iter(())
+        if x in spec.obstacle or depth == bound:
             return None
-        if x in spec.obstacle:
-            return Trajectory(states, inputs)
-        if len(states) == bound:
-            return Trajectory(states, inputs)
         moves = _moves(sys, x)
-        if not moves:
-            return Trajectory(states, inputs)
-        for u, xp in moves:
-            bad = explore(states + (xp,), inputs + (u,))
-            if bad is not None:
-                return bad
-        return None
+        return iter(moves) if moves else None
 
+    # What lies below a node depends only on its (state, depth) and the
+    # search stops at the first violation, so a node fully explored once
+    # without one is skipped wherever it recurs; the witness is unchanged.
+    clean: set[tuple[str, int]] = set()
     for x0 in sorted(spec.initial):
-        bad = explore((x0,), ())
-        if bad is not None:
-            return SpecVerdict(False, bad)
+        states, inputs = [x0], []
+        stack = [enter(x0, 1)]
+        while stack:
+            if stack[-1] is None:
+                return SpecVerdict(False, Trajectory(states, inputs))
+            depth = len(states)
+            for u, xp in stack[-1]:
+                if (xp, depth + 1) not in clean:
+                    states.append(xp)
+                    inputs.append(u)
+                    stack.append(enter(xp, depth + 1))
+                    break
+            else:
+                clean.add((states.pop(), depth))
+                stack.pop()
+                if inputs:
+                    inputs.pop()
     return SpecVerdict(True, None)

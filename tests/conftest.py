@@ -50,5 +50,13 @@ def strict_relations(draw, concrete_states, max_cells=3, allow_overlap=True):
     return Relation(tuple(concrete_states), tuple(cells), frozenset(pairs))
 
 
+def chain(n, loop_last=True):
+    states = [f"s{i}" for i in range(n)]
+    trans = {(states[i], "go"): {states[i + 1]} for i in range(n - 1)}
+    if loop_last:
+        trans[(states[-1], "go")] = {states[-1]}
+    return FiniteTransitionSystem(tuple(states), ("go",), trans)
+
+
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)

@@ -3,7 +3,8 @@ from importlib import resources
 
 import pytest
 
-from symcret import RelationKind, Trajectory, fig5, maximal_interface
+from symcret import ReachAvoidSpec, RelationKind, Trajectory, fig5, maximal_interface
+from symcret import cli
 from symcret.cli import fig5_bundle, main
 from symcret.fixtures import ALPHA
 from symcret import jsonio
@@ -146,6 +147,28 @@ class TestCommands:
         )
         doc = json.loads(out)
         assert code == 1 and doc["losing_initial"] == ["a"]
+
+    def test_synthesize_unsolvable_solves_once(self, capsys, bundle_path, tmp_path, monkeypatch):
+        spec_file = tmp_path / "bad_spec.json"
+        jsonio.save(spec_file, {
+            "format": jsonio.FORMAT, "kind": "spec",
+            "initial": ["a", "e"], "target": ["d"], "obstacle": ["f"],
+        })
+        calls = []
+        real_region = cli.winning_region
+        real_validate = ReachAvoidSpec.validate_for
+        monkeypatch.setattr(cli, "winning_region",
+                            lambda *a: calls.append("region") or real_region(*a))
+        monkeypatch.setattr(ReachAvoidSpec, "validate_for",
+                            lambda *a: calls.append("validate") or real_validate(*a))
+        code, out, _ = run(
+            capsys, "synthesize", "--sys", f"{bundle_path}:S2", "--spec", str(spec_file),
+        )
+        assert code == 1 and calls == ["region", "validate"]
+        assert out == (
+            'unsolvable\n{\n  "format": "symcret/1",\n  "kind": "synthesis-result",\n'
+            '  "losing_initial": [\n    "a",\n    "e"\n  ],\n  "solvable": false\n}\n'
+        )
 
     def test_concretize_memoryless_values(self, capsys, bundle_path):
         code, out, _ = run(

@@ -8,15 +8,18 @@ from symcret import (
     DomainError,
     FiniteTransitionSystem,
     ReachAvoidSpec,
+    SpecVerdict,
     Trajectory,
     bounded_behavior,
     check_spec,
     controlled_system,
+    default_horizon,
     maximal_trajectories,
+    synthesize_reach_avoid,
 )
 from symcret.fixtures import ALPHA, BETA, GAMMA
 
-from conftest import small_systems
+from conftest import chain, small_systems
 
 
 # Recursive reference versions of the two trajectory enumerations, kept to
@@ -57,12 +60,33 @@ def reference_maximal_trajectories(sys, start, horizon):
     return tuple(sorted(out, key=lambda t: (t.states, t.inputs)))
 
 
-def chain(n, loop_last=True):
-    states = [f"s{i}" for i in range(n)]
-    trans = {(states[i], "go"): {states[i + 1]} for i in range(n - 1)}
-    if loop_last:
-        trans[(states[-1], "go")] = {states[-1]}
-    return FiniteTransitionSystem(tuple(states), ("go",), trans)
+def reference_check_spec(sys, spec, horizon=None):
+    # The recursive, unmemoised search that `check_spec` replaced.
+    spec.validate_for(sys)
+    bound = default_horizon(sys) if horizon is None else horizon
+    if bound < 1:
+        raise ContractError("horizon must be at least 1")
+
+    def explore(states, inputs):
+        x = states[-1]
+        if x in spec.target:
+            return None
+        if x in spec.obstacle or len(states) == bound:
+            return Trajectory(states, inputs)
+        moves = _reference_moves(sys, x)
+        if not moves:
+            return Trajectory(states, inputs)
+        for u, xp in moves:
+            bad = explore(states + (xp,), inputs + (u,))
+            if bad is not None:
+                return bad
+        return None
+
+    for x0 in sorted(spec.initial):
+        bad = explore((x0,), ())
+        if bad is not None:
+            return SpecVerdict(False, bad)
+    return SpecVerdict(True, None)
 
 
 class TestAvailableInputs:
@@ -238,6 +262,67 @@ class TestCheckSpec:
         spec = ReachAvoidSpec(frozenset({"q"}), frozenset({"p"}), frozenset())
         verdict = check_spec(sys, spec, 5)
         assert not verdict.holds and verdict.witness.states == ("q",)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(sys=small_systems(max_states=6, max_inputs=3), data=st.data())
+    def test_matches_recursive_reference(self, sys, data):
+        some = st.frozensets(st.sampled_from(sys.states))
+        spec = ReachAvoidSpec(data.draw(some), data.draw(some), data.draw(some))
+        horizon = data.draw(st.one_of(st.none(), st.integers(1, 7)))
+        # Controlling some states away gives blocking states too.
+        partial = controlled_system(
+            sys, Controller({x: sys.available_inputs(x) for x in data.draw(some)}))
+        for s in (sys, partial):
+            assert check_spec(s, spec, horizon) == reference_check_spec(s, spec, horizon)
+        # A synthesized closed loop holds at the full horizon, so a shorter
+        # one is violated only by runs that reach a state too late: the
+        # case where the (state, depth) memo must not forget the depth.
+        target = spec.target or frozenset(sys.states[:1])
+        result = synthesize_reach_avoid(sys, ReachAvoidSpec(frozenset(), target, frozenset()))
+        closed = controlled_system(sys, result.controller)
+        loop_spec = ReachAvoidSpec(result.winning, target, frozenset())
+        short = data.draw(st.integers(1, max(result.rank.values()) + 1))
+        assert check_spec(closed, loop_spec, short) == (
+            reference_check_spec(closed, loop_spec, short))
+
+    def test_memo_keeps_depth(self):
+        # `b` is clean at depth 2 (via u0) but runs out of horizon at depth 3.
+        sys = FiniteTransitionSystem(
+            ("a", "b", "c", "t", "x"), ("u0", "u1"),
+            {("x", "u0"): {"b"}, ("x", "u1"): {"a"}, ("a", "u0"): {"b"},
+             ("b", "u0"): {"c"}, ("c", "u0"): {"t"}, ("t", "u0"): {"t"}},
+        )
+        spec = ReachAvoidSpec(frozenset({"x"}), frozenset({"t"}), frozenset())
+        assert check_spec(sys, spec, 5).holds
+        verdict = check_spec(sys, spec, 4)
+        assert verdict.witness == Trajectory(("x", "a", "b", "c"), ("u1", "u0", "u0"))
+
+    def test_long_chain_closed_loop_verifies(self):
+        sys = chain(1500)
+        spec = ReachAvoidSpec(frozenset({"s0"}), frozenset({"s1499"}), frozenset())
+        result = synthesize_reach_avoid(sys, spec)
+        assert check_spec(controlled_system(sys, result.controller), spec).holds
+        short = check_spec(sys, spec, 1499)
+        assert short.witness.states == tuple(f"s{i}" for i in range(1499))
+
+    def test_ladder_with_exponentially_many_runs(self):
+        # 60 layers of two states, each wired to both of the next layer:
+        # 2^60 runs, but only 120 (state, depth) nodes.
+        layers = [(f"a{k:02d}", f"b{k:02d}") for k in range(60)]
+        trans = {
+            (x, u): {nxt}
+            for here, there in zip(layers, layers[1:])
+            for x in here
+            for u, nxt in zip(("l", "r"), there)
+        }
+        sys = FiniteTransitionSystem(
+            tuple(x for layer in layers for x in layer), ("l", "r"), trans)
+        spec = ReachAvoidSpec(frozenset(layers[0]), frozenset(layers[-1]), frozenset())
+        assert check_spec(sys, spec).holds
+        spec = ReachAvoidSpec(frozenset(layers[0]), frozenset({"b59"}), frozenset())
+        verdict = check_spec(sys, spec)
+        assert verdict.witness.states == tuple(a for a, _ in layers)
 
 
 class TestTrajectory:

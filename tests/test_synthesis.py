@@ -8,6 +8,7 @@ from symcret import (
     ContractError,
     FiniteTransitionSystem,
     ReachAvoidSpec,
+    SymcretError,
     check_spec,
     controllable_predecessor,
     controlled_system,
@@ -15,13 +16,14 @@ from symcret import (
     enumerate_controllers,
     is_sub_controller,
     losing_initial_states,
+    rank_decreasing_controller,
     synthesize_reach_avoid,
     winning_region,
 )
 from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import random_system
 
-from conftest import seeded_rng
+from conftest import chain, seeded_rng
 
 
 def brute_force_predecessor(sys, safe, target):
@@ -34,6 +36,71 @@ def brute_force_predecessor(sys, safe, target):
             for u in sys.inputs
         )
     )
+
+
+# The Kleene iteration that `winning_region` replaced, kept as the reference:
+# rescan every safe state with the one-step operator until nothing enters.
+
+def reference_winning_region(sys, spec):
+    spec.validate_for(sys)
+    if spec.target & spec.obstacle:
+        raise ContractError("a target state may not also be an obstacle")
+    safe = frozenset(sys.states) - spec.obstacle
+    winning = frozenset(spec.target)
+    rank = {x: 0 for x in winning}
+    level = 0
+    while True:
+        level += 1
+        fresh = controllable_predecessor(sys, safe, winning) - winning
+        if not fresh:
+            return winning, rank
+        for x in fresh:
+            rank[x] = level
+        winning |= fresh
+
+
+def reference_choices(sys, spec, winning, rank):
+    return {
+        x: frozenset(
+            u
+            for u in sys.available_inputs(x)
+            if sys.successors(x, u) <= winning
+            and max(rank[xp] for xp in sys.successors(x, u)) < rank[x]
+        )
+        for x in winning - spec.target
+    }
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SymcretError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def reach_avoid_problems(draw):
+    # Any row may be unavailable, so states can block; successor sets may
+    # hold the tail itself and mix target, obstacle and other states.
+    n = draw(st.integers(1, 6))
+    states = [f"x{i}" for i in range(n)]
+    inputs = [f"u{j}" for j in range(draw(st.integers(1, 3)))]
+    trans = {
+        (x, u): draw(st.frozensets(st.sampled_from(states), min_size=1))
+        for x in states
+        for u in inputs
+        if draw(st.integers(0, 2))
+    }
+    sys = FiniteTransitionSystem(tuple(states), tuple(inputs), trans)
+    some = st.frozensets(st.sampled_from(states))
+    target = draw(some)
+    obstacle = draw(some)
+    if draw(st.integers(0, 9)):
+        obstacle -= target
+    initial = draw(some)
+    if not draw(st.integers(0, 19)):
+        initial |= {"stray"}
+    return sys, ReachAvoidSpec(initial, target, obstacle)
 
 
 class TestControllablePredecessor:
@@ -150,6 +217,35 @@ class TestSynthesis:
             return
         closed = controlled_system(sys, result.controller)
         assert check_spec(closed, spec, len(sys.states) + 1).holds
+
+
+class TestAgainstKleeneReference:
+    @settings(max_examples=300, deadline=None)
+    @given(problem=reach_avoid_problems())
+    def test_matches_reference(self, problem):
+        sys, spec = problem
+        expected = outcome(reference_winning_region, sys, spec)
+        assert outcome(winning_region, sys, spec) == expected
+        result = outcome(synthesize_reach_avoid, sys, spec)
+        losing = outcome(losing_initial_states, sys, spec)
+        if not isinstance(expected[0], frozenset):
+            assert result == losing == expected
+            return
+        winning, rank = expected
+        assert losing == spec.initial - winning
+        if losing:
+            assert result is None
+            return
+        assert result.winning == winning and result.rank == rank
+        assert result.controller.choices == reference_choices(sys, spec, winning, rank)
+        assert rank_decreasing_controller(sys, rank, spec.target) == result.controller
+
+    def test_long_chain_rank_is_distance(self):
+        sys = chain(1500)
+        spec = ReachAvoidSpec(frozenset({"s0"}), frozenset({"s1499"}), frozenset())
+        result = synthesize_reach_avoid(sys, spec)
+        assert result.rank == {f"s{i}": 1499 - i for i in range(1500)}
+        assert result.controller.choices == {f"s{i}": {"go"} for i in range(1499)}
 
 
 class TestEnumeration:
