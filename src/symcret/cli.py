@@ -257,10 +257,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdict = check_controlled_simulability(
             s1, s2, rel, _load_controller(args.c1), _load_controller(args.c2), args.horizon
         )
-        witness = None
-        if verdict.witness:
-            witness = {"concrete": list(verdict.witness.concrete),
-                       "inputs": list(verdict.witness.concrete_inputs)}
     else:
         interface = maximal_interface(s1, s2, rel, RelationKind(args.kind))
         if args.property == "two":
@@ -273,14 +269,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             verdict = check_memoryless_concretization_all_controllers(
                 s1, s2, rel, interface, args.horizon, budget=args.budget
             )
-        witness = None
-        inner = getattr(verdict, "witness", None)
-        if inner is not None:
-            witness = {
-                "concrete": list(inner.concrete),
-                "inputs": list(inner.concrete_inputs),
-                "quantization": list(inner.quantization) if inner.quantization else None,
-            }
+    witness = None
+    if verdict.witness is not None:
+        inner = verdict.witness
+        witness = {"concrete": list(inner.concrete), "inputs": list(inner.concrete_inputs)}
+        if inner.quantization is not None:
+            witness["quantization"] = list(inner.quantization)
         if getattr(verdict, "witness_controller", None) is not None:
             witness["controller"] = jsonio.controller_to_obj(verdict.witness_controller)
     payload = {
@@ -394,12 +388,8 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     rows.append(("alternate-controller-safe", p2_good.holds,
                  "the detour controller satisfies the memoryless guarantee"))
 
-    p1_bad = check_controlled_simulability(
-        fx.s1, fx.s2, fx.relation, c1, fx.c2_via_b, 6
-    )
-    p1_good = check_controlled_simulability(
-        fx.s1, fx.s2, fx.relation, fx.c1_safe, fx.c2_via_b, 6
-    )
+    p1_bad = check_controlled_simulability(fx.s1, fx.s2, fx.relation, c1, fx.c2_via_b, 6)
+    p1_good = check_controlled_simulability(fx.s1, fx.s2, fx.relation, fx.c1_safe, fx.c2_via_b, 6)
     rows.append((
         "controlled-simulability",
         (not p1_bad.holds and p1_bad.witness.concrete == ("1", "2", "3") and p1_good.holds),
@@ -590,7 +580,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--json", action="store_true")
     sim.set_defaults(run=cmd_simulate)
 
-    verify = sub.add_parser("verify", help="brute-force a transfer guarantee")
+    verify = sub.add_parser("verify", help="check a transfer guarantee")
     verify.add_argument("--property", choices=["one", "two", "two-all"], required=True)
     verify.add_argument("--s1", required=True)
     verify.add_argument("--s2", required=True)

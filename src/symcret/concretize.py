@@ -102,6 +102,22 @@ class DynamicConcretizerState:
     u2: str
 
 
+def _commit(
+    c2: Controller, interface: Interface, x1: str, candidates: frozenset[str],
+    *choosers: Chooser | Sequence[str] | None,
+) -> tuple[DynamicConcretizerState, str]:
+    """Commit to a candidate abstract state the controller covers, then to
+    its abstract input and the concrete input the interface maps it to."""
+    covered = [x2 for x2 in sorted(candidates) if x2 in c2.choices]
+    if not covered:
+        raise ControllerUndefinedError(x1, who="abstract controller (via quantizer)")
+    choose_x2, choose_u2, choose_u1 = map(_chooser, choosers)
+    x2 = choose_x2(covered)
+    u2 = choose_u2(sorted(c2.choices[x2]))
+    u1 = choose_u1(sorted(interface.inputs_for(x1, x2, u2)))
+    return DynamicConcretizerState(x2, u2), u1
+
+
 def dynamic_init(
     c2: Controller,
     rel: Relation,
@@ -114,16 +130,10 @@ def dynamic_init(
 ) -> tuple[DynamicConcretizerState, str]:
     """Commit to an abstract start related to ``x1_0`` and emit the first
     concrete input."""
-    related = sorted(rel.forward(x1_0))
+    related = rel.forward(x1_0)
     if not related:
         raise ContractError(f"state {x1_0!r} is related to no abstract state")
-    covered = [x2 for x2 in related if x2 in c2.choices]
-    if not covered:
-        raise ControllerUndefinedError(x1_0, who="abstract controller (via quantizer)")
-    x2 = _chooser(choose_x2)(covered)
-    u2 = _chooser(choose_u2)(sorted(c2.choices[x2]))
-    u1 = _chooser(choose_u1)(sorted(interface.inputs_for(x1_0, x2, u2)))
-    return DynamicConcretizerState(x2, u2), u1
+    return _commit(c2, interface, x1_0, related, choose_x2, choose_u2, choose_u1)
 
 
 def dynamic_step(
@@ -152,13 +162,7 @@ def dynamic_step(
         raise BrokenCertificateError(
             f"no abstract successor of ({state.x2!r}, {state.u2!r}) is related to {x1_next!r}"
         )
-    covered = [x2 for x2 in sorted(sync) if x2 in c2.choices]
-    if not covered:
-        raise ControllerUndefinedError(x1_next, who="abstract controller (via quantizer)")
-    x2 = _chooser(choose_x2)(covered)
-    u2 = _chooser(choose_u2)(sorted(c2.choices[x2]))
-    u1 = _chooser(choose_u1)(sorted(interface.inputs_for(x1_next, x2, u2)))
-    return DynamicConcretizerState(x2, u2), u1
+    return _commit(c2, interface, x1_next, sync, choose_x2, choose_u2, choose_u1)
 
 
 class DynamicConcretizer:
@@ -274,37 +278,49 @@ def enumerate_dynamic_runs(
     horizon: int,
 ) -> tuple[DynamicRun, ...]:
     """Every execution of the dynamic architecture from ``x1_0``, branching
-    over all abstract-state, input, and plant choices.
+    over all abstract-state, input, and plant choices in lexicographic order
+    of (u2, u1, x1', x2') at every step, on an explicit stack.
 
-    While walking, two facts are verified at every step and reported as
-    :class:`BrokenCertificateError` if they fail: the committed abstract state
-    stays related to the concrete one, and the re-synchronisation
-    intersection is never empty.  Runs end when the horizon is reached or the
-    abstract controller runs out of choices.
+    The committed abstract state stays related to the concrete one by
+    construction (it comes from the quantizations of ``x1_0``, then from
+    re-synchronisation intersections); the first empty intersection in search
+    order raises :class:`BrokenCertificateError`.  Runs end at the horizon or
+    where the abstract controller has no choice.  Cost linear in their total
+    length.
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
     runs: list[DynamicRun] = []
 
-    def walk(x1s: tuple[str, ...], x2s: tuple[str, ...],
-             u1s: tuple[str, ...], u2s: tuple[str, ...]) -> None:
-        x1, x2 = x1s[-1], x2s[-1]
-        if (x1, x2) not in rel.pairs:
-            raise BrokenCertificateError(f"({x1!r}, {x2!r}) escaped the relation")
-        if len(x1s) == horizon or x2 not in c2.choices:
-            runs.append(DynamicRun(x1s, x2s, u1s, u2s))
+    def below(path: list[tuple[str, str, str, str]]) -> Iterator[tuple[str, str, str, str]]:
+        # The (u2, u1, x1', x2') moves below the path's last node, which it
+        # still is when first advanced.  A leaf records its run instead.
+        _, _, x1, x2 = path[-1]
+        if len(path) == horizon or x2 not in c2.choices:
+            u2s, u1s, x1s, x2s = zip(*path)
+            runs.append(DynamicRun(x1s, x2s, u1s[1:], u2s[1:]))
             return
         for u2 in sorted(c2.choices[x2]):
+            succ2 = s2.successors(x2, u2)
             for u1 in sorted(interface.inputs_for(x1, x2, u2)):
                 for x1p in sorted(s1.successors(x1, u1)):
-                    sync = s2.successors(x2, u2) & rel.forward(x1p)
+                    sync = succ2 & rel.forward(x1p)
                     if not sync:
                         raise BrokenCertificateError(
                             f"empty re-synchronisation after ({x1!r}, {x2!r}, {u2!r}) -> {x1p!r}"
                         )
                     for x2p in sorted(sync):
-                        walk(x1s + (x1p,), x2s + (x2p,), u1s + (u1,), u2s + (u2,))
+                        yield u2, u1, x1p, x2p
 
     for x2_0 in sorted(rel.forward(x1_0)):
-        walk((x1_0,), (x2_0,), (), ())
+        path = [("", "", x1_0, x2_0)]  # the start has no inputs
+        stack = [below(path)]
+        while stack:
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                path.pop()
+            else:
+                path.append(step)
+                stack.append(below(path))
     return tuple(runs)

@@ -1,7 +1,9 @@
-"""Brute-force verification of the two controller-transfer guarantees.
+"""Verification of the two controller-transfer guarantees.
 
 *Controlled simulability*: every bounded state sequence of the concrete
 closed loop has some related state sequence in the abstract closed loop.
+The check searches the product of concrete states and tracked sets of
+abstract states breadth-first rather than enumerating sequences.
 
 *Memoryless concretization*: running the quantizer-in-the-loop architecture
 (quantize the current concrete state, ask the abstract controller there, map
@@ -41,7 +43,9 @@ from .synthesis import BudgetExceededError, controller_count, enumerate_controll
 
 
 def default_horizon_pair(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem) -> int:
-    """Product-state pigeonhole bound: longer runs must repeat a pair."""
+    """Default depth of the transfer checks, one more than the number of
+    state pairs.  Not a pigeonhole bound: with overlapping cells simulability
+    searches (x1, tracked set) nodes, which may outnumber the pairs."""
     return len(s1.states) * len(s2.states) + 1
 
 
@@ -69,18 +73,6 @@ class AllControllersVerdict:
     checked: int = 0
 
 
-def _controlled_post(
-    s2: FiniteTransitionSystem, c2: Controller
-) -> dict[str, frozenset[str]]:
-    post: dict[str, frozenset[str]] = {}
-    for q in s2.states:
-        succ: set[str] = set()
-        for u2 in c2.choices.get(q, frozenset()):
-            succ |= s2.successors(q, u2)
-        post[q] = frozenset(succ)
-    return post
-
-
 def check_controlled_simulability(
     s1: FiniteTransitionSystem,
     s2: FiniteTransitionSystem,
@@ -92,38 +84,50 @@ def check_controlled_simulability(
     """Does every bounded state sequence of c1 x s1 have a pointwise-related
     state sequence in c2 x s2?
 
-    The search carries the set of abstract states any matching sequence could
-    currently be at; the witness is the shortest, lexicographically least
-    concrete sequence at which that set empties.
+    The abstract states a matching sequence could be at (the tracked set)
+    depend only on the concrete sequence, so the check walks (x1, tracked
+    set) nodes breadth-first, as in the subset construction of Rabin & Scott:
+    paths in lexicographic order, moves sorted by (x1', u1), and each node
+    kept with the least path that first reaches it (a failure below a later or
+    larger path to it has a shorter or smaller copy below that one).  The
+    witness is the shortest, least sequence at which the tracked set empties.
+    The walk stops at the horizon or at a level with no new node.  Cost
+    O(N * r * (p + m * d)) over the N reachable nodes, with m inputs, d
+    successors and r related abstract states per concrete state and p states
+    per abstract controlled post, plus sorting each node's moves.
     """
     c1.validate_for(s1)
     c2.validate_for(s2)
     bound = default_horizon_pair(s1, s2) if horizon is None else horizon
-    post = _controlled_post(s2, c2)
-    found: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-
-    def walk(x1s: tuple[str, ...], u1s: tuple[str, ...], tracked: frozenset[str]) -> None:
-        if len(x1s) >= bound:
-            return
-        x = x1s[-1]
-        reachable = frozenset().union(*(post[q] for q in tracked)) if tracked else frozenset()
-        for u in sorted(c1.choices.get(x, frozenset())):
-            for xp in sorted(s1.successors(x, u)):
+    level = [(x0, rel.forward(x0)) for x0 in sorted(s1.states)]
+    for x0, start in level:
+        if not start:
+            return PropertyVerdict(False, PropertyWitness((x0,), (), None))
+    post = {q: frozenset().union(*(s2.successors(q, u2) for u2 in c2.choices.get(q, ())))
+            for q in s2.states}
+    # Every node maps to the (node, input) it was first reached by.
+    parent: dict[tuple[str, frozenset[str]], Any] = dict.fromkeys(level)
+    depth = 1
+    while level and depth < bound:
+        grown = []
+        for node in level:
+            x, tracked = node
+            reachable = frozenset().union(*(post[q] for q in tracked))
+            moves = ((xp, u) for u in c1.choices.get(x, ()) for xp in s1.successors(x, u))
+            for xp, u in sorted(moves):
                 tracked_next = rel.forward(xp) & reachable
                 if not tracked_next:
-                    found.append((x1s + (xp,), u1s + (u,)))
-                else:
-                    walk(x1s + (xp,), u1s + (u,), tracked_next)
-
-    for x0 in sorted(s1.states):
-        start = rel.forward(x0)
-        if not start:
-            found.append(((x0,), ()))
-            continue
-        walk((x0,), (), start)
-    if found:
-        states, inputs = min(found, key=lambda pair: (len(pair[0]), pair[0]))
-        return PropertyVerdict(False, PropertyWitness(states, inputs, None))
+                    states, inputs = [xp, x], [u]
+                    while parent[node] is not None:
+                        node, u = parent[node]
+                        states.append(node[0])
+                        inputs.append(u)
+                    witness = PropertyWitness(tuple(states[::-1]), tuple(inputs[::-1]), None)
+                    return PropertyVerdict(False, witness)
+                if (xp, tracked_next) not in parent:
+                    parent[xp, tracked_next] = (node, u)
+                    grown.append((xp, tracked_next))
+        level, depth = grown, depth + 1
     return PropertyVerdict(True, None)
 
 
@@ -332,19 +336,16 @@ def random_strict_relation(
     return Relation(concrete, abstract, frozenset(pairs))
 
 
-def induced_abstraction(
-    s1: FiniteTransitionSystem, rel: Relation, *, loop_input: str | None = None
-) -> FiniteTransitionSystem:
+def induced_abstraction(s1: FiniteTransitionSystem, rel: Relation) -> FiniteTransitionSystem:
     """Existential abstraction over the cells of ``rel`` with the concrete
     input alphabet.  When ``s1`` is fully available this is a memoryless
     concretization abstraction by construction.  Abstract states with empty
-    cells get a self loop to stay non-blocking."""
-    u0 = loop_input if loop_input is not None else s1.inputs[0]
+    cells get a self loop under the first input to stay non-blocking."""
     trans: dict[tuple[str, str], frozenset[str]] = {}
     for q in rel.codomain:
         cell = rel.inverse_map(q)
         if not cell:
-            trans[(q, u0)] = frozenset({q})
+            trans[(q, s1.inputs[0])] = frozenset({q})
             continue
         for u in s1.inputs:
             succ: set[str] = set()
@@ -379,32 +380,22 @@ def availability_quotient(
 ) -> tuple[FiniteTransitionSystem, Relation]:
     """Random partition quotient that only merges states with identical
     available-input sets; the quotient abstracts the original in the
-    memoryless sense by construction."""
+    memoryless sense by construction.  Every cell is non-empty, so it is the
+    induced abstraction of the partition."""
     groups: dict[frozenset[str], list[str]] = {}
     for q in s2.states:
         groups.setdefault(frozenset(s2.available_inputs(q)), []).append(q)
     assignment: dict[str, str] = {}
-    names: list[str] = []
     counter = 0
     for _, members in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
         buckets = rng.randint(1, len(members))
         labels = [f"{prefix}{counter + i}" for i in range(buckets)]
         counter += buckets
-        names.extend(labels)
         for q in members:
             assignment[q] = rng.choice(labels)
     used = sorted(set(assignment.values()))
     rel = Relation(s2.states, used, frozenset(assignment.items()))
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    for p in used:
-        cell = rel.inverse_map(p)
-        for u in s2.inputs:
-            succ: set[str] = set()
-            for q in cell:
-                succ |= rel.image(s2.successors(q, u))
-            if succ:
-                trans[(p, u)] = frozenset(succ)
-    return FiniteTransitionSystem(tuple(used), s2.inputs, trans), rel
+    return induced_abstraction(s2, rel), rel
 
 
 def _bundle(**parts: Any) -> dict[str, Any]:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from symcret import FiniteTransitionSystem, Relation, fig5, verify_fig5_consistency
+from symcret import Controller, FiniteTransitionSystem, Relation, fig5, verify_fig5_consistency
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -60,3 +60,14 @@ def chain(n, loop_last=True):
 
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
+
+
+def random_partial_controller(rng: random.Random, sys: FiniteTransitionSystem) -> Controller:
+    """A random non-empty subset of the available inputs at about 85 % of
+    the states, none at the rest."""
+    choices = {}
+    for x in sys.states:
+        if rng.random() < 0.85:
+            available = sys.available_inputs(x)
+            choices[x] = frozenset(rng.sample(available, rng.randint(1, len(available))))
+    return Controller(choices)

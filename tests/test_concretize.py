@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcret import (
     BrokenCertificateError,
@@ -8,10 +10,12 @@ from symcret import (
     ContractError,
     ControllerUndefinedError,
     DynamicConcretizer,
+    DynamicRun,
     FiniteTransitionSystem,
     Interface,
     Relation,
     RelationKind,
+    SymcretError,
     Trajectory,
     closed_loop_run,
     controlled_system,
@@ -24,7 +28,79 @@ from symcret import (
     scripted,
 )
 from symcret.fixtures import ALPHA, BETA
+from symcret.oracle import random_strict_relation, random_system
 from symcret.relations import StrictnessError
+
+from conftest import chain, random_partial_controller
+
+
+def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
+    """The former recursive enumeration, kept as the reference for the
+    explicit-stack one."""
+    if horizon < 1:
+        raise ContractError("horizon must be at least 1")
+    runs = []
+
+    def walk(x1s, x2s, u1s, u2s):
+        x1, x2 = x1s[-1], x2s[-1]
+        if (x1, x2) not in rel.pairs:
+            raise BrokenCertificateError(f"({x1!r}, {x2!r}) escaped the relation")
+        if len(x1s) == horizon or x2 not in c2.choices:
+            runs.append(DynamicRun(x1s, x2s, u1s, u2s))
+            return
+        for u2 in sorted(c2.choices[x2]):
+            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+                for x1p in sorted(s1.successors(x1, u1)):
+                    sync = s2.successors(x2, u2) & rel.forward(x1p)
+                    if not sync:
+                        raise BrokenCertificateError(
+                            f"empty re-synchronisation after ({x1!r}, {x2!r}, {u2!r}) -> {x1p!r}"
+                        )
+                    for x2p in sorted(sync):
+                        walk(x1s + (x1p,), x2s + (x2p,), u1s + (u1,), u2s + (u2,))
+
+    for x2_0 in sorted(rel.forward(x1_0)):
+        walk((x1_0,), (x2_0,), (), ())
+    return tuple(runs)
+
+
+def dynamic_case(seed):
+    """A dynamic loop over an overlapping strict relation with an interface
+    that is either maximal (certified) or hand-built from arbitrary entries,
+    some missing, so that some runs break the certificate or hit a missing
+    entry."""
+    rng = random.Random(seed)
+    s1 = random_system(rng, rng.randint(1, 5), rng.randint(1, 3))
+    s2 = random_system(rng, rng.randint(1, 4), rng.randint(1, 3),
+                       state_prefix="q", input_prefix="v")
+    rel = random_strict_relation(rng, s1.states, s2.states,
+                                 overlap=rng.choice([0.0, 0.25, 0.6]))
+    kind = rng.choice([RelationKind.ASR, RelationKind.MCR])
+    interface = None
+    if rng.random() < 0.5:
+        try:
+            interface = maximal_interface(s1, s2, rel, kind)
+        except SymcretError:
+            pass
+    if interface is None:
+        table = {}
+        for x1, x2 in sorted(rel.pairs):
+            for u2 in s2.available_inputs(x2):
+                if rng.random() < 0.9:
+                    available = s1.available_inputs(x1)
+                    table[(x1, x2, u2)] = frozenset(
+                        rng.sample(available, rng.randint(1, len(available)))
+                    )
+        interface = Interface(kind, table)
+    c2 = random_partial_controller(rng, s2)
+    return s1, s2, c2, rel, interface, rng.choice(s1.states), rng.randint(1, 6)
+
+
+def _outcome(enumerate_runs, case):
+    try:
+        return enumerate_runs(*case)
+    except SymcretError as err:
+        return type(err), str(err)
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +272,19 @@ class TestDynamicEnumeration:
                         for x2, u2 in zip(run.abstract, run.abstract_inputs)
                     )
         assert total > 0
+
+    @settings(max_examples=1000, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_explicit_stack_matches_recursion(self, seed):
+        case = dynamic_case(seed)
+        expected = _outcome(reference_enumerate_dynamic_runs, case)
+        assert _outcome(enumerate_dynamic_runs, case) == expected
+
+    def test_long_chain_needs_no_recursion(self):
+        sys = chain(1500)
+        ident = Relation.identity(sys.states)
+        iface = maximal_interface(sys, sys, ident, RelationKind.MCR)
+        everywhere = Controller({x: {"go"} for x in sys.states})
+        (run,) = enumerate_dynamic_runs(sys, sys, everywhere, ident, iface, "s0", 1501)
+        expected = tuple(f"s{i}" for i in range(1500)) + ("s1499",)
+        assert run == DynamicRun(expected, expected, ("go",) * 1500, ("go",) * 1500)

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,12 +7,16 @@ from hypothesis import strategies as st
 from symcret import (
     BudgetExceededError,
     Controller,
+    FiniteTransitionSystem,
+    PropertyVerdict,
+    PropertyWitness,
     Relation,
     RelationKind,
     check_controlled_simulability,
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
     check_mcr,
+    enumerate_dynamic_runs,
     maximal_interface,
     memoryless_controller,
     replay_memoryless_witness,
@@ -19,7 +25,7 @@ from symcret import (
 from symcret.fixtures import ALPHA
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import seeded_rng
+from conftest import chain, random_partial_controller, seeded_rng
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +59,67 @@ def brute_force_memoryless_check(s1, s2, rel, interface, c2, horizon):
                             return False
                         stack.append((xs + (x1p,), qs + (x2p,)))
     return True
+
+
+def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon=None):
+    """The former path enumeration, kept as the reference for the product
+    search: every concrete path up to the horizon, the least failure by
+    (length, states) among all of them."""
+    c1.validate_for(s1)
+    c2.validate_for(s2)
+    bound = len(s1.states) * len(s2.states) + 1 if horizon is None else horizon
+    post = {}
+    for q in s2.states:
+        succ = set()
+        for u2 in c2.choices.get(q, frozenset()):
+            succ |= s2.successors(q, u2)
+        post[q] = frozenset(succ)
+    found = []
+
+    def walk(x1s, u1s, tracked):
+        if len(x1s) >= bound:
+            return
+        x = x1s[-1]
+        reachable = frozenset().union(*(post[q] for q in tracked)) if tracked else frozenset()
+        for u in sorted(c1.choices.get(x, frozenset())):
+            for xp in sorted(s1.successors(x, u)):
+                tracked_next = rel.forward(xp) & reachable
+                if not tracked_next:
+                    found.append((x1s + (xp,), u1s + (u,)))
+                else:
+                    walk(x1s + (xp,), u1s + (u,), tracked_next)
+
+    for x0 in sorted(s1.states):
+        start = rel.forward(x0)
+        if not start:
+            found.append(((x0,), ()))
+            continue
+        walk((x0,), (), start)
+    if found:
+        states, inputs = min(found, key=lambda pair: (len(pair[0]), pair[0]))
+        return PropertyVerdict(False, PropertyWitness(states, inputs, None))
+    return PropertyVerdict(True, None)
+
+
+def simulability_case(seed):
+    """A random closed loop: overlapping, sometimes non-strict relations,
+    partial controllers on both sides, horizons 0-7 (or the default on small
+    products)."""
+    rng = seeded_rng(seed)
+    s1 = random_system(rng, rng.randint(1, 6), rng.randint(1, 3),
+                       fully_available=rng.random() < 0.5)
+    s2 = random_system(rng, rng.randint(1, 4), rng.randint(1, 3),
+                       state_prefix="q", input_prefix="v")
+    rel = random_strict_relation(rng, s1.states, s2.states,
+                                 overlap=rng.choice([0.0, 0.25, 0.6]))
+    if rng.random() < 0.2:
+        kept = frozenset(pair for pair in sorted(rel.pairs) if rng.random() < 0.8)
+        rel = Relation(rel.domain, rel.codomain, kept)
+    c1, c2 = random_partial_controller(rng, s1), random_partial_controller(rng, s2)
+    horizons = list(range(8))
+    if len(s1.states) * len(s2.states) <= 9:
+        horizons.append(None)
+    return s1, s2, rel, c1, c2, rng.choice(horizons)
 
 
 class TestControlledSimulability:
@@ -89,6 +156,53 @@ class TestControlledSimulability:
         ]
         assert verdicts == sorted(verdicts, reverse=True)  # True may only flip to False
         assert verdicts[0] and not verdicts[-1]
+
+    @settings(max_examples=1000, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_product_search_matches_path_enumeration(self, seed):
+        case = simulability_case(seed)
+        assert check_controlled_simulability(*case) == reference_controlled_simulability(*case)
+
+    def test_witness_orders_states_before_inputs(self):
+        s1 = FiniteTransitionSystem(("a", "b", "c"), ("u0", "u1"), {
+            ("a", "u0"): {"c"}, ("a", "u1"): {"b"}, ("b", "u0"): {"b"}, ("c", "u0"): {"c"},
+        })
+        s2 = FiniteTransitionSystem(("q",), ("v",), {("q", "v"): {"q"}})
+        rel = Relation(s1.states, s2.states, frozenset((x, "q") for x in s1.states))
+        c1 = Controller({"a": {"u0", "u1"}})
+        # The abstract controller plays nothing, so every concrete move fails.
+        verdict = check_controlled_simulability(s1, s2, rel, c1, Controller({}), 4)
+        assert verdict.witness == PropertyWitness(("a", "b"), ("u1",), None)
+
+    def test_long_chain_needs_no_recursion(self):
+        sys = chain(1500)
+        ident = Relation.identity(sys.states)
+        everywhere = Controller({x: {"go"} for x in sys.states})
+        verdict = check_controlled_simulability(sys, sys, ident, everywhere, everywhere, 1501)
+        assert verdict == PropertyVerdict(True, None)
+        # The abstract copy stops short of the loop, so every run that
+        # reaches the last state leaves the abstract closed loop there.
+        short = Controller({f"s{i}": {"go"} for i in range(1499)})
+        verdict = check_controlled_simulability(sys, sys, ident, everywhere, short, 1501)
+        assert verdict.witness == PropertyWitness(("s1499", "s1499"), ("go",), None)
+
+
+class TestNoCyclicGarbage:
+    def test_transfer_checks_leave_nothing_for_the_collector(self, fx, asr_interface):
+        c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)
+        gc.collect()
+        gc.disable()
+        try:
+            verdict = check_controlled_simulability(
+                fx.s1, fx.s2, fx.relation, c1, fx.c2_via_b, 6
+            )
+            runs = enumerate_dynamic_runs(
+                fx.s1, fx.s2, fx.c2_via_b, fx.relation, asr_interface, "1", 6
+            )
+            assert not verdict.holds and runs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMemorylessConcretization:
