@@ -59,6 +59,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(payload: dict[str, Any], json_only: bool, lines: Sequence[str] = ()) -> None:
     if not json_only:
         for line in lines:
@@ -572,7 +578,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--sys", required=True)
     sim.add_argument("--controller", required=True)
     sim.add_argument("--from", dest="from_state", required=True)
-    sim.add_argument("--horizon", type=int, required=True)
+    sim.add_argument("--horizon", type=_count, required=True)
     sim.add_argument("--resolver", default="lex",
                      help="'lex' or a comma-separated successor script")
     sim.add_argument("--input-script", default=None,
@@ -588,8 +594,9 @@ def _build_parser() -> _Parser:
     verify.add_argument("--c1")
     verify.add_argument("--c2")
     verify.add_argument("--kind", choices=[k.value for k in RelationKind], default="asr")
-    verify.add_argument("--horizon", type=int, default=None)
-    verify.add_argument("--budget", type=int, default=10000)
+    verify.add_argument("--horizon", type=_count, default=None)
+    verify.add_argument("--budget", type=_count, default=None,
+                        help="two-all: refuse up front above this many controllers")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(run=cmd_verify)
 

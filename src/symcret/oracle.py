@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 from typing import Any, Iterable
 
 from .core import Controller, FiniteTransitionSystem, SymcretError
@@ -67,6 +68,9 @@ class PropertyVerdict:
 
 @dataclass(frozen=True)
 class AllControllersVerdict:
+    """``checked`` is the 1-based position of ``witness_controller`` in
+    ``enumerate_controllers`` order, or the controller count when it holds."""
+
     holds: bool
     witness_controller: Controller | None = None
     witness: PropertyWitness | None = None
@@ -142,9 +146,17 @@ def _extend_architecture_run(
     bound: int,
 ) -> PropertyWitness:
     """Continue a run lexicographically until the horizon or an uncovered
-    abstract state, so witnesses read as complete executions."""
+    abstract state, so witnesses read as complete executions.  A step depends
+    only on the current (x1, x2), so a repeated pair's cycle fills the rest."""
+    seen: dict[tuple[str, str], int] = {}
     while len(states) < bound:
         x1, x2 = states[-1], quant[-1]
+        start = seen.setdefault((x1, x2), len(states) - 1)
+        if start < len(states) - 1:
+            period, missing = len(states) - 1 - start, bound - len(states)
+            for run, lo in ((states, start + 1), (quant, start + 1), (inputs, start)):
+                run.extend(islice(cycle(run[lo:lo + period]), missing))
+            break
         menu = sorted(c2.choices.get(x2, frozenset()))
         if not menu:
             break
@@ -158,6 +170,21 @@ def _extend_architecture_run(
         inputs.append(u1)
         quant.append(sorted(rel.forward(x1p))[0])
     return PropertyWitness(tuple(states), tuple(inputs), tuple(quant))
+
+
+def _escape(
+    s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation,
+    interface: Interface, x1: str, x2: str, u2: str,
+) -> tuple[str, str, str] | None:
+    """The least (u1, x1', x2') with u1 in the interface entry, x1' in F1(x1, u1)
+    and x2' in R(x1') - F2(x2, u2), or None; a missing entry raises."""
+    succ2 = s2.successors(x2, u2)
+    for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+        for x1p in sorted(s1.successors(x1, u1)):
+            outside = rel.forward(x1p) - succ2
+            if outside:
+                return u1, x1p, min(outside)
+    return None
 
 
 def check_memoryless_concretization(
@@ -185,16 +212,11 @@ def check_memoryless_concretization(
         return PropertyVerdict(True, None)
     for x1, x2 in sorted(rel.pairs):
         for u2 in sorted(c2.choices.get(x2, frozenset())):
-            succ2 = s2.successors(x2, u2)
-            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
-                for x1p in sorted(s1.successors(x1, u1)):
-                    for x2p in sorted(rel.forward(x1p)):
-                        if x2p not in succ2:
-                            witness = _extend_architecture_run(
-                                s1, rel, interface, c2,
-                                [x1, x1p], [x2, x2p], [u1], bound,
-                            )
-                            return PropertyVerdict(False, witness)
+            step = _escape(s1, s2, rel, interface, x1, x2, u2)
+            if step is not None:
+                u1, x1p, x2p = step
+                return PropertyVerdict(False, _extend_architecture_run(
+                    s1, rel, interface, c2, [x1, x1p], [x2, x2p], [u1], bound))
     return PropertyVerdict(True, None)
 
 
@@ -242,19 +264,50 @@ def check_memoryless_concretization_all_controllers(
     horizon: int | None = None,
     budget: int | None = None,
 ) -> AllControllersVerdict:
-    """Quantify the memoryless check over every total abstract controller,
-    stopping at the first violator.  Enumeration is refused up front if the
-    controller count exceeds ``budget``."""
+    """Does every total abstract controller pass the memoryless check?  The
+    answer is the first violator in ``enumerate_controllers`` order, found
+    without enumerating.  A violation depends on one u2 in c2(x2), so all
+    controllers pass iff no available u2 is an event at x2: for some related
+    x1 the step-local test escapes or raises (the necessity theorem of the
+    memoryless relation).  One pass over the related pairs finds the events at
+    the cost of checking the all-inputs controller, O(P * m * e * d) for P
+    pairs, m abstract inputs, e inputs per interface entry, d successors.  An
+    event at a least input makes the least controller the first violator;
+    else the last state k with an event takes its least event input, the i-th
+    of U(k) from 0, and ``checked`` is (2^i - 1) * prod_{x > k} (2^|U(x)| - 1)
+    + 1.  Its check gives the witness or error.  ``budget`` refuses up front."""
     total = controller_count(s2, s2.states)
     if budget is not None and total > budget:
         raise BudgetExceededError(f"{total} controllers exceed the budget of {budget}")
-    checked = 0
-    for c2 in enumerate_controllers(s2, s2.states):
-        verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
-        checked += 1
-        if not verdict.holds:
-            return AllControllersVerdict(False, c2, verdict.witness, checked)
-    return AllControllersVerdict(True, None, None, checked)
+    if total == 0:
+        return AllControllersVerdict(True, None, None, 0)
+    if not rel.is_strict():
+        raise StrictnessError("the memoryless guarantee is stated for strict relations")
+    if horizon is not None and horizon < 2:
+        return AllControllersVerdict(True, None, None, total)
+    dom = sorted(s2.states)
+    avail = {x: s2.available_inputs(x) for x in dom}
+    events: dict[str, set[int]] = {x: set() for x in dom}
+    steps = ((x1, x2, i, u2) for x1, x2 in rel.pairs for i, u2 in enumerate(avail.get(x2, ())))
+    for x1, x2, i, u2 in steps:
+        if i in events[x2]:
+            continue
+        try:
+            if _escape(s1, s2, rel, interface, x1, x2, u2) is None:
+                continue
+        except SymcretError:
+            pass  # the check raises for every controller playing u2 at x2
+        events[x2].add(i)
+        if i == 0:
+            break
+    hot = [(x, min(events[x])) for x in dom if events[x]]
+    if not hot:
+        return AllControllersVerdict(True, None, None, total)
+    k, i = next(((x, i) for x, i in hot if i == 0), hot[-1])
+    c2 = Controller({**{x: frozenset(avail[x][:1]) for x in dom}, k: frozenset({avail[k][i]})})
+    index = (2 ** i - 1) * controller_count(s2, dom[dom.index(k) + 1:])
+    verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+    return AllControllersVerdict(False, c2, verdict.witness, index + 1)
 
 
 # --------------------------------------------------------------------------
@@ -414,6 +467,12 @@ def _bundle(**parts: Any) -> dict[str, Any]:
     return out
 
 
+def _law(name: str, holds: bool, **parts: Any) -> None:
+    """Fail law ``name`` with a bundle of ``parts`` unless it holds."""
+    if not holds:
+        raise CrosscheckFailure(name, _bundle(**parts))
+
+
 def run_crosscheck(
     trials: int = 500,
     seed: int = 0,
@@ -500,107 +559,65 @@ def _run_trial(
             )
             rel = Relation(rel.domain, s2.states, rel.pairs)
     report.bump("trials")
-
-    identity = Relation.identity(s1.states)
-    if not check_mcr(s1, s1, identity).holds:
-        raise CrosscheckFailure("reflexivity", _bundle(s1=s1))
+    _law("reflexivity", check_mcr(s1, s1, Relation.identity(s1.states)).holds, s1=s1)
     report.bump("reflexivity")
 
     asr = check_asr(s1, s2, rel)
     mcr = check_mcr(s1, s2, rel)
+    for kind, verdict in ((RelationKind.ASR, asr), (RelationKind.MCR, mcr)):
+        if not verdict.holds:
+            _law(f"{kind.value}_witness_replay",
+                 replay_witness(kind, s1, s2, rel, verdict.witness), s1=s1, s2=s2, rel=rel)
+            report.bump(f"{kind.value}_witness_replayed")
 
-    if not asr.holds:
-        if not replay_witness(RelationKind.ASR, s1, s2, rel, asr.witness):
-            raise CrosscheckFailure(
-                "asr_witness_replay", _bundle(s1=s1, s2=s2, rel=rel)
-            )
-        report.bump("asr_witness_replayed")
-    if not mcr.holds:
-        if not replay_witness(RelationKind.MCR, s1, s2, rel, mcr.witness):
-            raise CrosscheckFailure(
-                "mcr_witness_replay", _bundle(s1=s1, s2=s2, rel=rel)
-            )
-        report.bump("mcr_witness_replayed")
-
-    if mcr.holds and not asr.holds:
-        raise CrosscheckFailure(
-            "mcr_implies_asr", _bundle(s1=s1, s2=s2, rel=rel)
-        )
+    _law("mcr_implies_asr", asr.holds or not mcr.holds, s1=s1, s2=s2, rel=rel)
     if mcr.holds:
         report.bump("mcr_implies_asr")
-
     if rel.is_single_valued():
-        if asr.holds != mcr.holds:
-            raise CrosscheckFailure(
-                "partition_collapse", _bundle(s1=s1, s2=s2, rel=rel)
-            )
+        _law("partition_collapse", asr.holds == mcr.holds, s1=s1, s2=s2, rel=rel)
         report.bump("partition_collapse")
 
-    total_controllers = controller_count(s2, s2.states)
-
-    if mcr.holds:
+    # Both memoryless laws enumerate every controller on purpose: they are
+    # what justifies the closed form of the all-controllers check.
+    enumerable = controller_count(s2, s2.states) <= enumeration_budget
+    if mcr.holds and not enumerable:
+        report.bump("mcr_sufficiency_skipped_budget")
+    elif mcr.holds:
         interface = maximal_interface(s1, s2, rel, RelationKind.MCR)
-        if total_controllers <= enumeration_budget:
-            for c2 in enumerate_controllers(s2, s2.states):
-                verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
-                report.bump("memoryless_controllers_checked")
-                if not verdict.holds:
-                    raise CrosscheckFailure(
-                        "mcr_sufficiency",
-                        _bundle(s1=s1, s2=s2, rel=rel, c2=c2,
-                                witness=list(verdict.witness.concrete)),
-                    )
-            report.bump("mcr_sufficiency_trials")
-        else:
-            report.bump("mcr_sufficiency_skipped_budget")
-
-    if asr.holds and not mcr.holds:
+        for c2 in enumerate_controllers(s2, s2.states):
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+            report.bump("memoryless_controllers_checked")
+            if not verdict.holds:
+                raise CrosscheckFailure("mcr_sufficiency", _bundle(
+                    s1=s1, s2=s2, rel=rel, c2=c2, witness=list(verdict.witness.concrete)))
+        report.bump("mcr_sufficiency_trials")
+    elif asr.holds and not enumerable:
+        report.bump("asr_gap_skipped_budget")
+    elif asr.holds:
         interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
-        if total_controllers <= enumeration_budget:
-            outcome = check_memoryless_concretization_all_controllers(
-                s1, s2, rel, interface, horizon, budget=enumeration_budget
-            )
-            if outcome.holds:
-                raise CrosscheckFailure(
-                    "asr_gap_necessity", _bundle(s1=s1, s2=s2, rel=rel)
-                )
-            if not replay_memoryless_witness(
-                s1, s2, rel, interface, outcome.witness_controller, outcome.witness
-            ):
-                raise CrosscheckFailure(
-                    "memoryless_witness_replay",
-                    _bundle(s1=s1, s2=s2, rel=rel, c2=outcome.witness_controller),
-                )
-            report.bump("asr_gap_necessity")
+        for c2 in enumerate_controllers(s2, s2.states):
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+            if not verdict.holds:
+                break
         else:
-            report.bump("asr_gap_skipped_budget")
+            raise CrosscheckFailure("asr_gap_necessity", _bundle(s1=s1, s2=s2, rel=rel))
+        _law("memoryless_witness_replay",
+             replay_memoryless_witness(s1, s2, rel, interface, c2, verdict.witness),
+             s1=s1, s2=s2, rel=rel, c2=c2)
+        report.bump("asr_gap_necessity")
 
     if asr.holds:
         extended = mcr_extension(s1, s2, rel)
         report.bump("extension_postconditions")
-        if any(
-            not s2.trans[key] <= extended.trans[key] for key in s2.trans
-        ):
-            raise CrosscheckFailure(
-                "extension_inclusion", _bundle(s1=s1, s2=s2, rel=rel)
-            )
-        if rel.is_single_valued() and extended.trans != s2.trans:
-            raise CrosscheckFailure(
-                "partition_extension_identity", _bundle(s1=s1, s2=s2, rel=rel)
-            )
+        _law("extension_inclusion", all(s2.trans[key] <= extended.trans[key] for key in s2.trans),
+             s1=s1, s2=s2, rel=rel)
         if rel.is_single_valued():
+            _law("partition_extension_identity", extended.trans == s2.trans,
+                 s1=s1, s2=s2, rel=rel)
             report.bump("partition_extension_identity")
-
         quotient, q_rel = availability_quotient(rng, extended)
-        if not check_mcr(extended, quotient, q_rel).holds:
-            raise CrosscheckFailure(
-                "quotient_construction", _bundle(s2=extended, s3=quotient, rel=q_rel)
-            )
-        composed = compose(rel, q_rel)
-        if not check_mcr(s1, quotient, composed).holds:
-            raise CrosscheckFailure(
-                "transitivity",
-                _bundle(s1=s1, s2=extended, s3=quotient, rel=rel, q_rel=q_rel),
-            )
+        _law("quotient_construction", check_mcr(extended, quotient, q_rel).holds,
+             s2=extended, s3=quotient, rel=q_rel)
+        _law("transitivity", check_mcr(s1, quotient, compose(rel, q_rel)).holds,
+             s1=s1, s2=extended, s3=quotient, rel=rel, q_rel=q_rel)
         report.bump("transitivity")
-

@@ -107,12 +107,6 @@ class Relation:
             out |= self.forward(a)
         return frozenset(out)
 
-    def preimage(self, group: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for b in group:
-            out |= self.inverse_map(b)
-        return frozenset(out)
-
     def is_strict(self) -> bool:
         """Every domain state is related to something (the cover is total)."""
         return all(self.forward(a) for a in self.domain)
@@ -120,9 +114,6 @@ class Relation:
     def is_single_valued(self) -> bool:
         """No domain state is related to more than one codomain state."""
         return all(len(self.forward(a)) <= 1 for a in self.domain)
-
-    def is_partition(self) -> bool:
-        return self.is_strict() and self.is_single_valued()
 
     def inverse(self) -> "Relation":
         return Relation(self.codomain, self.domain, frozenset((b, a) for a, b in self.pairs))

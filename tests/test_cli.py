@@ -1,13 +1,23 @@
 import json
+import random
 from importlib import resources
 
 import pytest
 
-from symcret import ReachAvoidSpec, RelationKind, Trajectory, fig5, maximal_interface
+from symcret import (
+    ReachAvoidSpec,
+    Relation,
+    RelationKind,
+    Trajectory,
+    controller_count,
+    fig5,
+    maximal_interface,
+)
 from symcret import cli
 from symcret.cli import fig5_bundle, main
 from symcret.fixtures import ALPHA
 from symcret import jsonio
+from symcret.oracle import random_system
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +278,30 @@ class TestCommands:
         assert code == 1
         assert doc["witness"]["controller"]["choices"]["a"] == [ALPHA]
 
+    def test_verify_two_all_needs_no_budget(self, capsys, tmp_path):
+        sys_ = random_system(random.Random(1), 10, 2, fully_available=True)
+        ident = Relation.identity(sys_.states)
+        jsonio.save(tmp_path / "sys.json", jsonio.system_to_obj(sys_))
+        jsonio.save(tmp_path / "rel.json", jsonio.relation_to_obj(ident))
+        assert controller_count(sys_, sys_.states) == 3**10
+        code, out, _ = run(
+            capsys, "verify", "--property", "two-all", "--s1", str(tmp_path / "sys.json"),
+            "--s2", str(tmp_path / "sys.json"), "--rel", str(tmp_path / "rel.json"),
+            "--kind", "mcr", "--json",
+        )
+        assert code == 0 and json.loads(out)["holds"] is True
+
+    def test_explicit_budget_still_refuses(self, capsys, bundle_path):
+        code, _, err = run(
+            capsys, "verify", "--property", "two-all",
+            "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+            "--rel", f"{bundle_path}:R", "--budget", "2",
+        )
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "validation", "detail": "3 controllers exceed the budget of 2",
+        }
+
     def test_extended_relation_export(self, capsys, bundle_path, tmp_path):
         out_file = tmp_path / "ext.json"
         code, _, _ = run(
@@ -318,6 +352,34 @@ class TestErrors:
     def test_missing_argument(self, capsys):
         code, _, err = run(capsys, "check", "asr", "--s1", "x.json")
         assert code == 2 and json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize("extra", [
+        ("--property", "two-all", "--horizon", "-5"),
+        ("--property", "two", "--c2", "c2_via_b", "--horizon", "-1"),
+        ("--property", "one", "--c1", "c1_safe", "--c2", "c2_via_b", "--horizon", "-1"),
+        ("--property", "two-all", "--budget", "-1"),
+    ])
+    def test_negative_counts_are_usage_errors(self, capsys, bundle_path, extra):
+        refs = {"c1_safe", "c2_via_b"}
+        extra = [f"{bundle_path}:{a}" if a in refs else a for a in extra]
+        code, out, err = run(
+            capsys, "verify", "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+            "--rel", f"{bundle_path}:R", *extra,
+        )
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "usage" and "non-negative integer" in doc["detail"]
+
+    def test_negative_simulation_horizon_is_a_usage_error(self, capsys, bundle_path):
+        code, out, err = run(
+            capsys, "simulate", "--sys", f"{bundle_path}:S1",
+            "--controller", f"{bundle_path}:c1_safe", "--from", "1", "--horizon", "-1",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "usage",
+            "detail": "argument --horizon: expected a non-negative integer, got '-1'",
+        }
 
     def test_validation_error_surfaces(self, capsys, bundle_path):
         code, _, err = run(

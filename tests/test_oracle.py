@@ -1,13 +1,17 @@
 import gc
+import time
+from itertools import cycle, islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcret import (
+    AllControllersVerdict,
     BudgetExceededError,
     Controller,
     FiniteTransitionSystem,
+    Interface,
     PropertyVerdict,
     PropertyWitness,
     Relation,
@@ -16,14 +20,23 @@ from symcret import (
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
     check_mcr,
+    controller_count,
+    enumerate_controllers,
     enumerate_dynamic_runs,
     maximal_interface,
     memoryless_controller,
     replay_memoryless_witness,
     run_crosscheck,
 )
+from symcret.core import ContractError, DomainError, SymcretError
 from symcret.fixtures import ALPHA
-from symcret.oracle import induced_abstraction, random_strict_relation, random_system
+from symcret.oracle import (
+    _perturb_abstraction,
+    induced_abstraction,
+    random_strict_relation,
+    random_system,
+)
+from symcret.relations import RelationCheckError, StrictnessError
 
 from conftest import chain, random_partial_controller, seeded_rng
 
@@ -120,6 +133,114 @@ def simulability_case(seed):
     if len(s1.states) * len(s2.states) <= 9:
         horizons.append(None)
     return s1, s2, rel, c1, c2, rng.choice(horizons)
+
+
+def reference_memoryless_concretization(s1, s2, rel, interface, c2, horizon=None):
+    """The former memoryless check, kept as the reference for the shared
+    step-local test and the cycle-repeating witness: nested loops over every
+    (x1, x2, u2, u1, x1', x2'), and a witness extended one step at a time."""
+    if not rel.is_strict():
+        raise StrictnessError("the memoryless guarantee is stated for strict relations")
+    c2.validate_for(s2)
+    bound = len(s1.states) * len(s2.states) + 1 if horizon is None else horizon
+    if bound < 2:
+        return PropertyVerdict(True, None)
+    for x1, x2 in sorted(rel.pairs):
+        for u2 in sorted(c2.choices.get(x2, frozenset())):
+            succ2 = s2.successors(x2, u2)
+            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+                for x1p in sorted(s1.successors(x1, u1)):
+                    for x2p in sorted(rel.forward(x1p)):
+                        if x2p in succ2:
+                            continue
+                        states, quant, inputs = [x1, x1p], [x2, x2p], [u1]
+                        while len(states) < bound:
+                            y1, y2 = states[-1], quant[-1]
+                            menu = sorted(c2.choices.get(y2, frozenset()))
+                            if not menu:
+                                break
+                            v1 = sorted(interface.inputs_for(y1, y2, menu[0]))[0]
+                            successors = sorted(s1.successors(y1, v1))
+                            if not successors:
+                                break
+                            states.append(successors[0])
+                            inputs.append(v1)
+                            quant.append(sorted(rel.forward(successors[0]))[0])
+                        witness = PropertyWitness(tuple(states), tuple(inputs), tuple(quant))
+                        return PropertyVerdict(False, witness)
+    return PropertyVerdict(True, None)
+
+
+def reference_all_controllers(s1, s2, rel, interface, horizon=None, budget=None):
+    """The former enumeration, kept as the reference for the closed form: the
+    memoryless check on every total abstract controller in order, stopping at
+    the first violator."""
+    total = controller_count(s2, s2.states)
+    if budget is not None and total > budget:
+        raise BudgetExceededError(f"{total} controllers exceed the budget of {budget}")
+    checked = 0
+    for c2 in enumerate_controllers(s2, s2.states):
+        verdict = reference_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+        checked += 1
+        if not verdict.holds:
+            return AllControllersVerdict(False, c2, verdict.witness, checked)
+    return AllControllersVerdict(True, None, None, checked)
+
+
+def outcome(check, *args):
+    """The verdict, or the type and message of the library error raised."""
+    try:
+        return check(*args)
+    except SymcretError as err:
+        return type(err), str(err)
+
+
+def memoryless_case(seed):
+    """A random memoryless-check instance: overlap 0/0.25/0.6; induced,
+    perturbed or unrelated abstractions, whose cells may differ from the
+    relation's; sometimes a blocking abstract state or a non-strict relation;
+    a maximal interface, or a hand-built one with missing and non-maximal
+    entries, unavailable inputs and inputs the plant does not know."""
+    rng = seeded_rng(seed)
+    s1 = random_system(rng, rng.randint(1, 5), rng.randint(1, 3),
+                       fully_available=rng.random() < 0.5)
+    cells = [f"q{i}" for i in range(rng.randint(1, 4))]
+    rel = random_strict_relation(rng, s1.states, cells, overlap=rng.choice([0.0, 0.25, 0.6]))
+    flavor = rng.randrange(3)
+    if flavor == 2:
+        n2 = len(cells) if rng.random() < 0.8 else rng.randint(1, 4)
+        s2 = random_system(rng, n2, rng.randint(1, 3), state_prefix="q", input_prefix="v")
+    else:
+        s2 = induced_abstraction(s1, rel)
+        if flavor == 1:
+            s2 = _perturb_abstraction(rng, s2)
+    if rng.random() < 0.1:
+        dead = rng.choice(s2.states)
+        s2 = FiniteTransitionSystem(
+            s2.states, s2.inputs, {k: v for k, v in s2.trans.items() if k[0] != dead}
+        )
+    if rng.random() < 0.15:
+        kept = frozenset(pair for pair in sorted(rel.pairs) if rng.random() < 0.8)
+        rel = Relation(rel.domain, rel.codomain, kept)
+    interface = None
+    if rng.random() < 0.4 and rel.is_strict() and flavor != 2:
+        for kind in (RelationKind.MCR, RelationKind.ASR):
+            try:
+                interface = maximal_interface(s1, s2, rel, kind)
+                break
+            except RelationCheckError:
+                pass
+    if interface is None:
+        table = {}
+        for x1, x2 in sorted(rel.pairs):
+            for u2 in s2.available_inputs(x2) if s2.has_state(x2) else ():
+                if rng.random() < 0.9:
+                    pool = s1.inputs if rng.random() < 0.2 else s1.available_inputs(x1)
+                    if rng.random() < 0.05:
+                        pool += ("w",)
+                    table[x1, x2, u2] = frozenset(rng.sample(pool, rng.randint(1, len(pool))))
+        interface = Interface(RelationKind.ASR, table)
+    return rng, s1, s2, rel, interface
 
 
 class TestControlledSimulability:
@@ -290,6 +411,59 @@ class TestMemorylessConcretization:
         assert fast == slow
 
 
+    @settings(max_examples=500, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_matches_step_by_step_reference(self, seed):
+        rng, s1, s2, rel, interface = memoryless_case(seed)
+        c2 = Controller({
+            q: frozenset(rng.sample(s2.available_inputs(q), rng.randint(1, len(s2.available_inputs(q)))))
+            for q in s2.states
+            if s2.available_inputs(q) and rng.random() < 0.85
+        })
+        args = (s1, s2, rel, interface, c2, rng.choice([0, 1, 2, 3, 5, 8, 13, 40, None]))
+        assert outcome(check_memoryless_concretization, *args) == outcome(
+            reference_memoryless_concretization, *args
+        )
+
+    def test_cyclic_witness_is_filled_by_repetition(self):
+        s1 = FiniteTransitionSystem(("a", "b", "c"), ("u",), {
+            ("a", "u"): {"b"}, ("b", "u"): {"c"}, ("c", "u"): {"a"},
+        })
+        s2 = FiniteTransitionSystem(s1.states, ("u",), {
+            ("a", "u"): {"c"}, ("b", "u"): {"c"}, ("c", "u"): {"a"},
+        })
+        ident = Relation.identity(s1.states)
+        iface = Interface(RelationKind.ASR, {(x, x, "u"): {"u"} for x in s1.states})
+        c2 = Controller({x: {"u"} for x in s1.states})
+        started = time.perf_counter()
+        verdict = check_memoryless_concretization(s1, s2, ident, iface, c2, 10**6)
+        elapsed = time.perf_counter() - started
+        # (a, a) escapes to b outside F2(a, u); the run then cycles b, c, a.
+        run = ("a",) + tuple(islice(cycle("bca"), 10**6 - 1))
+        assert verdict.witness == PropertyWitness(run, ("u",) * (10**6 - 1), run)
+        assert elapsed < 1.0
+
+
+def line_system(rng, n_cells):
+    """A line of five-state cells; the first state of about half the cells
+    also lies in the cell to its left.  `l` and `r` move six states with a
+    second successor half the time, `ja` and `jb` jump 10 to 20 states right
+    with width 1 to 3; moves are clamped to the line."""
+    n = 5 * n_cells
+    states = [f"s{i:04d}" for i in range(n)]
+    trans = {}
+    for i, x in enumerate(states):
+        trans[x, "l"] = {states[max(0, i - 6 - k)] for k in range(rng.randint(1, 2))}
+        trans[x, "r"] = {states[min(n - 1, i + 6 + k)] for k in range(rng.randint(1, 2))}
+        for u in ("ja", "jb"):
+            start = i + rng.randint(10, 20)
+            trans[x, u] = {states[min(n - 1, j)] for j in range(start, start + rng.randint(1, 3))}
+    s1 = FiniteTransitionSystem(tuple(states), ("ja", "jb", "l", "r"), trans)
+    pairs = {(x, f"c{i // 5:03d}") for i, x in enumerate(states)}
+    pairs |= {(states[5 * j], f"c{j - 1:03d}") for j in range(2, n_cells) if rng.random() < 0.5}
+    return s1, Relation(s1.states, tuple(f"c{j:03d}" for j in range(n_cells)), frozenset(pairs))
+
+
 class TestAllControllers:
     def test_base_abstraction_has_a_violating_controller(self, fx, asr_interface):
         outcome = check_memoryless_concretization_all_controllers(
@@ -322,6 +496,41 @@ class TestAllControllers:
             check_memoryless_concretization_all_controllers(
                 fx.s1, fx.s2, fx.relation, asr_interface, 6, budget=2
             )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_closed_form_matches_enumeration(self, seed):
+        rng, s1, s2, rel, interface = memoryless_case(seed)
+        args = (s1, s2, rel, interface, rng.choice([0, 1, 2, 3, None]))
+        assert outcome(check_memoryless_concretization_all_controllers, *args) == outcome(
+            reference_all_controllers, *args
+        )
+
+    def test_cases_cover_every_branch(self):
+        seen = set()
+        for seed in range(300):
+            rng, s1, s2, rel, interface = memoryless_case(seed)
+            result = outcome(check_memoryless_concretization_all_controllers,
+                             s1, s2, rel, interface, rng.choice([0, 1, 2, 3, None]))
+            if isinstance(result, tuple):
+                seen.add(result[0])
+            elif result.holds:
+                seen.add("blocked" if result.checked == 0 else "holds")
+            else:
+                seen.add("first" if result.checked == 1 else "later")
+        assert seen >= {"holds", "blocked", "first", "later", StrictnessError,
+                        ContractError, DomainError}
+
+    def test_line_plant_holds_for_every_controller(self):
+        s1, rel = line_system(seeded_rng(7), 200)
+        s2 = induced_abstraction(s1, rel)
+        iface = maximal_interface(s1, s2, rel, RelationKind.MCR)
+        started = time.perf_counter()
+        verdict = check_memoryless_concretization_all_controllers(s1, s2, rel, iface)
+        elapsed = time.perf_counter() - started
+        assert verdict == AllControllersVerdict(True, None, None, controller_count(s2, s2.states))
+        assert verdict.checked == 15**200
+        assert elapsed < 1.0
 
 
 class TestCrosscheck:
