@@ -10,13 +10,16 @@ Two architectures are provided:
   intersecting the abstract successors with the quantizer output.  An empty
   intersection means the relation certificate it was built from is wrong.
 
-All free choices (abstract state, abstract input, concrete input, successor
-resolution) default to lexicographic minimum so that runs replay bit for bit;
-scripted sequences or callables can be supplied instead.
+Runs replay bit for bit.  The dynamic concretizer always commits to the
+least covered abstract state, then its least abstract input, then the least
+concrete input.  The plant's move and the memoryless controller's input also
+default to the least choice; scripted sequences or callables can be supplied
+for these two only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .core import (
@@ -38,10 +41,6 @@ class BrokenCertificateError(SymcretError):
 Chooser = Callable[[Sequence[str]], str]
 
 
-def lexicographic(options: Sequence[str]) -> str:
-    return options[0]
-
-
 def scripted(values: Sequence[str]) -> Chooser:
     """Chooser that replays a fixed sequence of picks, validating each one."""
     queue: Iterator[str] = iter(values)
@@ -60,7 +59,7 @@ def scripted(values: Sequence[str]) -> Chooser:
 
 def _chooser(policy: Chooser | Sequence[str] | None) -> Chooser:
     if policy is None:
-        return lexicographic
+        return itemgetter(0)
     base = policy if callable(policy) else scripted(policy)
 
     def choose(options: Sequence[str]) -> str:
@@ -102,72 +101,10 @@ class DynamicConcretizerState:
     u2: str
 
 
-def _commit(
-    c2: Controller, interface: Interface, x1: str, candidates: frozenset[str],
-    *choosers: Chooser | Sequence[str] | None,
-) -> tuple[DynamicConcretizerState, str]:
-    """Commit to a candidate abstract state the controller covers, then to
-    its abstract input and the concrete input the interface maps it to."""
-    covered = [x2 for x2 in sorted(candidates) if x2 in c2.choices]
-    if not covered:
-        raise ControllerUndefinedError(x1, who="abstract controller (via quantizer)")
-    choose_x2, choose_u2, choose_u1 = map(_chooser, choosers)
-    x2 = choose_x2(covered)
-    u2 = choose_u2(sorted(c2.choices[x2]))
-    u1 = choose_u1(sorted(interface.inputs_for(x1, x2, u2)))
-    return DynamicConcretizerState(x2, u2), u1
-
-
-def dynamic_init(
-    c2: Controller,
-    rel: Relation,
-    interface: Interface,
-    x1_0: str,
-    *,
-    choose_x2: Chooser | Sequence[str] | None = None,
-    choose_u2: Chooser | Sequence[str] | None = None,
-    choose_u1: Chooser | Sequence[str] | None = None,
-) -> tuple[DynamicConcretizerState, str]:
-    """Commit to an abstract start related to ``x1_0`` and emit the first
-    concrete input."""
-    related = rel.forward(x1_0)
-    if not related:
-        raise ContractError(f"state {x1_0!r} is related to no abstract state")
-    return _commit(c2, interface, x1_0, related, choose_x2, choose_u2, choose_u1)
-
-
-def dynamic_step(
-    state: DynamicConcretizerState,
-    c2: Controller,
-    rel: Relation,
-    interface: Interface,
-    s2: FiniteTransitionSystem,
-    x1_next: str,
-    *,
-    choose_x2: Chooser | Sequence[str] | None = None,
-    choose_u2: Chooser | Sequence[str] | None = None,
-    choose_u1: Chooser | Sequence[str] | None = None,
-) -> tuple[DynamicConcretizerState, str]:
-    """Re-synchronise the abstract state after the plant moved to ``x1_next``
-    and emit the next concrete input.
-
-    The new abstract state is taken from the abstract successors of the
-    delayed (state, input) pair intersected with the quantizations of
-    ``x1_next``; an alternating simulation certificate guarantees that the
-    intersection is non-empty, so emptiness is reported as a broken
-    certificate rather than handled by backtracking.
-    """
-    sync = s2.successors(state.x2, state.u2) & rel.forward(x1_next)
-    if not sync:
-        raise BrokenCertificateError(
-            f"no abstract successor of ({state.x2!r}, {state.u2!r}) is related to {x1_next!r}"
-        )
-    return _commit(c2, interface, x1_next, sync, choose_x2, choose_u2, choose_u1)
-
-
 class DynamicConcretizer:
-    """Stateful wrapper around :func:`dynamic_init` / :func:`dynamic_step`
-    recording the (x1, x2, u2, u1) trace of one execution."""
+    """The dynamic architecture: a delay block holds the committed (x2, u2)
+    and is re-synchronised after every plant move.  Records the
+    (x1, x2, u2, u1) trace of one execution."""
 
     def __init__(
         self,
@@ -175,37 +112,54 @@ class DynamicConcretizer:
         c2: Controller,
         rel: Relation,
         interface: Interface,
-        *,
-        choose_x2: Chooser | Sequence[str] | None = None,
-        choose_u2: Chooser | Sequence[str] | None = None,
-        choose_u1: Chooser | Sequence[str] | None = None,
     ) -> None:
         self.s2 = s2
         self.c2 = c2
         self.rel = rel
         self.interface = interface
-        self._choose_x2 = _chooser(choose_x2)
-        self._choose_u2 = _chooser(choose_u2)
-        self._choose_u1 = _chooser(choose_u1)
         self.state: DynamicConcretizerState | None = None
         self.trace: list[tuple[str, str, str, str]] = []
 
     def initialize(self, x1_0: str) -> str:
-        self.state, u1 = dynamic_init(
-            self.c2, self.rel, self.interface, x1_0,
-            choose_x2=self._choose_x2, choose_u2=self._choose_u2, choose_u1=self._choose_u1,
-        )
-        self.trace.append((x1_0, self.state.x2, self.state.u2, u1))
-        return u1
+        """Commit to an abstract start related to ``x1_0`` and emit the first
+        concrete input."""
+        related = self.rel.forward(x1_0)
+        if not related:
+            raise ContractError(f"state {x1_0!r} is related to no abstract state")
+        return self._commit(x1_0, related)
 
     def step(self, x1_next: str) -> str:
+        """Re-synchronise the abstract state after the plant moved to
+        ``x1_next`` and emit the next concrete input.
+
+        The new abstract state is taken from the abstract successors of the
+        delayed (state, input) pair intersected with the quantizations of
+        ``x1_next``; an alternating simulation certificate guarantees that the
+        intersection is non-empty, so emptiness is reported as a broken
+        certificate rather than handled by backtracking.
+        """
         if self.state is None:
             raise ContractError("step before initialize")
-        self.state, u1 = dynamic_step(
-            self.state, self.c2, self.rel, self.interface, self.s2, x1_next,
-            choose_x2=self._choose_x2, choose_u2=self._choose_u2, choose_u1=self._choose_u1,
-        )
-        self.trace.append((x1_next, self.state.x2, self.state.u2, u1))
+        x2, u2 = self.state.x2, self.state.u2
+        sync = self.s2.successors(x2, u2) & self.rel.forward(x1_next)
+        if not sync:
+            raise BrokenCertificateError(
+                f"no abstract successor of ({x2!r}, {u2!r}) is related to {x1_next!r}"
+            )
+        return self._commit(x1_next, sync)
+
+    def _commit(self, x1: str, candidates: frozenset[str]) -> str:
+        """Commit to the least candidate abstract state the controller covers,
+        its least abstract input and the least concrete input the interface
+        maps that to."""
+        covered = [x2 for x2 in candidates if x2 in self.c2.choices]
+        if not covered:
+            raise ControllerUndefinedError(x1, who="abstract controller (via quantizer)")
+        x2 = min(covered)
+        u2 = min(self.c2.choices[x2])
+        u1 = min(self.interface.inputs_for(x1, x2, u2))
+        self.state = DynamicConcretizerState(x2, u2)
+        self.trace.append((x1, x2, u2, u1))
         return u1
 
 
@@ -222,26 +176,26 @@ def closed_loop_run(
 
     ``resolver`` picks the plant's move among the non-deterministic
     successors; ``choose_input`` picks among the memoryless controller's
-    enabled inputs (the dynamic concretizer makes its own internal choices).
-    Reaching a state the controller does not cover while steps remain is a
-    contract error naming the state.
+    enabled inputs.  The dynamic concretizer makes its own choices, so
+    ``choose_input`` with it is a contract error.  Reaching a state the
+    controller does not cover while steps remain is a contract error naming
+    the state.
     """
     sys.require_state(x1_0)
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
+    dynamic = isinstance(controller, DynamicConcretizer)
+    if dynamic and choose_input is not None:
+        raise ContractError("choose_input applies only to a memoryless controller")
     pick_input = _chooser(choose_input)
     pick_successor = _chooser(resolver)
-    dynamic = isinstance(controller, DynamicConcretizer)
 
     states = [x1_0]
     inputs: list[str] = []
-    pending: str | None = None
-    if dynamic and horizon > 1:
-        pending = controller.initialize(x1_0)
     while len(states) < horizon:
         x = states[-1]
         if dynamic:
-            u1 = pending  # type: ignore[assignment]
+            u1 = controller.step(x) if inputs else controller.initialize(x)
         else:
             enabled = controller.choices.get(x)
             if enabled is None:
@@ -253,8 +207,6 @@ def closed_loop_run(
         xp = pick_successor(succ)
         states.append(xp)
         inputs.append(u1)
-        if dynamic and len(states) < horizon:
-            pending = controller.step(xp)
     return Trajectory(tuple(states), tuple(inputs))
 
 

@@ -229,8 +229,9 @@ def replay_memoryless_witness(
     witness: PropertyWitness,
 ) -> bool:
     """True iff the witness is a genuine violation: the concrete run is valid
-    under the memoryless controller, the abstract trace quantizes it, and the
-    abstract trace is not a run of the abstract closed loop."""
+    under the memoryless controller, the abstract trace quantizes it, and at
+    some step k an abstract input u2 in c2(q_k) whose interface entry at
+    (x_k, q_k) holds u_k has q_{k+1} outside F2(q_k, u2)."""
     from .concretize import memoryless_controller
 
     if witness.quantization is None:
@@ -246,14 +247,11 @@ def replay_memoryless_witness(
             return False
     if any(q not in rel.forward(x) for x, q in zip(xs, qs)):
         return False
-    for k in range(len(qs) - 1):
-        feasible = any(
-            qs[k + 1] in s2.successors(qs[k], u2)
-            for u2 in c2.choices.get(qs[k], frozenset())
-        )
-        if not feasible:
-            return True
-    return False
+    return any(
+        u in interface.inputs_for(xs[k], qs[k], u2) and qs[k + 1] not in s2.successors(qs[k], u2)
+        for k, u in enumerate(us)
+        for u2 in c2.choices.get(qs[k], frozenset())
+    )
 
 
 def check_memoryless_concretization_all_controllers(
@@ -429,7 +427,7 @@ def _perturb_abstraction(
 
 
 def availability_quotient(
-    rng: random.Random, s2: FiniteTransitionSystem, *, prefix: str = "p"
+    rng: random.Random, s2: FiniteTransitionSystem
 ) -> tuple[FiniteTransitionSystem, Relation]:
     """Random partition quotient that only merges states with identical
     available-input sets; the quotient abstracts the original in the
@@ -442,7 +440,7 @@ def availability_quotient(
     counter = 0
     for _, members in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
         buckets = rng.randint(1, len(members))
-        labels = [f"{prefix}{counter + i}" for i in range(buckets)]
+        labels = [f"p{counter + i}" for i in range(buckets)]
         counter += buckets
         for q in members:
             assignment[q] = rng.choice(labels)
@@ -473,16 +471,14 @@ def _law(name: str, holds: bool, **parts: Any) -> None:
         raise CrosscheckFailure(name, _bundle(**parts))
 
 
-def run_crosscheck(
-    trials: int = 500,
-    seed: int = 0,
-    *,
-    max_states: int = 5,
-    max_inputs: int = 3,
-    enumeration_budget: int = 256,
-    horizon: int | None = None,
-    include_fig5: bool = True,
-) -> CrosscheckReport:
+# Trial 0 is fig5; the others draw up to this many concrete states and
+# inputs, and enumerate controllers only up to the budget.
+_MAX_STATES = 5
+_MAX_INPUTS = 3
+_ENUMERATION_BUDGET = 256
+
+
+def run_crosscheck(trials: int = 500, seed: int = 0) -> CrosscheckReport:
     """Randomized cross-validation of the relation and concretization laws.
 
     Per trial, whichever laws apply to the drawn instance are asserted:
@@ -490,7 +486,7 @@ def run_crosscheck(
     * memoryless relation implies alternating simulation;
     * on partitions the two checks agree;
     * memoryless relation implies the memoryless guarantee for every total
-      abstract controller (enumeration capped at ``enumeration_budget``);
+      abstract controller (enumeration capped at 256 controllers);
     * alternating simulation without the memoryless relation admits a
       violating controller;
     * the extension construction satisfies its postconditions and adds
@@ -507,8 +503,7 @@ def run_crosscheck(
 
     try:
         for index in range(trials):
-            _run_trial(report, rng, index, include_fig5, max_states, max_inputs,
-                       enumeration_budget, horizon)
+            _run_trial(report, rng, index)
     except CrosscheckFailure as err:
         err.bundle.setdefault("trial", index)
         err.bundle.setdefault("master_seed", seed)
@@ -521,25 +516,16 @@ def run_crosscheck(
     return report
 
 
-def _run_trial(
-    report: CrosscheckReport,
-    rng: random.Random,
-    index: int,
-    include_fig5: bool,
-    max_states: int,
-    max_inputs: int,
-    enumeration_budget: int,
-    horizon: int | None,
-) -> None:
-    if include_fig5 and index == 0:
+def _run_trial(report: CrosscheckReport, rng: random.Random, index: int) -> None:
+    if index == 0:
         from .fixtures import fig5
 
         fx = fig5()
         s1, s2, rel = fx.s1, fx.s2, fx.relation
     else:
         flavor = index % 4
-        n1 = rng.randint(2, max_states)
-        m1 = rng.randint(1, max_inputs)
+        n1 = rng.randint(2, _MAX_STATES)
+        m1 = rng.randint(1, _MAX_INPUTS)
         n2 = rng.randint(2, min(4, max(2, n1)))
         fully = flavor in (0, 2)
         s1 = random_system(rng, n1, m1, fully_available=fully)
@@ -554,7 +540,7 @@ def _run_trial(
             s2 = _perturb_abstraction(rng, induced_abstraction(s1, rel))
         else:
             s2 = random_system(
-                rng, n2, rng.randint(1, max_inputs),
+                rng, n2, rng.randint(1, _MAX_INPUTS),
                 state_prefix="q", input_prefix="v",
             )
             rel = Relation(rel.domain, s2.states, rel.pairs)
@@ -579,13 +565,13 @@ def _run_trial(
 
     # Both memoryless laws enumerate every controller on purpose: they are
     # what justifies the closed form of the all-controllers check.
-    enumerable = controller_count(s2, s2.states) <= enumeration_budget
+    enumerable = controller_count(s2, s2.states) <= _ENUMERATION_BUDGET
     if mcr.holds and not enumerable:
         report.bump("mcr_sufficiency_skipped_budget")
     elif mcr.holds:
         interface = maximal_interface(s1, s2, rel, RelationKind.MCR)
         for c2 in enumerate_controllers(s2, s2.states):
-            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
             report.bump("memoryless_controllers_checked")
             if not verdict.holds:
                 raise CrosscheckFailure("mcr_sufficiency", _bundle(
@@ -596,7 +582,7 @@ def _run_trial(
     elif asr.holds:
         interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
         for c2 in enumerate_controllers(s2, s2.states):
-            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
             if not verdict.holds:
                 break
         else:

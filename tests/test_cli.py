@@ -210,6 +210,22 @@ class TestCommands:
             {"x1": "2", "x2": "b", "u2": ALPHA, "u1": "0"},
         ]
 
+    def test_input_script_rejected_for_dynamic_concretizer(self, capsys, bundle_path, tmp_path):
+        config = tmp_path / "tracker.json"
+        code, _, _ = run(
+            capsys, "concretize", "--mode", "dynamic",
+            "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+            "--rel", f"{bundle_path}:R", "--controller", f"{bundle_path}:c2_via_b",
+            "--kind", "asr", "--out", str(config),
+        )
+        assert code == 0
+        code, out, err = run(
+            capsys, "simulate", "--sys", f"{bundle_path}:S1", "--controller", str(config),
+            "--input-script", "1,1", "--from", "1", "--horizon", "3",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "validation"
+
     def test_simulate_memoryless_with_scripts(self, capsys, bundle_path, tmp_path):
         ctrl_file = tmp_path / "leaky.json"
         jsonio.save(ctrl_file, {

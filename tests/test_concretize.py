@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from symcret import (
     ContractError,
     ControllerUndefinedError,
     DynamicConcretizer,
+    DynamicConcretizerState,
     DynamicRun,
     FiniteTransitionSystem,
     Interface,
@@ -19,8 +21,6 @@ from symcret import (
     Trajectory,
     closed_loop_run,
     controlled_system,
-    dynamic_init,
-    dynamic_step,
     enumerate_dynamic_runs,
     maximal_interface,
     maximal_trajectories,
@@ -64,6 +64,57 @@ def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
     return tuple(runs)
 
 
+def _reference_commit(c2, interface, x1, candidates):
+    covered = [x2 for x2 in sorted(candidates) if x2 in c2.choices]
+    if not covered:
+        raise ControllerUndefinedError(x1, who="abstract controller (via quantizer)")
+    x2 = covered[0]
+    u2 = sorted(c2.choices[x2])[0]
+    u1 = sorted(interface.inputs_for(x1, x2, u2))[0]
+    return DynamicConcretizerState(x2, u2), u1
+
+
+def reference_dynamic_init(c2, rel, interface, x1_0):
+    """The former free function behind ``DynamicConcretizer.initialize``,
+    with its default (least) choices."""
+    related = rel.forward(x1_0)
+    if not related:
+        raise ContractError(f"state {x1_0!r} is related to no abstract state")
+    return _reference_commit(c2, interface, x1_0, related)
+
+
+def reference_dynamic_step(state, c2, rel, interface, s2, x1_next):
+    """The former free function behind ``DynamicConcretizer.step``."""
+    sync = s2.successors(state.x2, state.u2) & rel.forward(x1_next)
+    if not sync:
+        raise BrokenCertificateError(
+            f"no abstract successor of ({state.x2!r}, {state.u2!r}) is related to {x1_next!r}"
+        )
+    return _reference_commit(c2, interface, x1_next, sync)
+
+
+def reference_dynamic_loop(s1, s2, c2, rel, interface, x1_0, horizon, *, resolver, trace):
+    """The former dynamic branch of ``closed_loop_run``: initialise before the
+    first move, step after every move that leaves steps to go; ``trace``
+    collects the (x1, x2, u2, u1) commitments."""
+    states, inputs = [x1_0], []
+    if horizon > 1:
+        state, u1 = reference_dynamic_init(c2, rel, interface, x1_0)
+        trace.append((x1_0, state.x2, state.u2, u1))
+    while len(states) < horizon:
+        x = states[-1]
+        succ = sorted(s1.successors(x, u1))
+        if not succ:
+            raise ContractError(f"input {u1!r} is unavailable at state {x!r}")
+        xp = resolver(succ)
+        states.append(xp)
+        inputs.append(u1)
+        if len(states) < horizon:
+            state, u1 = reference_dynamic_step(state, c2, rel, interface, s2, xp)
+            trace.append((xp, state.x2, state.u2, u1))
+    return Trajectory(tuple(states), tuple(inputs))
+
+
 def dynamic_case(seed):
     """A dynamic loop over an overlapping strict relation with an interface
     that is either maximal (certified) or hand-built from arbitrary entries,
@@ -96,9 +147,9 @@ def dynamic_case(seed):
     return s1, s2, c2, rel, interface, rng.choice(s1.states), rng.randint(1, 6)
 
 
-def _outcome(enumerate_runs, case):
+def _outcome(run, *args, **kwargs):
     try:
-        return enumerate_runs(*case)
+        return run(*args, **kwargs)
     except SymcretError as err:
         return type(err), str(err)
 
@@ -158,31 +209,34 @@ class TestMemorylessController:
 
 class TestDynamicArchitecture:
     def test_init_direct_route(self, fx, asr_interface):
-        state, u1 = dynamic_init(fx.c2_via_b, fx.relation, asr_interface, "1")
-        assert (state.x2, state.u2, u1) == ("a", ALPHA, "0")
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, fx.relation, asr_interface)
+        u1 = tracker.initialize("1")
+        assert (tracker.state.x2, tracker.state.u2, u1) == ("a", ALPHA, "0")
 
     def test_init_detour_route(self, fx, asr_interface):
-        state, u1 = dynamic_init(fx.c2_via_e, fx.relation, asr_interface, "1")
-        assert (state.x2, state.u2) == ("a", BETA)
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_e, fx.relation, asr_interface)
+        u1 = tracker.initialize("1")
+        assert (tracker.state.x2, tracker.state.u2) == ("a", BETA)
         assert u1 in asr_interface.inputs_for("1", "a", BETA)
 
     def test_init_uncovered_everywhere(self, fx, asr_interface):
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_e, fx.relation, asr_interface)
         with pytest.raises(ControllerUndefinedError):
-            dynamic_init(fx.c2_via_e, fx.relation, asr_interface, "3")
+            tracker.initialize("3")
 
     def test_init_unrelated_state(self, fx, asr_interface):
         partial = Relation(fx.s1.states, fx.s2.states, fx.relation.pairs - {("3", "d")})
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, partial, asr_interface)
         with pytest.raises(ContractError):
-            dynamic_init(fx.c2_via_b, partial, asr_interface, "3")
+            tracker.initialize("3")
 
     def test_step_resynchronises_through_overlap(self, fx, asr_interface):
-        state, _ = dynamic_init(fx.c2_via_b, fx.relation, asr_interface, "1")
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, fx.relation, asr_interface)
+        tracker.initialize("1")
         # Plant moved 1 -> 2; of the two quantizations {b, c} only b is a
         # successor of (a, alpha), so the tracker commits to b.
-        state, u1 = dynamic_step(
-            state, fx.c2_via_b, fx.relation, asr_interface, fx.s2, "2"
-        )
-        assert (state.x2, u1) == ("b", "0")
+        u1 = tracker.step("2")
+        assert (tracker.state.x2, u1) == ("b", "0")
 
     def test_three_step_run_reproduces_abstract_route(self, fx, asr_interface):
         tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, fx.relation, asr_interface)
@@ -198,10 +252,11 @@ class TestDynamicArchitecture:
         # forced singletons.
         ident = Relation.identity(fx.s1.states)
         iface = maximal_interface(fx.s1, fx.s1, ident, RelationKind.MCR)
-        state, u1 = dynamic_init(fx.c1_safe, ident, iface, "1")
-        assert (state.x2, state.u2, u1) == ("1", "0", "0")
-        state, u1 = dynamic_step(state, fx.c1_safe, ident, iface, fx.s1, "2")
-        assert (state.x2, u1) == ("2", "0")
+        tracker = DynamicConcretizer(fx.s1, fx.c1_safe, ident, iface)
+        u1 = tracker.initialize("1")
+        assert (tracker.state.x2, tracker.state.u2, u1) == ("1", "0", "0")
+        u1 = tracker.step("2")
+        assert (tracker.state.x2, u1) == ("2", "0")
 
     def test_broken_certificate_detected(self):
         s1 = FiniteTransitionSystem(("x", "y"), ("u",), {("x", "u"): {"y"}, ("y", "u"): {"y"}})
@@ -211,9 +266,26 @@ class TestDynamicArchitecture:
         # plant escapes to y, whose only quantization r is not a successor.
         iface = Interface(RelationKind.ASR, {("x", "q", "v"): frozenset({"u"})})
         c2 = Controller({"q": {"v"}})
-        state, _ = dynamic_init(c2, rel, iface, "x")
+        tracker = DynamicConcretizer(s2, c2, rel, iface)
+        tracker.initialize("x")
         with pytest.raises(BrokenCertificateError):
-            dynamic_step(state, c2, rel, iface, s2, "y")
+            tracker.step("y")
+
+    def test_closed_loop_matches_the_former_functions(self):
+        outcomes = Counter()
+        for seed in range(400):
+            s1, s2, c2, rel, interface, x0, horizon = dynamic_case(seed)
+            tracker = DynamicConcretizer(s2, c2, rel, interface)
+            got = _outcome(closed_loop_run, s1, tracker, x0, horizon,
+                           resolver=random.Random(seed).choice)
+            trace = []
+            want = _outcome(reference_dynamic_loop, s1, s2, c2, rel, interface, x0, horizon,
+                            resolver=random.Random(seed).choice, trace=trace)
+            assert got == want
+            assert tracker.trace == trace
+            outcomes["finished" if isinstance(got, Trajectory) else got[0].__name__] += 1
+        assert set(outcomes) == {"finished", "ControllerUndefinedError",
+                                 "BrokenCertificateError", "ContractError"}
 
 
 class TestClosedLoopRun:
@@ -277,8 +349,8 @@ class TestDynamicEnumeration:
     @given(seed=st.integers(0, 10**6))
     def test_explicit_stack_matches_recursion(self, seed):
         case = dynamic_case(seed)
-        expected = _outcome(reference_enumerate_dynamic_runs, case)
-        assert _outcome(enumerate_dynamic_runs, case) == expected
+        expected = _outcome(reference_enumerate_dynamic_runs, *case)
+        assert _outcome(enumerate_dynamic_runs, *case) == expected
 
     def test_long_chain_needs_no_recursion(self):
         sys = chain(1500)

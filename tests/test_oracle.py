@@ -243,6 +243,25 @@ def memoryless_case(seed):
     return rng, s1, s2, rel, interface
 
 
+def asr_gap_cases(seeds):
+    """Fully available plants of 2-5 states, overlap 0.4, a perturbed induced
+    abstraction with its maximal ASR interface, and every abstract controller
+    where there are at most 300."""
+    for seed in seeds:
+        rng = seeded_rng(seed)
+        s1 = random_system(rng, rng.randint(2, 5), rng.randint(1, 3), fully_available=True)
+        cells = [f"q{i}" for i in range(rng.randint(1, 4))]
+        rel = random_strict_relation(rng, s1.states, cells, overlap=0.4)
+        s2 = _perturb_abstraction(rng, induced_abstraction(s1, rel))
+        try:
+            interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
+        except RelationCheckError:
+            continue
+        if controller_count(s2, s2.states) <= 300:
+            for c2 in enumerate_controllers(s2, s2.states):
+                yield s1, s2, rel, interface, c2
+
+
 class TestControlledSimulability:
     def test_concretized_route_controller_leaks(self, fx, asr_interface):
         c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)
@@ -354,6 +373,30 @@ class TestMemorylessConcretization:
         assert replay_memoryless_witness(
             fx.s1, fx.s2, fx.relation, asr_interface, fx.c2_via_b, verdict.witness
         )
+
+    def test_every_refutation_replays(self):
+        refuted = 0
+        for s1, s2, rel, interface, c2 in asr_gap_cases(range(1000)):
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
+            if not verdict.holds:
+                refuted += 1
+                assert replay_memoryless_witness(s1, s2, rel, interface, c2, verdict.witness)
+        assert refuted > 1000
+
+    def test_runs_of_a_passing_controller_do_not_replay(self):
+        runs = 0
+        for s1, s2, rel, interface, c2 in asr_gap_cases(range(300)):
+            if not check_memoryless_concretization(s1, s2, rel, interface, c2).holds:
+                continue
+            c1 = memoryless_controller(c2, rel, interface)
+            for x1, x2 in sorted(rel.pairs):
+                for u in sorted(c1.choices.get(x1, ())):
+                    for x1p in sorted(s1.successors(x1, u)):
+                        for x2p in sorted(rel.forward(x1p)):
+                            runs += 1
+                            run = PropertyWitness((x1, x1p), (u,), (x2, x2p))
+                            assert not replay_memoryless_witness(s1, s2, rel, interface, c2, run)
+        assert runs > 1000
 
     def test_horizon_one_vacuous(self, fx, asr_interface):
         assert check_memoryless_concretization(
