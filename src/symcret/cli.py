@@ -4,11 +4,13 @@ Objects live in JSON files; an argument of the form ``path`` names a
 single-object file and ``path:name`` picks a member out of a bundle file.
 Exit codes: 0 when the queried property holds or the command succeeds, 1 when
 a property is refuted or synthesis is unsolvable (the witness is still
-emitted), 2 for usage and validation errors.
+emitted), 2 for usage and validation errors, malformed documents and
+unusable paths included.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -22,7 +24,7 @@ from .concretize import (
     enumerate_dynamic_runs,
     memoryless_controller,
 )
-from .core import Controller, FiniteTransitionSystem, SymcretError
+from .core import FiniteTransitionSystem, SymcretError
 from .fixtures import ALPHA, BETA, fig5, verify_fig5_consistency
 from .interval import prove_frr_infeasible_fig8
 from .jsonio import FormatError, ProjectBundle
@@ -36,7 +38,6 @@ from .oracle import (
 from .relations import (
     Relation,
     RelationKind,
-    check_mcr,
     check_relation,
     extended_relation,
     maximal_interface,
@@ -92,30 +93,25 @@ def _load_doc(ref: str) -> Any:
     if not path.exists():
         raise UsageError(f"no such file: {path}")
     doc = jsonio.load(path)
+    if not isinstance(doc, dict):
+        raise FormatError("document is not a JSON object")
     if member is None:
         return doc
     if doc.get("kind") != "bundle":
         raise UsageError(f"{path} is not a bundle, cannot select member {member!r}")
     for section in ("systems", "relations", "controllers", "specs", "covers"):
-        if member in doc.get(section, {}):
-            return doc[section][member]
+        members = doc.get(section)
+        if isinstance(members, dict) and member in members:
+            return members[member]
     raise UsageError(f"bundle {path} has no member named {member!r}")
 
 
-def _load_system(ref: str) -> FiniteTransitionSystem:
-    return jsonio.system_from_obj(_load_doc(ref))
-
-
-def _load_relation(ref: str, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem) -> Relation:
-    return jsonio.relation_from_obj(_load_doc(ref), s1, s2)
-
-
-def _load_controller(ref: str) -> Controller:
-    return jsonio.controller_from_obj(_load_doc(ref))
-
-
-def _load_spec(ref: str):
-    return jsonio.spec_from_obj(_load_doc(ref))
+def _load_triplet(
+    args: argparse.Namespace,
+) -> tuple[FiniteTransitionSystem, FiniteTransitionSystem, Relation]:
+    s1 = jsonio.system_from_obj(_load_doc(args.s1))
+    s2 = jsonio.system_from_obj(_load_doc(args.s2))
+    return s1, s2, jsonio.relation_from_obj(_load_doc(args.rel), s1, s2)
 
 
 def _maybe_save(obj: dict[str, Any], out: str | None) -> None:
@@ -138,88 +134,68 @@ def _witness_obj(witness) -> Any:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    s1 = _load_system(args.s1)
-    s2 = _load_system(args.s2)
-    rel = _load_relation(args.rel, s1, s2)
+    s1, s2, rel = _load_triplet(args)
     kind = RelationKind(args.kind)
     verdict = check_relation(kind, s1, s2, rel)
     if args.extended_out:
         ext = extended_relation(kind, s1, s2, rel)
-        jsonio.save(args.extended_out, {
-            "format": jsonio.FORMAT,
-            "kind": "extended-relation",
+        jsonio.save(args.extended_out, jsonio.tagged("extended-relation", {
             "relation_kind": kind.value,
             "tuples": [list(t) for t in sorted(ext.tuples)],
-        })
-    payload = {
-        "format": jsonio.FORMAT,
-        "kind": "relation-verdict",
+        }))
+    payload = jsonio.tagged("relation-verdict", {
         "relation_kind": kind.value,
         "holds": verdict.holds,
         "witness": _witness_obj(verdict.witness),
-    }
+    })
     _emit(payload, args.json, [f"{kind.value}: {'holds' if verdict.holds else 'refuted'}"])
     return 0 if verdict.holds else 1
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    s1 = _load_system(args.s1)
-    s2 = _load_system(args.s2)
-    rel = _load_relation(args.rel, s1, s2)
-    extended = mcr_extension(s1, s2, rel)
-    obj = jsonio.system_to_obj(extended)
+    obj = jsonio.system_to_obj(mcr_extension(*_load_triplet(args)))
     _maybe_save(obj, args.out)
     _emit(obj, args.json, ["wrote extended abstraction" if args.out else "extended abstraction:"])
     return 0
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    sys_ = _load_system(args.sys)
-    spec = _load_spec(args.spec)
+    sys_ = jsonio.system_from_obj(_load_doc(args.sys))
+    spec = jsonio.spec_from_obj(_load_doc(args.spec))
     winning, rank = winning_region(sys_, spec)
     losing = spec.initial - winning
     if losing:
-        payload = {
-            "format": jsonio.FORMAT,
-            "kind": "synthesis-result",
+        payload = jsonio.tagged("synthesis-result", {
             "solvable": False,
             "losing_initial": sorted(losing),
-        }
+        })
         _emit(payload, args.json, ["unsolvable"])
         return 1
     controller = rank_decreasing_controller(sys_, rank, spec.target)
-    payload = {
-        "format": jsonio.FORMAT,
-        "kind": "synthesis-result",
+    payload = jsonio.tagged("synthesis-result", {
         "solvable": True,
         "controller": jsonio.controller_to_obj(controller),
         "rank": {x: rank[x] for x in sorted(rank)},
         "winning": sorted(winning),
-    }
+    })
     _maybe_save(payload, args.out)
     _emit(payload, args.json, ["solvable"])
     return 0
 
 
 def cmd_concretize(args: argparse.Namespace) -> int:
-    s1 = _load_system(args.s1)
-    s2 = _load_system(args.s2)
-    rel = _load_relation(args.rel, s1, s2)
-    c2 = _load_controller(args.controller)
-    kind = RelationKind(args.kind)
-    interface = maximal_interface(s1, s2, rel, kind)
+    s1, s2, rel = _load_triplet(args)
+    c2 = jsonio.controller_from_obj(_load_doc(args.controller))
+    interface = maximal_interface(s1, s2, rel, RelationKind(args.kind))
     if args.mode == "memoryless":
-        c1 = memoryless_controller(c2, rel, interface)
-        obj = jsonio.controller_to_obj(c1)
+        obj = jsonio.controller_to_obj(memoryless_controller(c2, rel, interface))
     else:
-        obj = {
-            "format": jsonio.FORMAT,
-            "kind": "concretizer",
+        obj = jsonio.tagged("concretizer", {
             "s2": jsonio.system_to_obj(s2),
             "relation": jsonio.relation_to_obj(rel),
             "interface": jsonio.interface_to_obj(interface),
             "controller": jsonio.controller_to_obj(c2),
-        }
+        })
     _maybe_save(obj, args.out)
     _emit(obj, args.json, [f"{args.mode} concretization ready"])
     return 0
@@ -227,17 +203,19 @@ def cmd_concretize(args: argparse.Namespace) -> int:
 
 def _controller_for_simulation(ref: str, s1: FiniteTransitionSystem):
     doc = _load_doc(ref)
-    if doc.get("kind") == "concretizer":
-        s2 = jsonio.system_from_obj(doc["s2"])
-        rel = jsonio.relation_from_obj(doc["relation"], s1, s2)
-        interface = jsonio.interface_from_obj(doc["interface"])
-        c2 = jsonio.controller_from_obj(doc["controller"])
-        return DynamicConcretizer(s2, c2, rel, interface)
-    return jsonio.controller_from_obj(doc)
+    if doc.get("kind") != "concretizer":
+        return jsonio.controller_from_obj(doc)
+    missing = sorted({"s2", "relation", "interface", "controller"} - doc.keys())
+    if missing:
+        raise FormatError(f"concretizer document lacks {', '.join(missing)}")
+    s2 = jsonio.system_from_obj(doc["s2"])
+    rel = jsonio.relation_from_obj(doc["relation"], s1, s2)
+    interface = jsonio.interface_from_obj(doc["interface"])
+    return DynamicConcretizer(s2, jsonio.controller_from_obj(doc["controller"]), rel, interface)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sys_ = _load_system(args.sys)
+    sys_ = jsonio.system_from_obj(_load_doc(args.sys))
     controller = _controller_for_simulation(args.controller, sys_)
     resolver = args.resolver.split(",") if args.resolver and args.resolver != "lex" else None
     input_script = args.input_script.split(",") if args.input_script else None
@@ -254,23 +232,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    s1 = _load_system(args.s1)
-    s2 = _load_system(args.s2)
-    rel = _load_relation(args.rel, s1, s2)
+    s1, s2, rel = _load_triplet(args)
     if args.property == "one":
         if not (args.c1 and args.c2):
             raise UsageError("property `one` needs --c1 and --c2")
-        verdict = check_controlled_simulability(
-            s1, s2, rel, _load_controller(args.c1), _load_controller(args.c2), args.horizon
-        )
+        c1, c2 = (jsonio.controller_from_obj(_load_doc(ref)) for ref in (args.c1, args.c2))
+        verdict = check_controlled_simulability(s1, s2, rel, c1, c2, args.horizon)
     else:
         interface = maximal_interface(s1, s2, rel, RelationKind(args.kind))
         if args.property == "two":
             if not args.c2:
                 raise UsageError("property `two` needs --c2")
-            verdict = check_memoryless_concretization(
-                s1, s2, rel, interface, _load_controller(args.c2), args.horizon
-            )
+            c2 = jsonio.controller_from_obj(_load_doc(args.c2))
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, args.horizon)
         else:
             verdict = check_memoryless_concretization_all_controllers(
                 s1, s2, rel, interface, args.horizon, budget=args.budget
@@ -283,13 +257,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             witness["quantization"] = list(inner.quantization)
         if getattr(verdict, "witness_controller", None) is not None:
             witness["controller"] = jsonio.controller_to_obj(verdict.witness_controller)
-    payload = {
-        "format": jsonio.FORMAT,
-        "kind": "property-verdict",
+    payload = jsonio.tagged("property-verdict", {
         "property": args.property,
         "holds": verdict.holds,
         "witness": witness,
-    }
+    })
     _emit(payload, args.json, [f"property {args.property}: {'holds' if verdict.holds else 'refuted'}"])
     return 0 if verdict.holds else 1
 
@@ -306,16 +278,14 @@ def _table(rows: list[tuple[str, bool, str]], json_only: bool, extra: dict[str, 
             print(f"  [{mark}] {label.ljust(width)}  {detail}")
         print(f"{'all checks passed' if ok else 'SOME CHECKS FAILED'}")
     if json_only:
-        payload = {
-            "format": jsonio.FORMAT,
-            "kind": "demo-report",
+        payload = jsonio.tagged("demo-report", {
             "checks": [
                 {"label": label, "passed": passed, "detail": detail}
                 for label, passed, detail in rows
             ],
             "passed": ok,
             **extra,
-        }
+        })
         print(jsonio.dumps(payload), end="")
     return 0 if ok else 1
 
@@ -343,37 +313,22 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     fx = fig5()
     rows: list[tuple[str, bool, str]] = []
 
+    # The gate's checks carry the relation rows; if it fails, they fail too.
     try:
-        verify_fig5_consistency(fx)
+        checks = verify_fig5_consistency(fx)
         rows.append(("fixture-consistency", True, "all fixture checks passed"))
     except AssertionError as err:
+        checks = {}
         rows.append(("fixture-consistency", False, str(err)))
-
-    asr = check_relation(RelationKind.ASR, fx.s1, fx.s2, fx.relation)
-    rows.append(("alternating-simulation", asr.holds, "holds"))
-
-    mcr = check_relation(RelationKind.MCR, fx.s1, fx.s2, fx.relation)
-    mcr_ok = (
-        not mcr.holds
-        and mcr.witness is not None
-        and (mcr.witness.x1, mcr.witness.x2, mcr.witness.u2) == ("1", "a", ALPHA)
-        and mcr.witness.evidence == ("2", "c")
-    )
-    rows.append((
-        "memoryless-relation",
-        mcr_ok,
-        f"refuted at (1, a, {ALPHA}), successor pair (2, c) escapes",
-    ))
-
-    interface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
-    iface_ok = (
-        interface.inputs_for("1", "a", ALPHA) == frozenset({"0"})
-        and interface.inputs_for("2", "b", ALPHA) == frozenset({"0"})
-        and interface.inputs_for("2", "c", ALPHA) == frozenset({"1"})
-    )
-    rows.append(("maximal-interface", iface_ok,
+    rows.append(("alternating-simulation", checks.get("asr_holds", False), "holds"))
+    mcr_ok = checks.get("mcr_refuted", False) and checks.get("mcr_witness", False)
+    rows.append(("memoryless-relation", mcr_ok,
+                 f"refuted at (1, a, {ALPHA}), successor pair (2, c) escapes"))
+    iface_keys = ("interface_1_a_alpha", "interface_2_b_alpha", "interface_2_c_alpha")
+    rows.append(("maximal-interface", all(checks.get(key, False) for key in iface_keys),
                  f"(1,a,{ALPHA})->{{0}}  (2,b,{ALPHA})->{{0}}  (2,c,{ALPHA})->{{1}}"))
 
+    interface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
     c1 = memoryless_controller(fx.c2_via_b, fx.relation, interface)
     values_ok = (
         c1.choices.get("1") == frozenset({"0"}) and c1.choices.get("2") == frozenset({"0", "1"})
@@ -402,16 +357,10 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
         "concretized controller leaks run (1,2,3); the safe hand-built one does not",
     ))
 
+    # mcr_extension raises unless both memoryless checks pass on its result.
     extended = fx.s2_extended
-    ext_ok = (
-        extended.successors("a", ALPHA) == frozenset({"b", "c"})
-        and all(
-            extended.trans[key] == fx.s2.trans[key]
-            for key in fx.s2.trans
-            if key != ("a", ALPHA)
-        )
-        and check_mcr(fx.s1, extended, fx.relation).holds
-        and check_mcr(fx.s2, extended, Relation.identity(fx.s2.states)).holds
+    ext_ok = extended.successors("a", ALPHA) == frozenset({"b", "c"}) and all(
+        extended.trans[key] == fx.s2.trans[key] for key in fx.s2.trans if key != ("a", ALPHA)
     )
     rows.append(("extension", ext_ok,
                  f"only row (a, {ALPHA}) grows, to {{b, c}}; memoryless checks pass"))
@@ -502,24 +451,17 @@ def cmd_demo_crosscheck(args: argparse.Namespace) -> int:
     try:
         report = run_crosscheck(trials=args.trials, seed=args.seed)
     except CrosscheckFailure as err:
-        payload = {
-            "format": jsonio.FORMAT,
-            "kind": "crosscheck-report",
+        payload = jsonio.tagged("crosscheck-report", {
             "passed": False,
             "failed_law": err.law,
             "bundle": err.bundle,
-        }
+        })
         _emit(payload, args.json, [f"law {err.law} FAILED"])
         return 1
     required = ("mcr_implies_asr", "mcr_sufficiency_trials", "asr_gap_necessity",
                 "partition_collapse", "transitivity", "extension_postconditions")
     covered = all(report.counters.get(key, 0) > 0 for key in required)
-    payload = {
-        "format": jsonio.FORMAT,
-        "kind": "crosscheck-report",
-        "passed": covered,
-        **report.to_obj(),
-    }
+    payload = jsonio.tagged("crosscheck-report", {"passed": covered, **report.to_obj()})
     if args.json:
         print(jsonio.dumps(payload), end="")
     else:
@@ -535,104 +477,91 @@ def cmd_demo_crosscheck(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ main
 
 
+def _parent(*flags: str, **options: Any) -> _Parser:
+    """A parent parser declaring each of ``flags`` with the same options."""
+    parent = _Parser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **options)
+    return parent
+
+
+@functools.cache  # argparse parsers are reusable, and building one costs milliseconds
 def _build_parser() -> _Parser:
     parser = _Parser(prog="symcret", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    kinds = [k.value for k in RelationKind]
+    as_json = _parent("--json", action="store_true")
+    triplet = _parent("--s1", "--s2", "--rel", required=True)
+    kind = _parent("--kind", choices=kinds, default="asr")
+    out = _parent("--out")
+    system = _parent("--sys", required=True)
+    ctrl = _parent("--controller", required=True)
 
-    check = sub.add_parser("check", help="check a relation between two systems")
-    check.add_argument("kind", choices=[k.value for k in RelationKind])
-    check.add_argument("--s1", required=True)
-    check.add_argument("--s2", required=True)
-    check.add_argument("--rel", required=True)
+    check = sub.add_parser("check", help="check a relation between two systems",
+                           parents=[_parent("kind", choices=kinds), triplet, as_json])
     check.add_argument("--extended-out")
-    check.add_argument("--json", action="store_true")
     check.set_defaults(run=cmd_check)
 
-    extend = sub.add_parser("extend", help="complete an abstraction for memoryless use")
-    extend.add_argument("--s1", required=True)
-    extend.add_argument("--s2", required=True)
-    extend.add_argument("--rel", required=True)
-    extend.add_argument("--out")
-    extend.add_argument("--json", action="store_true")
+    extend = sub.add_parser("extend", help="complete an abstraction for memoryless use",
+                            parents=[triplet, out, as_json])
     extend.set_defaults(run=cmd_extend)
 
-    synth = sub.add_parser("synthesize", help="solve a reach-avoid problem")
-    synth.add_argument("--sys", required=True)
+    synth = sub.add_parser("synthesize", help="solve a reach-avoid problem",
+                           parents=[system, out, as_json])
     synth.add_argument("--spec", required=True)
-    synth.add_argument("--out")
-    synth.add_argument("--json", action="store_true")
     synth.set_defaults(run=cmd_synthesize)
 
-    conc = sub.add_parser("concretize", help="derive a concrete controller")
-    conc.add_argument("--mode", choices=["memoryless", "dynamic"], required=True)
-    conc.add_argument("--s1", required=True)
-    conc.add_argument("--s2", required=True)
-    conc.add_argument("--rel", required=True)
-    conc.add_argument("--controller", required=True)
-    conc.add_argument("--kind", choices=[k.value for k in RelationKind], default="asr")
-    conc.add_argument("--out")
-    conc.add_argument("--json", action="store_true")
+    modes = _parent("--mode", choices=["memoryless", "dynamic"], required=True)
+    conc = sub.add_parser("concretize", help="derive a concrete controller",
+                          parents=[modes, triplet, ctrl, kind, out, as_json])
     conc.set_defaults(run=cmd_concretize)
 
-    sim = sub.add_parser("simulate", help="run a closed loop")
-    sim.add_argument("--sys", required=True)
-    sim.add_argument("--controller", required=True)
+    sim = sub.add_parser("simulate", help="run a closed loop", parents=[system, ctrl, as_json])
     sim.add_argument("--from", dest="from_state", required=True)
     sim.add_argument("--horizon", type=_count, required=True)
     sim.add_argument("--resolver", default="lex",
                      help="'lex' or a comma-separated successor script")
     sim.add_argument("--input-script", default=None,
                      help="comma-separated input picks for memoryless runs")
-    sim.add_argument("--json", action="store_true")
     sim.set_defaults(run=cmd_simulate)
 
-    verify = sub.add_parser("verify", help="check a transfer guarantee")
-    verify.add_argument("--property", choices=["one", "two", "two-all"], required=True)
-    verify.add_argument("--s1", required=True)
-    verify.add_argument("--s2", required=True)
-    verify.add_argument("--rel", required=True)
+    props = _parent("--property", choices=["one", "two", "two-all"], required=True)
+    verify = sub.add_parser("verify", help="check a transfer guarantee",
+                            parents=[props, triplet, kind, as_json])
     verify.add_argument("--c1")
     verify.add_argument("--c2")
-    verify.add_argument("--kind", choices=[k.value for k in RelationKind], default="asr")
     verify.add_argument("--horizon", type=_count, default=None)
     verify.add_argument("--budget", type=_count, default=None,
                         help="two-all: refuse up front above this many controllers")
-    verify.add_argument("--json", action="store_true")
     verify.set_defaults(run=cmd_verify)
 
     demo = sub.add_parser("demo", help="bundled end-to-end scenarios")
     demo_sub = demo.add_subparsers(dest="scenario", required=True)
 
-    d5 = demo_sub.add_parser("fig5", help="finite separation scenario")
-    d5.add_argument("--json", action="store_true")
+    d5 = demo_sub.add_parser("fig5", help="finite separation scenario", parents=[as_json])
     d5.add_argument("--export-bundle", default=None)
     d5.set_defaults(run=cmd_demo_fig5)
 
-    d8 = demo_sub.add_parser("fig8", help="segment reach-the-origin scenario")
+    d8 = demo_sub.add_parser("fig8", help="segment reach-the-origin scenario", parents=[as_json])
     d8.add_argument("--bound", default="1", help="segment half-width, as p/q")
-    d8.add_argument("--json", action="store_true")
     d8.set_defaults(run=cmd_demo_fig8)
 
-    dc = demo_sub.add_parser("crosscheck", help="randomized law cross-validation")
-    dc.add_argument("--trials", type=int, default=500)
+    dc = demo_sub.add_parser("crosscheck", help="randomized law cross-validation",
+                             parents=[as_json])
+    dc.add_argument("--trials", type=_count, default=500)
     dc.add_argument("--seed", type=int, default=0)
-    dc.add_argument("--json", action="store_true")
     dc.set_defaults(run=cmd_demo_crosscheck)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        return _fail("usage", str(err))
-    try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
-    except UsageError as err:
+    except (UsageError, OSError) as err:
         return _fail("usage", str(err))
-    except (SymcretError, FormatError, ValueError) as err:
+    except (SymcretError, ValueError, ZeroDivisionError) as err:
         return _fail("validation", str(err))
 
 

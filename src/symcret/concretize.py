@@ -104,7 +104,7 @@ class DynamicConcretizerState:
 class DynamicConcretizer:
     """The dynamic architecture: a delay block holds the committed (x2, u2)
     and is re-synchronised after every plant move.  Records the
-    (x1, x2, u2, u1) trace of one execution."""
+    (x1, x2, u2, u1) trace of the latest execution (``initialize`` starts one)."""
 
     def __init__(
         self,
@@ -123,6 +123,7 @@ class DynamicConcretizer:
     def initialize(self, x1_0: str) -> str:
         """Commit to an abstract start related to ``x1_0`` and emit the first
         concrete input."""
+        self.trace = []
         related = self.rel.forward(x1_0)
         if not related:
             raise ContractError(f"state {x1_0!r} is related to no abstract state")
@@ -176,7 +177,8 @@ def closed_loop_run(
 
     ``resolver`` picks the plant's move among the non-deterministic
     successors; ``choose_input`` picks among the memoryless controller's
-    enabled inputs.  The dynamic concretizer makes its own choices, so
+    enabled inputs.  The dynamic concretizer starts a new execution (its
+    trace and state are cleared) and makes its own choices, so
     ``choose_input`` with it is a contract error.  Reaching a state the
     controller does not cover while steps remain is a contract error naming
     the state.
@@ -185,8 +187,10 @@ def closed_loop_run(
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
     dynamic = isinstance(controller, DynamicConcretizer)
-    if dynamic and choose_input is not None:
-        raise ContractError("choose_input applies only to a memoryless controller")
+    if dynamic:
+        if choose_input is not None:
+            raise ContractError("choose_input applies only to a memoryless controller")
+        controller.state, controller.trace = None, []
     pick_input = _chooser(choose_input)
     pick_successor = _chooser(resolver)
 

@@ -5,15 +5,18 @@ with ``|`` separating the composite transition key, so identifiers may not
 contain ``|``.  Relations are arrays of pairs, controllers map states to
 input arrays, rationals are written as ``"p/q"`` strings.  Serialization is
 canonical (sorted keys, sorted arrays), so save -> load -> save is
-bit-identical.
+bit-identical.  A malformed document (a missing field, a number where a list
+belongs) makes its decoder raise :class:`FormatError` naming the document
+kind, which the command line reports as a validation error (exit code 2).
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .core import Controller, DomainError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
 from .interval import AbstractInput, AffineMap, CellCover, IntervalCell
@@ -33,18 +36,30 @@ def _check_id(name: str) -> str:
     return name
 
 
-def _tagged(kind: str, body: dict[str, Any]) -> dict[str, Any]:
+def tagged(kind: str, body: dict[str, Any]) -> dict[str, Any]:
     return {"format": FORMAT, "kind": kind, **body}
 
 
-def _untag(obj: Mapping[str, Any], kind: str) -> Mapping[str, Any]:
-    if not isinstance(obj, Mapping):
-        raise FormatError("document is not a JSON object")
-    if obj.get("format") != FORMAT:
-        raise FormatError(f"expected format {FORMAT!r}, got {obj.get('format')!r}")
-    if obj.get("kind") != kind:
-        raise FormatError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
-    return obj
+def _decoder(kind: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """Decode only ``kind`` documents, and report a lookup or type error in a
+    malformed one (a missing field, a number where a list belongs) as a
+    FormatError naming the kind."""
+    def wrap(decode: Callable[..., Any]) -> Callable[..., Any]:
+        @functools.wraps(decode)
+        def checked(obj: Any, *args: Any) -> Any:
+            if not isinstance(obj, Mapping):
+                raise FormatError("document is not a JSON object")
+            if obj.get("format") != FORMAT:
+                raise FormatError(f"expected format {FORMAT!r}, got {obj.get('format')!r}")
+            if obj.get("kind") != kind:
+                raise FormatError(f"expected kind {kind!r}, got {obj.get('kind')!r}")
+            try:
+                return decode(obj, *args)
+            except (AttributeError, KeyError, TypeError) as err:
+                message = f"malformed {kind} document ({type(err).__name__}: {err})"
+                raise FormatError(message) from None
+        return checked
+    return wrap
 
 
 def fraction_to_str(value: Fraction) -> str:
@@ -64,22 +79,22 @@ def system_to_obj(sys: FiniteTransitionSystem) -> dict[str, Any]:
         for (x, u), succ in sorted(sys.trans.items())
         if succ
     }
-    return _tagged("system", {
+    return tagged("system", {
         "states": list(sys.states),
         "inputs": list(sys.inputs),
         "trans": trans,
     })
 
 
+@_decoder("system")
 def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
-    body = _untag(obj, "system")
     trans: dict[tuple[str, str], frozenset[str]] = {}
-    for key, succ in body["trans"].items():
+    for key, succ in obj["trans"].items():
         x, sep, u = key.partition(KEY_SEP)
         if not sep:
             raise FormatError(f"transition key {key!r} lacks the {KEY_SEP!r} separator")
         trans[(x, u)] = frozenset(succ)
-    sys = FiniteTransitionSystem(tuple(body["states"]), tuple(body["inputs"]), trans)
+    sys = FiniteTransitionSystem(tuple(obj["states"]), tuple(obj["inputs"]), trans)
     sys.require_non_blocking()
     return sys
 
@@ -88,16 +103,16 @@ def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
 
 
 def relation_to_obj(rel: Relation) -> dict[str, Any]:
-    return _tagged("relation", {
+    return tagged("relation", {
         "pairs": [list(p) for p in sorted(rel.pairs)],
     })
 
 
+@_decoder("relation")
 def relation_from_obj(
     obj: Mapping[str, Any], s1: FiniteTransitionSystem, s2: FiniteTransitionSystem
 ) -> Relation:
-    body = _untag(obj, "relation")
-    pairs = frozenset((a, b) for a, b in body["pairs"])
+    pairs = frozenset((a, b) for a, b in obj["pairs"])
     return Relation(s1.states, s2.states, pairs)
 
 
@@ -105,31 +120,31 @@ def relation_from_obj(
 
 
 def controller_to_obj(ctrl: Controller) -> dict[str, Any]:
-    return _tagged("controller", {
+    return tagged("controller", {
         "choices": {x: sorted(us) for x, us in sorted(ctrl.choices.items())},
     })
 
 
+@_decoder("controller")
 def controller_from_obj(obj: Mapping[str, Any]) -> Controller:
-    body = _untag(obj, "controller")
-    return Controller({x: frozenset(us) for x, us in body["choices"].items()})
+    return Controller({x: frozenset(us) for x, us in obj["choices"].items()})
 
 
 # ------------------------------------------------------------------ specs
 
 
 def spec_to_obj(spec: ReachAvoidSpec) -> dict[str, Any]:
-    return _tagged("spec", {
+    return tagged("spec", {
         "initial": sorted(spec.initial),
         "target": sorted(spec.target),
         "obstacle": sorted(spec.obstacle),
     })
 
 
+@_decoder("spec")
 def spec_from_obj(obj: Mapping[str, Any]) -> ReachAvoidSpec:
-    body = _untag(obj, "spec")
     return ReachAvoidSpec(
-        frozenset(body["initial"]), frozenset(body["target"]), frozenset(body["obstacle"])
+        frozenset(obj["initial"]), frozenset(obj["target"]), frozenset(obj["obstacle"])
     )
 
 
@@ -141,18 +156,18 @@ def interface_to_obj(interface: Interface) -> dict[str, Any]:
         KEY_SEP.join((_check_id(x1), _check_id(x2), _check_id(u2))): sorted(us)
         for (x1, x2, u2), us in sorted(interface.table.items())
     }
-    return _tagged("interface", {"relation_kind": interface.kind.value, "table": table})
+    return tagged("interface", {"relation_kind": interface.kind.value, "table": table})
 
 
+@_decoder("interface")
 def interface_from_obj(obj: Mapping[str, Any]) -> Interface:
-    body = _untag(obj, "interface")
     table: dict[tuple[str, str, str], frozenset[str]] = {}
-    for key, us in body["table"].items():
+    for key, us in obj["table"].items():
         parts = key.split(KEY_SEP)
         if len(parts) != 3:
             raise FormatError(f"interface key {key!r} must have three components")
         table[(parts[0], parts[1], parts[2])] = frozenset(us)
-    return Interface(RelationKind(body["relation_kind"]), table)
+    return Interface(RelationKind(obj["relation_kind"]), table)
 
 
 # ----------------------------------------------------------------- covers
@@ -181,7 +196,7 @@ def cover_to_obj(
     inputs: tuple[AbstractInput, ...] = (),
     availability: Mapping[str, Any] | None = None,
 ) -> dict[str, Any]:
-    return _tagged("cover", {
+    return tagged("cover", {
         "cells": [
             {"state": _check_id(name), **_cell_to_obj(cell)} for name, cell in cover.cells
         ],
@@ -199,19 +214,19 @@ def cover_to_obj(
     })
 
 
+@_decoder("cover")
 def cover_from_obj(
     obj: Mapping[str, Any],
 ) -> tuple[CellCover, tuple[AbstractInput, ...], dict[str, list[str]]]:
-    body = _untag(obj, "cover")
-    cover = CellCover(tuple((c["state"], _cell_from_obj(c)) for c in body["cells"]))
+    cover = CellCover(tuple((c["state"], _cell_from_obj(c)) for c in obj["cells"]))
     inputs = tuple(
         AbstractInput(
             i["input"],
             AffineMap(fraction_from_str(i["gain"]), fraction_from_str(i["offset"])),
         )
-        for i in body["inputs"]
+        for i in obj["inputs"]
     )
-    availability = {name: list(us) for name, us in body["availability"].items()}
+    availability = {name: list(us) for name, us in obj["availability"].items()}
     return cover, inputs, availability
 
 
@@ -222,19 +237,19 @@ def trajectory_to_obj(traj: Trajectory) -> dict[str, Any]:
     steps: list[dict[str, str]] = [{"x": traj.states[0]}]
     for k, u in enumerate(traj.inputs):
         steps.append({"x": traj.states[k + 1], "u": u})
-    return _tagged("trace", {"steps": steps})
+    return tagged("trace", {"steps": steps})
 
 
+@_decoder("trace")
 def trajectory_from_obj(obj: Mapping[str, Any]) -> Trajectory:
-    body = _untag(obj, "trace")
-    steps = body["steps"]
+    steps = obj["steps"]
     states = tuple(step["x"] for step in steps)
     inputs = tuple(step["u"] for step in steps[1:])
     return Trajectory(states, inputs)
 
 
 def dynamic_trace_to_obj(trace: list[tuple[str, str, str, str]]) -> dict[str, Any]:
-    return _tagged("dynamic-trace", {
+    return tagged("dynamic-trace", {
         "steps": [
             {"x1": x1, "x2": x2, "u2": u2, "u1": u1} for x1, x2, u2, u1 in trace
         ],
@@ -284,7 +299,7 @@ class ProjectBundle:
 
 
 def bundle_to_obj(bundle: ProjectBundle) -> dict[str, Any]:
-    return _tagged("bundle", {
+    return tagged("bundle", {
         "systems": {n: system_to_obj(s) for n, s in sorted(bundle.systems.items())},
         "relations": {
             n: {"s1": s1, "s2": s2, **relation_to_obj(rel)}
@@ -305,23 +320,23 @@ def bundle_to_obj(bundle: ProjectBundle) -> dict[str, Any]:
     })
 
 
+@_decoder("bundle")
 def bundle_from_obj(obj: Mapping[str, Any]) -> ProjectBundle:
-    body = _untag(obj, "bundle")
     bundle = ProjectBundle()
-    for name, sys_obj in body.get("systems", {}).items():
+    for name, sys_obj in obj.get("systems", {}).items():
         bundle.systems[name] = system_from_obj(sys_obj)
-    for name, rel_obj in body.get("relations", {}).items():
+    for name, rel_obj in obj.get("relations", {}).items():
         s1, s2 = rel_obj["s1"], rel_obj["s2"]
         if s1 not in bundle.systems or s2 not in bundle.systems:
             raise FormatError(f"relation {name!r} references an unknown system")
         bundle.relations[name] = (
             s1, s2, relation_from_obj(rel_obj, bundle.systems[s1], bundle.systems[s2])
         )
-    for name, ctrl_obj in body.get("controllers", {}).items():
+    for name, ctrl_obj in obj.get("controllers", {}).items():
         bundle.controllers[name] = (ctrl_obj["system"], controller_from_obj(ctrl_obj))
-    for name, spec_obj in body.get("specs", {}).items():
+    for name, spec_obj in obj.get("specs", {}).items():
         bundle.specs[name] = (spec_obj["system"], spec_from_obj(spec_obj))
-    for name, cover_obj in body.get("covers", {}).items():
+    for name, cover_obj in obj.get("covers", {}).items():
         bundle.covers[name] = cover_from_obj(cover_obj)
     bundle.validate()
     return bundle

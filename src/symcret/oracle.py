@@ -33,6 +33,7 @@ from .relations import (
     Relation,
     RelationKind,
     StrictnessError,
+    _validate_triplet,
     check_asr,
     check_mcr,
     maximal_interface,
@@ -100,6 +101,7 @@ def check_controlled_simulability(
     successors and r related abstract states per concrete state and p states
     per abstract controlled post, plus sorting each node's moves.
     """
+    _validate_triplet(s1, s2, rel)
     c1.validate_for(s1)
     c2.validate_for(s2)
     bound = default_horizon_pair(s1, s2) if horizon is None else horizon
@@ -204,6 +206,7 @@ def check_memoryless_concretization(
     runs may start at any state, the verdict does not depend on the horizon
     once it admits a single step; the witness run is capped by it.
     """
+    _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
@@ -274,6 +277,7 @@ def check_memoryless_concretization_all_controllers(
     else the last state k with an event takes its least event input, the i-th
     of U(k) from 0, and ``checked`` is (2^i - 1) * prod_{x > k} (2^|U(x)| - 1)
     + 1.  Its check gives the witness or error.  ``budget`` refuses up front."""
+    _validate_triplet(s1, s2, rel)
     total = controller_count(s2, s2.states)
     if budget is not None and total > budget:
         raise BudgetExceededError(f"{total} controllers exceed the budget of {budget}")

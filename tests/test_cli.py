@@ -15,7 +15,7 @@ from symcret import (
 )
 from symcret import cli
 from symcret.cli import fig5_bundle, main
-from symcret.fixtures import ALPHA
+from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 from symcret.oracle import random_system
 
@@ -341,6 +341,44 @@ class TestDemos:
         assert code == 0
         assert jsonio.load(target)["kind"] == "bundle"
 
+    def test_fig5_rows(self, capsys):
+        code, out, _ = run(capsys, "demo", "fig5", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True and doc["demo"] == "fig5"
+        assert [(c["label"], c["passed"], c["detail"]) for c in doc["checks"]] == [
+            ("fixture-consistency", True, "all fixture checks passed"),
+            ("alternating-simulation", True, "holds"),
+            ("memoryless-relation", True,
+             f"refuted at (1, a, {ALPHA}), successor pair (2, c) escapes"),
+            ("maximal-interface", True,
+             f"(1,a,{ALPHA})->{{0}}  (2,b,{ALPHA})->{{0}}  (2,c,{ALPHA})->{{1}}"),
+            ("memoryless-controller-values", True, "c1(1)={0}, c1(2)={0,1}"),
+            ("memoryless-guarantee-refuted", True,
+             "run (1,2,3) quantizes to invalid abstract trace (a,c,d)"),
+            ("alternate-controller-safe", True,
+             "the detour controller satisfies the memoryless guarantee"),
+            ("controlled-simulability", True,
+             "concretized controller leaks run (1,2,3); the safe hand-built one does not"),
+            ("extension", True,
+             f"only row (a, {ALPHA}) grows, to {{b, c}}; memoryless checks pass"),
+            ("synthesis-collapse", True,
+             f"original admits both routes; extension pins a -> {{{BETA}}}"),
+            ("dynamic-architecture-invariant", True,
+             "5 fully branched runs, relation held, no empty intersection"),
+        ]
+
+    def test_fig8_rows(self, capsys):
+        code, out, _ = run(capsys, "demo", "fig8", "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] is True and doc["demo"] == "fig8"
+        assert [(c["label"], c["passed"], c["detail"]) for c in doc["checks"]] == [
+            ("constant-case 0 < c < L", True, "shift 1/2: q1 -> {q1, q2, q3}, unsolvable"),
+            ("constant-case c = L", True, "shift 1: q1 -> {q2, q3}, unsolvable"),
+            ("constant-case c = 0", True, "shift 0: q1 -> {q1}, unsolvable"),
+            ("affine-feedback", True,
+             "deterministic, solvable, both side cells one step from the origin"),
+        ]
+
     def test_fig8(self, capsys):
         code, out, _ = run(capsys, "demo", "fig8")
         assert code == 0 and "affine-feedback" in out
@@ -370,18 +408,17 @@ class TestErrors:
         assert code == 2 and json.loads(err)["error"] == "usage"
 
     @pytest.mark.parametrize("extra", [
-        ("--property", "two-all", "--horizon", "-5"),
-        ("--property", "two", "--c2", "c2_via_b", "--horizon", "-1"),
-        ("--property", "one", "--c1", "c1_safe", "--c2", "c2_via_b", "--horizon", "-1"),
-        ("--property", "two-all", "--budget", "-1"),
+        ("verify", "--property", "two-all", "--horizon", "-5"),
+        ("verify", "--property", "two", "--c2", "c2_via_b", "--horizon", "-1"),
+        ("verify", "--property", "one", "--c1", "c1_safe", "--c2", "c2_via_b", "--horizon", "-1"),
+        ("verify", "--property", "two-all", "--budget", "-1"),
+        ("demo", "crosscheck", "--trials", "-3"),
     ])
     def test_negative_counts_are_usage_errors(self, capsys, bundle_path, extra):
-        refs = {"c1_safe", "c2_via_b"}
-        extra = [f"{bundle_path}:{a}" if a in refs else a for a in extra]
-        code, out, err = run(
-            capsys, "verify", "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
-            "--rel", f"{bundle_path}:R", *extra,
-        )
+        refs = {"S1", "S2", "R", "c1_safe", "c2_via_b"}
+        triplet = ("--s1", "S1", "--s2", "S2", "--rel", "R") if extra[0] == "verify" else ()
+        argv = [f"{bundle_path}:{a}" if a in refs else a for a in (*extra, *triplet)]
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "usage" and "non-negative integer" in doc["detail"]
@@ -396,6 +433,36 @@ class TestErrors:
             "error": "usage",
             "detail": "argument --horizon: expected a non-negative integer, got '-1'",
         }
+
+    @pytest.mark.parametrize("case, error, detail", [
+        pytest.param(case, error, detail, id=case) for case, error, detail in [
+            ("system-without-trans", "validation", "malformed system document (KeyError: 'trans')"),
+            ("successors-as-a-number", "validation", "malformed system document (TypeError: "),
+            ("member-of-an-array", "validation", "document is not a JSON object"),
+            ("directory-as-a-system", "usage", "Is a directory"),
+            ("export-into-a-missing-directory", "usage", "No such file or directory"),
+        ]
+    ])
+    def test_bad_documents_and_paths_are_named_errors(self, capsys, tmp_path, case, error, detail):
+        system = jsonio.system_to_obj(fig5().s1)
+        docs = {
+            "system-without-trans": {k: v for k, v in system.items() if k != "trans"},
+            "successors-as-a-number": {**system, "trans": {**system["trans"], "1|0": 5}},
+            "member-of-an-array": [system],
+        }
+        doc_file = tmp_path / "doc.json"
+        if case in docs:
+            doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
+            ref = f"{doc_file}:S1" if case == "member-of-an-array" else str(doc_file)
+            argv = ["check", "asr", "--s1", ref, "--s2", ref, "--rel", ref]
+        elif case == "directory-as-a-system":
+            argv = ["synthesize", "--sys", str(tmp_path), "--spec", str(tmp_path)]
+        else:
+            argv = ["demo", "fig5", "--export-bundle", str(tmp_path / "missing" / "x.json")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"] == error and detail in doc["detail"]
 
     def test_validation_error_surfaces(self, capsys, bundle_path):
         code, _, err = run(

@@ -246,6 +246,17 @@ class TestDynamicArchitecture:
         final = fx.s2.successors(tracker.state.x2, tracker.state.u2) & fx.relation.forward("5")
         assert final == frozenset({"f"})
 
+    def test_reused_tracker_keeps_only_the_latest_run(self, fx, asr_interface):
+        tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, fx.relation, asr_interface)
+        for _ in range(2):
+            closed_loop_run(fx.s1, tracker, "1", 3)
+            assert tracker.trace == [("1", "a", ALPHA, "0"), ("2", "b", ALPHA, "0")]
+        closed_loop_run(fx.s1, tracker, "1", 1)
+        assert tracker.trace == [] and tracker.state is None
+        closed_loop_run(fx.s1, tracker, "1", 3)
+        tracker.initialize("1")
+        assert tracker.trace == [("1", "a", ALPHA, "0")]
+
     def test_partition_case_has_no_choice(self, fx):
         # Tracking a system against itself along identity: the quantizer is
         # single-valued, so both the start and every re-synchronisation are

@@ -36,7 +36,7 @@ from symcret.oracle import (
     random_strict_relation,
     random_system,
 )
-from symcret.relations import RelationCheckError, StrictnessError
+from symcret.relations import RelationCheckError, StrictnessError, _validate_triplet
 
 from conftest import chain, random_partial_controller, seeded_rng
 
@@ -138,7 +138,10 @@ def simulability_case(seed):
 def reference_memoryless_concretization(s1, s2, rel, interface, c2, horizon=None):
     """The former memoryless check, kept as the reference for the shared
     step-local test and the cycle-repeating witness: nested loops over every
-    (x1, x2, u2, u1, x1', x2'), and a witness extended one step at a time."""
+    (x1, x2, u2, u1, x1', x2'), and a witness extended one step at a time.
+    A relation that does not match the two systems is a domain error, as
+    for every entry point."""
+    _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
@@ -175,6 +178,7 @@ def reference_all_controllers(s1, s2, rel, interface, horizon=None, budget=None)
     """The former enumeration, kept as the reference for the closed form: the
     memoryless check on every total abstract controller in order, stopping at
     the first violator."""
+    _validate_triplet(s1, s2, rel)
     total = controller_count(s2, s2.states)
     if budget is not None and total > budget:
         raise BudgetExceededError(f"{total} controllers exceed the budget of {budget}")
@@ -260,6 +264,23 @@ def asr_gap_cases(seeds):
         if controller_count(s2, s2.states) <= 300:
             for c2 in enumerate_controllers(s2, s2.states):
                 yield s1, s2, rel, interface, c2
+
+
+class TestTripletValidation:
+    @pytest.mark.parametrize("short_domain", [True, False])
+    def test_every_oracle_validates_the_triplet(self, fx, asr_interface, short_domain):
+        if short_domain:
+            domain = ("1", "2")
+            rel = Relation(domain, fx.s2.states,
+                           frozenset(p for p in fx.relation.pairs if p[0] in domain))
+        else:  # an extra codomain state z that s2 does not have
+            rel = Relation(fx.s1.states, fx.s2.states + ("z",), fx.relation.pairs | {("1", "z")})
+        with pytest.raises(DomainError):
+            check_controlled_simulability(fx.s1, fx.s2, rel, fx.c1_safe, fx.c2_via_b)
+        with pytest.raises(DomainError):
+            check_memoryless_concretization(fx.s1, fx.s2, rel, asr_interface, fx.c2_via_b)
+        with pytest.raises(DomainError):
+            check_memoryless_concretization_all_controllers(fx.s1, fx.s2, rel, asr_interface)
 
 
 class TestControlledSimulability:
