@@ -214,17 +214,7 @@ def closed_loop_run(
     return Trajectory(tuple(states), tuple(inputs))
 
 
-@dataclass(frozen=True)
-class DynamicRun:
-    """One fully resolved execution of the dynamic architecture."""
-
-    concrete: tuple[str, ...]
-    abstract: tuple[str, ...]
-    concrete_inputs: tuple[str, ...]
-    abstract_inputs: tuple[str, ...]
-
-
-def enumerate_dynamic_runs(
+def count_dynamic_runs(
     s1: FiniteTransitionSystem,
     s2: FiniteTransitionSystem,
     c2: Controller,
@@ -232,30 +222,21 @@ def enumerate_dynamic_runs(
     interface: Interface,
     x1_0: str,
     horizon: int,
-) -> tuple[DynamicRun, ...]:
-    """Every execution of the dynamic architecture from ``x1_0``, branching
-    over all abstract-state, input, and plant choices in lexicographic order
-    of (u2, u1, x1', x2') at every step, on an explicit stack.
-
-    The committed abstract state stays related to the concrete one by
-    construction (it comes from the quantizations of ``x1_0``, then from
-    re-synchronisation intersections); the first empty intersection in search
-    order raises :class:`BrokenCertificateError`.  Runs end at the horizon or
-    where the abstract controller has no choice.  Cost linear in their total
-    length.
+) -> int:
+    """Number of executions of the dynamic architecture from ``x1_0``, over
+    every abstract-state, input and plant choice.  A run ends at the horizon
+    or where the abstract controller has no choice; a covered node with no
+    move ends none.  The first empty re-synchronisation in (x2_0, u2, u1, x1',
+    x2') order raises :class:`BrokenCertificateError`.  The walk is depth-first
+    on an explicit stack, and an (x1, x2, depth) node explored without error
+    keeps its run count for later visits, which could raise nothing.  The run
+    count is exponential in the horizon; the walk is O(nodes * moves).
     """
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
-    runs: list[DynamicRun] = []
+    known: dict[tuple[str, str, int], int] = {}  # runs below each finished node
 
-    def below(path: list[tuple[str, str, str, str]]) -> Iterator[tuple[str, str, str, str]]:
-        # The (u2, u1, x1', x2') moves below the path's last node, which it
-        # still is when first advanced.  A leaf records its run instead.
-        _, _, x1, x2 = path[-1]
-        if len(path) == horizon or x2 not in c2.choices:
-            u2s, u1s, x1s, x2s = zip(*path)
-            runs.append(DynamicRun(x1s, x2s, u1s[1:], u2s[1:]))
-            return
+    def below(x1: str, x2: str, depth: int) -> Iterator[tuple[str, str, int]]:
         for u2 in sorted(c2.choices[x2]):
             succ2 = s2.successors(x2, u2)
             for u1 in sorted(interface.inputs_for(x1, x2, u2)):
@@ -265,18 +246,20 @@ def enumerate_dynamic_runs(
                         raise BrokenCertificateError(
                             f"empty re-synchronisation after ({x1!r}, {x2!r}, {u2!r}) -> {x1p!r}"
                         )
-                    for x2p in sorted(sync):
-                        yield u2, u1, x1p, x2p
+                    yield from ((x1p, x2p, depth + 1) for x2p in sorted(sync))
 
-    for x2_0 in sorted(rel.forward(x1_0)):
-        path = [("", "", x1_0, x2_0)]  # the start has no inputs
-        stack = [below(path)]
-        while stack:
-            step = next(stack[-1], None)
-            if step is None:
-                stack.pop()
-                path.pop()
-            else:
-                path.append(step)
-                stack.append(below(path))
-    return tuple(runs)
+    # A frame is [node, unexplored children, runs so far]; the bottom one is the start.
+    stack: list[list] = [[None, ((x1_0, x2_0, 1) for x2_0 in sorted(rel.forward(x1_0))), 0]]
+    while True:
+        node, children, runs = frame = stack[-1]
+        child = next(children, None)
+        if child is None:
+            stack.pop()
+            if not stack:
+                return runs
+            known[node] = runs
+            stack[-1][2] += runs
+        elif child in known or child[2] == horizon or child[1] not in c2.choices:
+            frame[2] += known.get(child, 1)  # a leaf ends one run
+        else:
+            stack.append([child, below(*child), 0])

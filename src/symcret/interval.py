@@ -270,8 +270,11 @@ def build_abstraction(
     holds for every point of the cell.
 
     One ``quantize`` per (cell, input) row: O(r log n + v) for r rows over n
-    cells, where v counts the cells the quantizations visit.
+    cells, where v counts the cells the quantizations visit.  Availability
+    for a cell the cover lacks is a DomainError naming the least such cell.
     """
+    if unknown := set(availability).difference(cover.names):
+        raise DomainError(f"availability names unknown cell {min(unknown)!r}")
     laws = {ai.name: ai.law for ai in inputs}
     trans: dict[tuple[str, str], frozenset[str]] = {}
     for name, cell in cover.cells:

@@ -67,7 +67,10 @@ def fraction_to_str(value: Fraction) -> str:
 
 
 def fraction_from_str(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise FormatError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------- systems

@@ -162,7 +162,9 @@ class RelationCheckError(SymcretError):
     """Raised when an operation requires a relation check that fails."""
 
     def __init__(self, kind: RelationKind, verdict: RelationVerdict) -> None:
-        super().__init__(f"{kind.value} check failed with witness {verdict.witness!r}")
+        w = verdict.witness
+        escape = "" if w.evidence is None else ", successor pair (%s, %s) escapes" % w.evidence
+        super().__init__(f"{kind.value} check failed at ({w.x1}, {w.x2}, {w.u2}){escape}")
         self.kind = kind
         self.verdict = verdict
 

@@ -1,9 +1,18 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from symcret import Controller, FiniteTransitionSystem, Relation, fig5, verify_fig5_consistency
+from symcret import (
+    BrokenCertificateError,
+    ContractError,
+    Controller,
+    FiniteTransitionSystem,
+    Relation,
+    fig5,
+    verify_fig5_consistency,
+)
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -71,3 +80,46 @@ def random_partial_controller(rng: random.Random, sys: FiniteTransitionSystem) -
             available = sys.available_inputs(x)
             choices[x] = frozenset(rng.sample(available, rng.randint(1, len(available))))
     return Controller(choices)
+
+
+@dataclass(frozen=True)
+class DynamicRun:
+    """One fully resolved execution of the dynamic architecture."""
+
+    concrete: tuple[str, ...]
+    abstract: tuple[str, ...]
+    concrete_inputs: tuple[str, ...]
+    abstract_inputs: tuple[str, ...]
+
+
+def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
+    """Every execution of the dynamic architecture from ``x1_0``, branching
+    over all abstract-state, input and plant choices in lexicographic order of
+    (x2_0, u2, u1, x1', x2'); the first empty re-synchronisation in that order
+    raises.  Exponential in the horizon and recursive: the reference for
+    ``count_dynamic_runs``."""
+    if horizon < 1:
+        raise ContractError("horizon must be at least 1")
+    runs = []
+
+    def walk(x1s, x2s, u1s, u2s):
+        x1, x2 = x1s[-1], x2s[-1]
+        if (x1, x2) not in rel.pairs:
+            raise BrokenCertificateError(f"({x1!r}, {x2!r}) escaped the relation")
+        if len(x1s) == horizon or x2 not in c2.choices:
+            runs.append(DynamicRun(x1s, x2s, u1s, u2s))
+            return
+        for u2 in sorted(c2.choices[x2]):
+            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+                for x1p in sorted(s1.successors(x1, u1)):
+                    sync = s2.successors(x2, u2) & rel.forward(x1p)
+                    if not sync:
+                        raise BrokenCertificateError(
+                            f"empty re-synchronisation after ({x1!r}, {x2!r}, {u2!r}) -> {x1p!r}"
+                        )
+                    for x2p in sorted(sync):
+                        walk(x1s + (x1p,), x2s + (x2p,), u1s + (u1,), u2s + (u2,))
+
+    for x2_0 in sorted(rel.forward(x1_0)):
+        walk((x1_0,), (x2_0,), (), ())
+    return tuple(runs)

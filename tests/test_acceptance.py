@@ -8,7 +8,7 @@ from symcret import (
     check_asr,
     check_mcr,
     check_memoryless_concretization,
-    enumerate_dynamic_runs,
+    count_dynamic_runs,
     is_sub_controller,
     maximal_interface,
     memoryless_controller,
@@ -19,6 +19,8 @@ from symcret import (
 )
 from symcret.fixtures import ALPHA, BETA
 from symcret.relations import Relation
+
+from conftest import reference_enumerate_dynamic_runs
 
 
 def _report(index: int, label: str) -> None:
@@ -124,9 +126,11 @@ def test_09_dynamic_architecture_invariant(fx):
         for x0 in fx.s1.states:
             if not any(x2 in c2.choices for x2 in fx.relation.forward(x0)):
                 continue
-            # The walker itself raises if the relation breaks or any
-            # re-synchronisation intersection is empty.
-            runs = enumerate_dynamic_runs(fx.s1, fx.s2, c2, fx.relation, iface, x0, 6)
+            # Both walkers raise if any re-synchronisation intersection is
+            # empty; the reference also if the relation breaks.
+            args = (fx.s1, fx.s2, c2, fx.relation, iface, x0, 6)
+            runs = reference_enumerate_dynamic_runs(*args)
+            assert count_dynamic_runs(*args) == len(runs)
             total += len(runs)
             for run in runs:
                 assert all(

@@ -441,9 +441,14 @@ class TestErrors:
             ("member-of-an-array", "validation", "document is not a JSON object"),
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
+            ("bound-with-a-zero-denominator", "validation", "zero denominator in '1/0'"),
+            ("concretize-over-a-failed-check", "validation",
+             f"mcr check failed at (1, a, {ALPHA}), successor pair (2, c) escapes"),
         ]
     ])
-    def test_bad_documents_and_paths_are_named_errors(self, capsys, tmp_path, case, error, detail):
+    def test_bad_documents_and_paths_are_named_errors(
+        self, capsys, tmp_path, bundle_path, case, error, detail
+    ):
         system = jsonio.system_to_obj(fig5().s1)
         docs = {
             "system-without-trans": {k: v for k, v in system.items() if k != "trans"},
@@ -457,6 +462,12 @@ class TestErrors:
             argv = ["check", "asr", "--s1", ref, "--s2", ref, "--rel", ref]
         elif case == "directory-as-a-system":
             argv = ["synthesize", "--sys", str(tmp_path), "--spec", str(tmp_path)]
+        elif case == "bound-with-a-zero-denominator":
+            argv = ["demo", "fig8", "--bound", "1/0"]
+        elif case == "concretize-over-a-failed-check":
+            argv = ["concretize", "--mode", "memoryless", "--kind", "mcr",
+                    "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+                    "--rel", f"{bundle_path}:R", "--controller", f"{bundle_path}:c2_via_b"]
         else:
             argv = ["demo", "fig5", "--export-bundle", str(tmp_path / "missing" / "x.json")]
         code, out, err = run(capsys, *argv)

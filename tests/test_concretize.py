@@ -1,18 +1,17 @@
 import random
+import sys as sys_module
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from symcret import (
     BrokenCertificateError,
     Controller,
     ContractError,
     ControllerUndefinedError,
+    DomainError,
     DynamicConcretizer,
     DynamicConcretizerState,
-    DynamicRun,
     FiniteTransitionSystem,
     Interface,
     Relation,
@@ -21,7 +20,7 @@ from symcret import (
     Trajectory,
     closed_loop_run,
     controlled_system,
-    enumerate_dynamic_runs,
+    count_dynamic_runs,
     maximal_interface,
     maximal_trajectories,
     memoryless_controller,
@@ -31,37 +30,12 @@ from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import random_strict_relation, random_system
 from symcret.relations import StrictnessError
 
-from conftest import chain, random_partial_controller
-
-
-def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
-    """The former recursive enumeration, kept as the reference for the
-    explicit-stack one."""
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
-    runs = []
-
-    def walk(x1s, x2s, u1s, u2s):
-        x1, x2 = x1s[-1], x2s[-1]
-        if (x1, x2) not in rel.pairs:
-            raise BrokenCertificateError(f"({x1!r}, {x2!r}) escaped the relation")
-        if len(x1s) == horizon or x2 not in c2.choices:
-            runs.append(DynamicRun(x1s, x2s, u1s, u2s))
-            return
-        for u2 in sorted(c2.choices[x2]):
-            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
-                for x1p in sorted(s1.successors(x1, u1)):
-                    sync = s2.successors(x2, u2) & rel.forward(x1p)
-                    if not sync:
-                        raise BrokenCertificateError(
-                            f"empty re-synchronisation after ({x1!r}, {x2!r}, {u2!r}) -> {x1p!r}"
-                        )
-                    for x2p in sorted(sync):
-                        walk(x1s + (x1p,), x2s + (x2p,), u1s + (u1,), u2s + (u2,))
-
-    for x2_0 in sorted(rel.forward(x1_0)):
-        walk((x1_0,), (x2_0,), (), ())
-    return tuple(runs)
+from conftest import (
+    DynamicRun,
+    chain,
+    random_partial_controller,
+    reference_enumerate_dynamic_runs,
+)
 
 
 def _reference_commit(c2, interface, x1, candidates):
@@ -332,6 +306,21 @@ class TestClosedLoopRun:
         assert {t.states for t in runs} == {("1", "2", "3"), ("1", "2", "5")}
 
 
+def ladder(rungs):
+    """Two states per rung; from either one, ``go`` reaches both states of
+    the next rung, and the last rung steps within itself.  From ``l0`` there
+    are 2^(h-1) runs of h states."""
+    sides = ("l", "r")
+    last = rungs - 1
+    trans = {
+        (f"{a}{i}", "go"): {f"{b}{min(i + 1, last)}" for b in sides}
+        for i in range(rungs)
+        for a in sides
+    }
+    states = tuple(f"{a}{i}" for i in range(rungs) for a in sides)
+    return FiniteTransitionSystem(states, ("go",), trans)
+
+
 class TestDynamicEnumeration:
     def test_all_runs_keep_the_relation_and_never_block(self, fx, asr_interface):
         total = 0
@@ -339,9 +328,9 @@ class TestDynamicEnumeration:
             for x0 in fx.s1.states:
                 if not any(x2 in c2.choices for x2 in fx.relation.forward(x0)):
                     continue
-                runs = enumerate_dynamic_runs(
-                    fx.s1, fx.s2, c2, fx.relation, asr_interface, x0, 6
-                )
+                args = (fx.s1, fx.s2, c2, fx.relation, asr_interface, x0, 6)
+                runs = reference_enumerate_dynamic_runs(*args)
+                assert count_dynamic_runs(*args) == len(runs)
                 total += len(runs)
                 for run in runs:
                     assert all(
@@ -356,18 +345,58 @@ class TestDynamicEnumeration:
                     )
         assert total > 0
 
-    @settings(max_examples=1000, deadline=None)
-    @given(seed=st.integers(0, 10**6))
-    def test_explicit_stack_matches_recursion(self, seed):
-        case = dynamic_case(seed)
-        expected = _outcome(reference_enumerate_dynamic_runs, *case)
-        assert _outcome(enumerate_dynamic_runs, *case) == expected
+    def test_count_matches_reference(self):
+        outcomes = Counter()
+        for seed in range(1200):
+            case = dynamic_case(seed)
+            expected = _outcome(lambda *c: len(reference_enumerate_dynamic_runs(*c)), *case)
+            got = _outcome(count_dynamic_runs, *case)
+            assert got == expected, seed
+            outcomes[got[0].__name__ if isinstance(got, tuple) else min(got, 2)] += 1
+        # One run, several runs, and every error the walk can raise.
+        assert set(outcomes) == {1, 2, "ContractError", "BrokenCertificateError"}
+
+    @pytest.mark.parametrize("x0, horizon", [("1", 0), ("nowhere", 6)])
+    def test_bad_arguments_raise_like_the_reference(self, fx, asr_interface, x0, horizon):
+        args = (fx.s1, fx.s2, fx.c2_via_b, fx.relation, asr_interface, x0, horizon)
+        expected = _outcome(reference_enumerate_dynamic_runs, *args)
+        assert expected[0] in (ContractError, DomainError)
+        assert _outcome(count_dynamic_runs, *args) == expected
+
+    def test_covered_node_without_moves_ends_no_run(self):
+        # The interface plays u, which has no successor at x.
+        s1 = FiniteTransitionSystem(("x",), ("u",), {("x", "u"): set()})
+        s2 = FiniteTransitionSystem(("q",), ("v",), {("q", "v"): {"q"}})
+        rel = Relation(s1.states, s2.states, frozenset({("x", "q")}))
+        iface = Interface(RelationKind.ASR, {("x", "q", "v"): frozenset({"u"})})
+        args = (s1, s2, Controller({"q": {"v"}}), rel, iface, "x")
+        assert count_dynamic_runs(*args, 3) == len(reference_enumerate_dynamic_runs(*args, 3)) == 0
+        assert count_dynamic_runs(*args, 1) == 1
+
+    def test_ladder_count_needs_no_enumeration(self):
+        sys = ladder(60)
+        ident = Relation.identity(sys.states)
+        iface = maximal_interface(sys, sys, ident, RelationKind.MCR)
+        everywhere = Controller({x: {"go"} for x in sys.states})
+        assert count_dynamic_runs(sys, sys, everywhere, ident, iface, "l0", 61) == 2**60
+        assert count_dynamic_runs(sys, sys, everywhere, ident, iface, "l0", 4) == len(
+            reference_enumerate_dynamic_runs(sys, sys, everywhere, ident, iface, "l0", 4)
+        ) == 8
 
     def test_long_chain_needs_no_recursion(self):
         sys = chain(1500)
         ident = Relation.identity(sys.states)
         iface = maximal_interface(sys, sys, ident, RelationKind.MCR)
         everywhere = Controller({x: {"go"} for x in sys.states})
-        (run,) = enumerate_dynamic_runs(sys, sys, everywhere, ident, iface, "s0", 1501)
+        assert count_dynamic_runs(sys, sys, everywhere, ident, iface, "s0", 1501) == 1
+        # The recursive reference needs a deeper stack for the same run.
+        limit = sys_module.getrecursionlimit()
+        sys_module.setrecursionlimit(limit + 1600)
+        try:
+            (run,) = reference_enumerate_dynamic_runs(
+                sys, sys, everywhere, ident, iface, "s0", 1501
+            )
+        finally:
+            sys_module.setrecursionlimit(limit)
         expected = tuple(f"s{i}" for i in range(1500)) + ("s1499",)
         assert run == DynamicRun(expected, expected, ("go",) * 1500, ("go",) * 1500)

@@ -288,6 +288,12 @@ class TestBuildAbstraction:
             build_abstraction(fig8_cover(L), inputs, {"q1": ["far"]})
         assert "q1" in str(err.value) and "far" in str(err.value)
 
+    def test_unknown_availability_cell_is_named(self):
+        availability = {**FIG8_AVAILABILITY, "q9": ["k1"], "Q1": ["k1"]}
+        with pytest.raises(DomainError) as err:
+            build_abstraction(fig8_cover(L), fig8_affine_inputs(), availability)
+        assert str(err.value) == "availability names unknown cell 'Q1'"
+
 
 class TestVerification:
     def test_affine_abstraction_is_tight(self):
