@@ -8,14 +8,9 @@ from .core import (
     DomainError,
     FiniteTransitionSystem,
     ReachAvoidSpec,
-    SpecVerdict,
     SymcretError,
     Trajectory,
-    bounded_behavior,
-    check_spec,
     controlled_system,
-    default_horizon,
-    maximal_trajectories,
 )
 from .relations import (
     ExtendedRelation,
@@ -40,12 +35,13 @@ from .relations import (
 )
 from .synthesis import (
     BudgetExceededError,
+    SpecVerdict,
     SynthesisResult,
-    controllable_predecessor,
+    check_spec,
     controller_count,
+    default_horizon,
     enumerate_controllers,
     is_sub_controller,
-    losing_initial_states,
     rank_decreasing_controller,
     synthesize_reach_avoid,
     winning_region,
@@ -68,7 +64,6 @@ from .oracle import (
     check_controlled_simulability,
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
-    default_horizon_pair,
     replay_memoryless_witness,
     run_crosscheck,
 )

@@ -30,7 +30,7 @@ from .core import (
     SymcretError,
     Trajectory,
 )
-from .relations import Interface, Relation, StrictnessError
+from .relations import Interface, Relation, StrictnessError, _validate_triplet
 
 
 class BrokenCertificateError(SymcretError):
@@ -226,12 +226,14 @@ def count_dynamic_runs(
     """Number of executions of the dynamic architecture from ``x1_0``, over
     every abstract-state, input and plant choice.  A run ends at the horizon
     or where the abstract controller has no choice; a covered node with no
-    move ends none.  The first empty re-synchronisation in (x2_0, u2, u1, x1',
+    move ends none.  A relation that does not match the two systems raises
+    ``DomainError``; the first empty re-synchronisation in (x2_0, u2, u1, x1',
     x2') order raises :class:`BrokenCertificateError`.  The walk is depth-first
     on an explicit stack, and an (x1, x2, depth) node explored without error
     keeps its run count for later visits, which could raise nothing.  The run
     count is exponential in the horizon; the walk is O(nodes * moves).
     """
+    _validate_triplet(s1, s2, rel)
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
     known: dict[tuple[str, str, int], int] = {}  # runs below each finished node

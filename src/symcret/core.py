@@ -9,7 +9,7 @@ value; every operation is a pure function of its arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Mapping
 
 
 class SymcretError(Exception):
@@ -162,16 +162,6 @@ class Trajectory:
     def length(self) -> int:
         return len(self.states)
 
-    def is_valid_for(self, sys: FiniteTransitionSystem) -> bool:
-        if not all(sys.has_state(x) for x in self.states):
-            return False
-        for k, u in enumerate(self.inputs):
-            if u not in sys.available_inputs(self.states[k]):
-                return False
-            if self.states[k + 1] not in sys.successors(self.states[k], u):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ReachAvoidSpec:
@@ -195,19 +185,13 @@ class ReachAvoidSpec:
                 raise DomainError(f"{name} set contains unknown states {sorted(stray)!r}")
 
 
-@dataclass(frozen=True)
-class SpecVerdict:
-    holds: bool
-    witness: Trajectory | None = None
-
-
 def controlled_system(sys: FiniteTransitionSystem, ctrl: Controller) -> FiniteTransitionSystem:
     """Restrict the transition map to the controller's choices.
 
     Rows for inputs the controller does not enable become empty.  States
     outside the controller's domain lose all their moves; whether that is
-    acceptable depends on what is reachable, which only the enumeration of
-    behaviors can decide, so it is not rejected here.
+    acceptable depends on what is reachable, which only a check of the
+    closed loop can decide, so it is not rejected here.
     """
     ctrl.validate_for(sys)
     table = {
@@ -215,111 +199,3 @@ def controlled_system(sys: FiniteTransitionSystem, ctrl: Controller) -> FiniteTr
         for (x, u), succ in sys.trans.items()
     }
     return FiniteTransitionSystem(sys.states, sys.inputs, table)
-
-
-def default_horizon(sys: FiniteTransitionSystem) -> int:
-    """Bound sufficient for reach-avoid questions: one more than the state
-    count, so that any longer run must repeat a state."""
-    return len(sys.states) + 1
-
-
-def _moves(sys: FiniteTransitionSystem, x: str) -> list[tuple[str, str]]:
-    return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
-
-
-def _walk(
-    sys: FiniteTransitionSystem, start: Iterable[str], horizon: int
-) -> Iterator[tuple[tuple[str, ...], tuple[str, ...], bool]]:
-    """Yield (states, inputs, maximal) for every trajectory of length at most
-    ``horizon`` from ``start``; ``maximal`` means it cannot be extended within
-    the horizon.  Runs on an explicit stack, in no specified order."""
-    if horizon < 1:
-        raise ContractError("horizon must be at least 1")
-    roots = sorted(set(start))
-    for x0 in roots:
-        sys.require_state(x0)
-    stack: list[tuple[tuple[str, ...], tuple[str, ...]]] = [((x0,), ()) for x0 in roots]
-    while stack:
-        states, inputs = stack.pop()
-        moves = _moves(sys, states[-1]) if len(states) < horizon else []
-        yield states, inputs, not moves
-        stack.extend((states + (xp,), inputs + (u,)) for u, xp in moves)
-
-
-def bounded_behavior(
-    sys: FiniteTransitionSystem, start: Iterable[str], horizon: int
-) -> frozenset[Trajectory]:
-    """Every trajectory of length at most ``horizon`` starting in ``start``.
-
-    The result is prefix-closed and monotone in the horizon.
-    """
-    return frozenset(
-        Trajectory(states, inputs) for states, inputs, _ in _walk(sys, start, horizon)
-    )
-
-
-def maximal_trajectories(
-    sys: FiniteTransitionSystem, start: Iterable[str], horizon: int
-) -> tuple[Trajectory, ...]:
-    """Trajectories from ``start`` that cannot be extended within ``horizon``,
-    sorted by their state sequences."""
-    runs = [
-        Trajectory(states, inputs)
-        for states, inputs, maximal in _walk(sys, start, horizon)
-        if maximal
-    ]
-    return tuple(sorted(runs, key=lambda t: (t.states, t.inputs)))
-
-
-def check_spec(
-    sys: FiniteTransitionSystem, spec: ReachAvoidSpec, horizon: int | None = None
-) -> SpecVerdict:
-    """Decide the reach-avoid goal on every maximal run within the horizon.
-
-    A run is judged by its first decisive visit: touching the target before
-    any obstacle satisfies it, touching an obstacle first violates it, and a
-    run that ends (stuck, or out of horizon) before reaching the target
-    violates it as well, since no continuation could ever succeed.  The
-    returned witness is the first violating run in lexicographic search
-    order.  The search runs on an explicit stack and visits each
-    (state, depth) node at most once, so it costs O(states x horizon x
-    moves) rather than the number of runs.
-    """
-    spec.validate_for(sys)
-    bound = default_horizon(sys) if horizon is None else horizon
-    if bound < 1:
-        raise ContractError("horizon must be at least 1")
-
-    def enter(x: str, depth: int) -> Iterator[tuple[str, str]] | None:
-        # The moves still to try below a node, or None if the run ends here
-        # in a violation.
-        if x in spec.target:
-            return iter(())
-        if x in spec.obstacle or depth == bound:
-            return None
-        moves = _moves(sys, x)
-        return iter(moves) if moves else None
-
-    # What lies below a node depends only on its (state, depth) and the
-    # search stops at the first violation, so a node fully explored once
-    # without one is skipped wherever it recurs; the witness is unchanged.
-    clean: set[tuple[str, int]] = set()
-    for x0 in sorted(spec.initial):
-        states, inputs = [x0], []
-        stack = [enter(x0, 1)]
-        while stack:
-            if stack[-1] is None:
-                return SpecVerdict(False, Trajectory(states, inputs))
-            depth = len(states)
-            for u, xp in stack[-1]:
-                if (xp, depth + 1) not in clean:
-                    states.append(xp)
-                    inputs.append(u)
-                    stack.append(enter(xp, depth + 1))
-                    break
-            else:
-                clean.add((states.pop(), depth))
-                stack.pop()
-                if inputs:
-                    inputs.pop()
-    return SpecVerdict(True, None)

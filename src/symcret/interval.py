@@ -182,9 +182,6 @@ class CellCover:
     def hull(self) -> IntervalCell:
         return self._hull
 
-    def covers(self, target: IntervalCell) -> bool:
-        return interval_covered(target, [cell for _, cell in self.cells])
-
 
 def interval_covered(target: IntervalCell, pieces: Sequence[IntervalCell]) -> bool:
     """Exact test that ``target`` lies inside the union of ``pieces``.

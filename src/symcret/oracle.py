@@ -44,7 +44,7 @@ from .relations import (
 from .synthesis import BudgetExceededError, controller_count, enumerate_controllers
 
 
-def default_horizon_pair(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem) -> int:
+def _default_horizon_pair(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem) -> int:
     """Default depth of the transfer checks, one more than the number of
     state pairs.  Not a pigeonhole bound: with overlapping cells simulability
     searches (x1, tracked set) nodes, which may outnumber the pairs."""
@@ -104,7 +104,7 @@ def check_controlled_simulability(
     _validate_triplet(s1, s2, rel)
     c1.validate_for(s1)
     c2.validate_for(s2)
-    bound = default_horizon_pair(s1, s2) if horizon is None else horizon
+    bound = _default_horizon_pair(s1, s2) if horizon is None else horizon
     level = [(x0, rel.forward(x0)) for x0 in sorted(s1.states)]
     for x0, start in level:
         if not start:
@@ -210,7 +210,7 @@ def check_memoryless_concretization(
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
-    bound = default_horizon_pair(s1, s2) if horizon is None else horizon
+    bound = _default_horizon_pair(s1, s2) if horizon is None else horizon
     if bound < 2:
         return PropertyVerdict(True, None)
     for x1, x2 in sorted(rel.pairs):

@@ -115,9 +115,6 @@ class Relation:
         """No domain state is related to more than one codomain state."""
         return all(len(self.forward(a)) <= 1 for a in self.domain)
 
-    def inverse(self) -> "Relation":
-        return Relation(self.codomain, self.domain, frozenset((b, a) for a, b in self.pairs))
-
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Relational composition: (a, c) related iff some b links a to c."""

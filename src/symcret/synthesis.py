@@ -1,4 +1,4 @@
-"""Reach-avoid controller synthesis on finite non-deterministic systems.
+"""Reach-avoid synthesis and verification on finite non-deterministic systems.
 
 Non-determinism makes this a reachability problem on a forward hypergraph:
 each (state, input) row is a hyperarc with one tail and all its successors as
@@ -8,7 +8,8 @@ record the iteration at which a state entered and bound its distance to the
 target.  :func:`winning_region` computes both by counter-based hyperarc
 reachability (Gallo, Longo, Pallottino & Nguyen 1993; Liu & Smolka 1998) in
 O(states + rows + sum of successor-set sizes), not by rescanning every state
-at every level of the fixed point.
+at every level of the fixed point.  :func:`check_spec` verifies a closed loop
+by reading the same ranks.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .core import Controller, ContractError, FiniteTransitionSystem, ReachAvoidSpec
+from .core import Controller, ContractError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
 
 
 class BudgetExceededError(ContractError):
@@ -35,22 +36,6 @@ class SynthesisResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "winning", frozenset(self.winning))
         object.__setattr__(self, "rank", dict(self.rank))
-
-
-def controllable_predecessor(
-    sys: FiniteTransitionSystem, safe: Iterable[str], target: Iterable[str]
-) -> frozenset[str]:
-    """States in ``safe`` with some input forcing every successor into
-    ``target``."""
-    safe = frozenset(safe)
-    target = frozenset(target)
-    if not target <= safe:
-        raise ContractError("target must be contained in safe")
-    return frozenset(
-        x
-        for x in safe
-        if any(sys.successors(x, u) <= target for u in sys.available_inputs(x))
-    )
 
 
 def winning_region(
@@ -122,7 +107,7 @@ def synthesize_reach_avoid(
     sys: FiniteTransitionSystem, spec: ReachAvoidSpec
 ) -> SynthesisResult | None:
     """Solve the reach-avoid problem, or return None if some initial state is
-    losing (see :func:`losing_initial_states` for which ones).
+    losing (outside the winning set of :func:`winning_region`).
 
     The controller keeps, at each winning non-target state, every input whose
     successors all stay winning with strictly smaller rank; that is the
@@ -136,11 +121,73 @@ def synthesize_reach_avoid(
     return SynthesisResult(winning, rank_decreasing_controller(sys, rank, spec.target), rank)
 
 
-def losing_initial_states(
-    sys: FiniteTransitionSystem, spec: ReachAvoidSpec
-) -> frozenset[str]:
-    winning, _ = winning_region(sys, spec)
-    return frozenset(spec.initial) - winning
+@dataclass(frozen=True)
+class SpecVerdict:
+    holds: bool
+    witness: Trajectory | None = None
+
+
+def default_horizon(sys: FiniteTransitionSystem) -> int:
+    """Bound sufficient for reach-avoid questions: one more than the state
+    count, so that any longer run must repeat a state."""
+    return len(sys.states) + 1
+
+
+def check_spec(
+    sys: FiniteTransitionSystem, spec: ReachAvoidSpec, horizon: int | None = None
+) -> SpecVerdict:
+    """Decide the reach-avoid goal on every maximal run within the horizon.
+
+    A run is judged by its first decisive visit: touching the target before
+    any obstacle satisfies it, touching an obstacle first violates it, and a
+    run that ends (stuck, or out of horizon) before reaching the target
+    violates it as well.  The witness is the first violating run in
+    (initial state, input, successor) order.
+
+    Runs do not depend on which input drives a move, so :func:`winning_region`
+    on a one-input copy, whose row at x is the union of x's rows, gives each
+    state's worst-case rank r(x): the most steps any run from x takes to the
+    target, which is tested first, so the copy's obstacles exclude it.  A
+    node (x, d), x as a run's d-th state, is clean (sure to satisfy the goal)
+    iff r(x) exists and d + r(x) <= horizon.  From the first initial node
+    that is not clean, the witness walk enters the first child that is not
+    clean until the run ends.  Every node that is not clean and does not end
+    the run has such a child, so the walk never backtracks.  Cost O(states +
+    rows + sum of successor-set sizes), plus O(horizon * moves) for the
+    witness.
+    """
+    spec.validate_for(sys)
+    bound = default_horizon(sys) if horizon is None else horizon
+    if bound < 1:
+        raise ContractError("horizon must be at least 1")
+    merged = FiniteTransitionSystem(sys.states, ("any",), {
+        (x, "any"): frozenset().union(*(sys.trans[(x, u)] for u in sys.inputs))
+        for x in sys.states
+    })
+    _, rank = winning_region(
+        merged, ReachAvoidSpec(frozenset(), spec.target, spec.obstacle - spec.target))
+
+    def clean(x: str, depth: int) -> bool:
+        return x in rank and depth + rank[x] <= bound
+
+    for x0 in sorted(spec.initial):
+        if clean(x0, 1):
+            continue
+        states, inputs = [x0], []
+        while states[-1] not in spec.obstacle and len(states) < bound:
+            x, depth = states[-1], len(states)
+            step = next((
+                (u, xp)
+                for u in sys.available_inputs(x)
+                for xp in sorted(sys.successors(x, u))
+                if not clean(xp, depth + 1)
+            ), None)
+            if step is None:
+                break
+            inputs.append(step[0])
+            states.append(step[1])
+        return SpecVerdict(False, Trajectory(states, inputs))
+    return SpecVerdict(True, None)
 
 
 def is_sub_controller(candidate: Controller, reference: Controller) -> bool:

@@ -8,8 +8,11 @@ from symcret import (
     BrokenCertificateError,
     ContractError,
     Controller,
+    DomainError,
     FiniteTransitionSystem,
     Relation,
+    SymcretError,
+    Trajectory,
     fig5,
     verify_fig5_consistency,
 )
@@ -67,6 +70,48 @@ def chain(n, loop_last=True):
     return FiniteTransitionSystem(tuple(states), ("go",), trans)
 
 
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the type and message of the library error it
+    raised, so that two implementations can be compared on both."""
+    try:
+        return fn(*args, **kwargs)
+    except SymcretError as exc:
+        return type(exc), str(exc)
+
+
+def reference_moves(sys, x):
+    return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
+
+
+def reference_maximal_trajectories(sys, start, horizon):
+    """Trajectories from ``start`` that cannot be extended within ``horizon``,
+    sorted by their state sequences; recursive and exponential."""
+    out = []
+
+    def grow(states, inputs):
+        moves = reference_moves(sys, states[-1]) if len(states) < horizon else []
+        if not moves:
+            out.append(Trajectory(states, inputs))
+            return
+        for u, xp in moves:
+            grow(states + (xp,), inputs + (u,))
+
+    for x0 in sorted(set(start)):
+        grow((x0,), ())
+    return tuple(sorted(out, key=lambda t: (t.states, t.inputs)))
+
+
+def reference_is_valid_for(traj, sys):
+    """Is every state of ``traj`` a state of ``sys``, and every step an
+    available input followed by one of its successors?"""
+    if not all(sys.has_state(x) for x in traj.states):
+        return False
+    return all(
+        u in sys.available_inputs(x) and xp in sys.successors(x, u)
+        for x, u, xp in zip(traj.states, traj.inputs, traj.states[1:])
+    )
+
+
 def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
@@ -98,6 +143,10 @@ def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
     (x2_0, u2, u1, x1', x2'); the first empty re-synchronisation in that order
     raises.  Exponential in the horizon and recursive: the reference for
     ``count_dynamic_runs``."""
+    if set(rel.domain) != set(s1.states):
+        raise DomainError("relation domain must be the concrete state set")
+    if set(rel.codomain) != set(s2.states):
+        raise DomainError("relation codomain must be the abstract state set")
     if horizon < 1:
         raise ContractError("horizon must be at least 1")
     runs = []

@@ -22,7 +22,6 @@ from symcret import (
     controlled_system,
     count_dynamic_runs,
     maximal_interface,
-    maximal_trajectories,
     memoryless_controller,
     scripted,
 )
@@ -33,8 +32,11 @@ from symcret.relations import StrictnessError
 from conftest import (
     DynamicRun,
     chain,
+    outcome,
     random_partial_controller,
     reference_enumerate_dynamic_runs,
+    reference_is_valid_for,
+    reference_maximal_trajectories,
 )
 
 
@@ -92,8 +94,8 @@ def reference_dynamic_loop(s1, s2, c2, rel, interface, x1_0, horizon, *, resolve
 def dynamic_case(seed):
     """A dynamic loop over an overlapping strict relation with an interface
     that is either maximal (certified) or hand-built from arbitrary entries,
-    some missing, so that some runs break the certificate or hit a missing
-    entry."""
+    some missing and some naming an input unavailable at x1, so that some
+    runs break the certificate, hit a missing entry or have no move."""
     rng = random.Random(seed)
     s1 = random_system(rng, rng.randint(1, 5), rng.randint(1, 3))
     s2 = random_system(rng, rng.randint(1, 4), rng.randint(1, 3),
@@ -116,16 +118,12 @@ def dynamic_case(seed):
                     table[(x1, x2, u2)] = frozenset(
                         rng.sample(available, rng.randint(1, len(available)))
                     )
+                    unavailable = sorted(set(s1.inputs) - set(available))
+                    if unavailable and rng.random() < 0.2:
+                        table[(x1, x2, u2)] = frozenset({rng.choice(unavailable)})
         interface = Interface(kind, table)
     c2 = random_partial_controller(rng, s2)
     return s1, s2, c2, rel, interface, rng.choice(s1.states), rng.randint(1, 6)
-
-
-def _outcome(run, *args, **kwargs):
-    try:
-        return run(*args, **kwargs)
-    except SymcretError as err:
-        return type(err), str(err)
 
 
 @pytest.fixture(scope="module")
@@ -261,11 +259,11 @@ class TestDynamicArchitecture:
         for seed in range(400):
             s1, s2, c2, rel, interface, x0, horizon = dynamic_case(seed)
             tracker = DynamicConcretizer(s2, c2, rel, interface)
-            got = _outcome(closed_loop_run, s1, tracker, x0, horizon,
-                           resolver=random.Random(seed).choice)
+            got = outcome(closed_loop_run, s1, tracker, x0, horizon,
+                          resolver=random.Random(seed).choice)
             trace = []
-            want = _outcome(reference_dynamic_loop, s1, s2, c2, rel, interface, x0, horizon,
-                            resolver=random.Random(seed).choice, trace=trace)
+            want = outcome(reference_dynamic_loop, s1, s2, c2, rel, interface, x0, horizon,
+                           resolver=random.Random(seed).choice, trace=trace)
             assert got == want
             assert tracker.trace == trace
             outcomes["finished" if isinstance(got, Trajectory) else got[0].__name__] += 1
@@ -302,7 +300,7 @@ class TestClosedLoopRun:
 
     def test_closed_loop_maximal_runs(self, fx, asr_interface):
         c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)
-        runs = maximal_trajectories(controlled_system(fx.s1, c1), {"1"}, 6)
+        runs = reference_maximal_trajectories(controlled_system(fx.s1, c1), {"1"}, 6)
         assert {t.states for t in runs} == {("1", "2", "3"), ("1", "2", "5")}
 
 
@@ -337,8 +335,10 @@ class TestDynamicEnumeration:
                         (x1, x2) in fx.relation.pairs
                         for x1, x2 in zip(run.concrete, run.abstract)
                     )
-                    assert Trajectory(run.concrete, run.concrete_inputs).is_valid_for(fx.s1)
-                    assert Trajectory(run.abstract, run.abstract_inputs).is_valid_for(fx.s2)
+                    assert reference_is_valid_for(
+                        Trajectory(run.concrete, run.concrete_inputs), fx.s1)
+                    assert reference_is_valid_for(
+                        Trajectory(run.abstract, run.abstract_inputs), fx.s2)
                     assert all(
                         u2 in c2.choices[x2]
                         for x2, u2 in zip(run.abstract, run.abstract_inputs)
@@ -349,19 +349,20 @@ class TestDynamicEnumeration:
         outcomes = Counter()
         for seed in range(1200):
             case = dynamic_case(seed)
-            expected = _outcome(lambda *c: len(reference_enumerate_dynamic_runs(*c)), *case)
-            got = _outcome(count_dynamic_runs, *case)
+            expected = outcome(lambda *c: len(reference_enumerate_dynamic_runs(*c)), *case)
+            got = outcome(count_dynamic_runs, *case)
             assert got == expected, seed
             outcomes[got[0].__name__ if isinstance(got, tuple) else min(got, 2)] += 1
-        # One run, several runs, and every error the walk can raise.
-        assert set(outcomes) == {1, 2, "ContractError", "BrokenCertificateError"}
+        # No run, one run, several runs, and every error a generated case
+        # can raise.
+        assert set(outcomes) == {0, 1, 2, "ContractError", "BrokenCertificateError"}
 
     @pytest.mark.parametrize("x0, horizon", [("1", 0), ("nowhere", 6)])
     def test_bad_arguments_raise_like_the_reference(self, fx, asr_interface, x0, horizon):
         args = (fx.s1, fx.s2, fx.c2_via_b, fx.relation, asr_interface, x0, horizon)
-        expected = _outcome(reference_enumerate_dynamic_runs, *args)
+        expected = outcome(reference_enumerate_dynamic_runs, *args)
         assert expected[0] in (ContractError, DomainError)
-        assert _outcome(count_dynamic_runs, *args) == expected
+        assert outcome(count_dynamic_runs, *args) == expected
 
     def test_covered_node_without_moves_ends_no_run(self):
         # The interface plays u, which has no successor at x.
@@ -372,6 +373,18 @@ class TestDynamicEnumeration:
         args = (s1, s2, Controller({"q": {"v"}}), rel, iface, "x")
         assert count_dynamic_runs(*args, 3) == len(reference_enumerate_dynamic_runs(*args, 3)) == 0
         assert count_dynamic_runs(*args, 1) == 1
+
+    def test_stray_codomain_state_is_a_domain_error(self):
+        # `z` is related to x but is no state of s2: without the check it
+        # would end a second run, uncovered.
+        s1 = FiniteTransitionSystem(("x",), ("u",), {("x", "u"): {"x"}})
+        s2 = FiniteTransitionSystem(("q",), ("v",), {("q", "v"): {"q"}})
+        rel = Relation(s1.states, ("q", "z"), frozenset({("x", "q"), ("x", "z")}))
+        iface = Interface(RelationKind.ASR, {("x", "q", "v"): frozenset({"u"})})
+        args = (s1, s2, Controller({"q": {"v"}}), rel, iface, "x", 3)
+        expected = (DomainError, "relation codomain must be the abstract state set")
+        assert outcome(count_dynamic_runs, *args) == expected
+        assert outcome(reference_enumerate_dynamic_runs, *args) == expected
 
     def test_ladder_count_needs_no_enumeration(self):
         sys = ladder(60)

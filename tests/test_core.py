@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,54 +13,42 @@ from symcret import (
     ReachAvoidSpec,
     SpecVerdict,
     Trajectory,
-    bounded_behavior,
     check_spec,
     controlled_system,
     default_horizon,
-    maximal_trajectories,
     synthesize_reach_avoid,
 )
 from symcret.fixtures import ALPHA, BETA, GAMMA
+from symcret.oracle import random_system
 
-from conftest import chain, small_systems
-
-
-# Recursive reference versions of the two trajectory enumerations, kept to
-# test the shared explicit-stack traversal against.
-
-def _reference_moves(sys, x):
-    return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
+from conftest import (
+    chain,
+    outcome,
+    random_partial_controller,
+    reference_is_valid_for,
+    reference_maximal_trajectories,
+    reference_moves,
+    small_systems,
+)
 
 
 def reference_bounded_behavior(sys, start, horizon):
+    """Every trajectory of length at most ``horizon`` from ``start``;
+    recursive and exponential."""
+    if horizon < 1:
+        raise ContractError("horizon must be at least 1")
     out = set()
 
     def grow(states, inputs):
         out.add(Trajectory(states, inputs))
         if len(states) == horizon:
             return
-        for u, xp in _reference_moves(sys, states[-1]):
+        for u, xp in reference_moves(sys, states[-1]):
             grow(states + (xp,), inputs + (u,))
 
     for x0 in sorted(set(start)):
         grow((x0,), ())
     return frozenset(out)
-
-
-def reference_maximal_trajectories(sys, start, horizon):
-    out = []
-
-    def grow(states, inputs):
-        moves = _reference_moves(sys, states[-1]) if len(states) < horizon else []
-        if not moves:
-            out.append(Trajectory(states, inputs))
-            return
-        for u, xp in moves:
-            grow(states + (xp,), inputs + (u,))
-
-    for x0 in sorted(set(start)):
-        grow((x0,), ())
-    return tuple(sorted(out, key=lambda t: (t.states, t.inputs)))
 
 
 def reference_check_spec(sys, spec, horizon=None):
@@ -73,7 +64,7 @@ def reference_check_spec(sys, spec, horizon=None):
             return None
         if x in spec.obstacle or len(states) == bound:
             return Trajectory(states, inputs)
-        moves = _reference_moves(sys, x)
+        moves = reference_moves(sys, x)
         if not moves:
             return Trajectory(states, inputs)
         for u, xp in moves:
@@ -87,6 +78,64 @@ def reference_check_spec(sys, spec, horizon=None):
         if bad is not None:
             return SpecVerdict(False, bad)
     return SpecVerdict(True, None)
+
+
+def reference_memoised_check_spec(sys, spec, horizon=None):
+    # The depth-first search over (state, depth) nodes that `check_spec`
+    # replaced: iterative, so it also runs on long chains.
+    spec.validate_for(sys)
+    bound = default_horizon(sys) if horizon is None else horizon
+    if bound < 1:
+        raise ContractError("horizon must be at least 1")
+
+    def enter(x, depth):
+        # The moves still to try below a node, or None if the run ends here
+        # in a violation.
+        if x in spec.target:
+            return iter(())
+        if x in spec.obstacle or depth == bound:
+            return None
+        moves = reference_moves(sys, x)
+        return iter(moves) if moves else None
+
+    clean = set()  # (state, depth) nodes fully explored without a violation
+    for x0 in sorted(spec.initial):
+        states, inputs = [x0], []
+        stack = [enter(x0, 1)]
+        while stack:
+            if stack[-1] is None:
+                return SpecVerdict(False, Trajectory(states, inputs))
+            depth = len(states)
+            for u, xp in stack[-1]:
+                if (xp, depth + 1) not in clean:
+                    states.append(xp)
+                    inputs.append(u)
+                    stack.append(enter(xp, depth + 1))
+                    break
+            else:
+                clean.add((states.pop(), depth))
+                stack.pop()
+                if inputs:
+                    inputs.pop()
+    return SpecVerdict(True, None)
+
+
+def spec_case(seed):
+    """A random system, usually restricted to a random partial controller so
+    that some states block, and a random goal whose target and obstacle may
+    overlap; now and then the initial set names a state the system lacks."""
+    rng = random.Random(seed)
+    sys = random_system(rng, rng.randint(1, 6), rng.randint(1, 3))
+    if rng.random() < 0.75:
+        sys = controlled_system(sys, random_partial_controller(rng, sys))
+
+    def some():
+        return frozenset(x for x in sys.states if rng.random() < 0.3)
+
+    initial, target, obstacle = some() | {rng.choice(sys.states)}, some(), some()
+    if rng.random() < 0.03:
+        initial |= {"stray"}
+    return sys, ReachAvoidSpec(initial, target, obstacle)
 
 
 class TestAvailableInputs:
@@ -143,7 +192,7 @@ class TestControlledSystem:
 
     def test_safe_controller_behavior_contains_direct_run(self, fx):
         closed = controlled_system(fx.s1, fx.c1_safe)
-        runs = bounded_behavior(closed, {"1"}, 3)
+        runs = reference_bounded_behavior(closed, {"1"}, 3)
         assert Trajectory(("1", "2", "5"), ("0", "0")) in runs
 
     def test_unavailable_choice_rejected(self, fx):
@@ -163,29 +212,32 @@ class TestControlledSystem:
 
 
 class TestBoundedBehavior:
+    # The trajectory enumerations are test references; these pin them on
+    # runs known by hand.
+
     def test_fig5_documented_runs(self, fx):
-        runs = bounded_behavior(fx.s1, {"1"}, 3)
+        runs = reference_bounded_behavior(fx.s1, {"1"}, 3)
         assert Trajectory(("1", "2", "3"), ("0", "1")) in runs
         assert Trajectory(("1", "2", "5"), ("0", "0")) in runs
 
     def test_horizon_one_is_singletons(self, fx):
-        assert bounded_behavior(fx.s1, {"1", "4"}, 1) == frozenset(
+        assert reference_bounded_behavior(fx.s1, {"1", "4"}, 1) == frozenset(
             {Trajectory(("1",)), Trajectory(("4",))}
         )
 
     def test_chain_count_from_head(self):
         # Independent count: a 3-chain at horizon 3 has one run per length.
-        assert len(bounded_behavior(chain(3), {"s0"}, 3)) == 3
+        assert len(reference_bounded_behavior(chain(3), {"s0"}, 3)) == 3
 
     def test_bad_horizon(self, fx):
         with pytest.raises(ContractError):
-            bounded_behavior(fx.s1, {"1"}, 0)
+            reference_bounded_behavior(fx.s1, {"1"}, 0)
 
     @settings(max_examples=40, deadline=None)
     @given(sys=small_systems())
     def test_prefix_closed_and_monotone(self, sys):
-        small = bounded_behavior(sys, sys.states[:1], 2)
-        large = bounded_behavior(sys, sys.states[:1], 4)
+        small = reference_bounded_behavior(sys, sys.states[:1], 2)
+        large = reference_bounded_behavior(sys, sys.states[:1], 4)
         assert small <= large
         for traj in large:
             for cut in range(1, traj.length):
@@ -194,27 +246,8 @@ class TestBoundedBehavior:
     def test_deterministic_singleton_has_one_maximal_run(self):
         sys = chain(4)
         ctrl = Controller({x: {"go"} for x in sys.states})
-        runs = maximal_trajectories(controlled_system(sys, ctrl), {"s0"}, 5)
+        runs = reference_maximal_trajectories(controlled_system(sys, ctrl), {"s0"}, 5)
         assert len(runs) == 1
-
-
-    @settings(max_examples=80, deadline=None)
-    @given(sys=small_systems(), data=st.data())
-    def test_traversal_matches_recursive_reference(self, sys, data):
-        start = data.draw(st.frozensets(st.sampled_from(sys.states), min_size=1))
-        horizon = data.draw(st.integers(1, 5))
-        assert bounded_behavior(sys, start, horizon) == (
-            reference_bounded_behavior(sys, start, horizon))
-        assert maximal_trajectories(sys, start, horizon) == (
-            reference_maximal_trajectories(sys, start, horizon))
-
-    def test_long_chain_needs_no_recursion(self):
-        sys = chain(1500)
-        runs = bounded_behavior(sys, {"s0"}, 1501)
-        assert len(runs) == 1501
-        (longest,) = maximal_trajectories(sys, {"s0"}, 1501)
-        assert longest.states == tuple(f"s{i}" for i in range(1500)) + ("s1499",)
-        assert max(runs, key=lambda t: t.length) == longest
 
 
 class TestCheckSpec:
@@ -237,7 +270,7 @@ class TestCheckSpec:
         closed = controlled_system(fx.s1, leaky)
         verdict = check_spec(closed, fx.spec1, 6)
         w = verdict.witness
-        assert w.is_valid_for(closed)
+        assert reference_is_valid_for(w, closed)
         first_target = next(
             (k for k, x in enumerate(w.states) if x in fx.spec1.target), None
         )
@@ -277,7 +310,7 @@ class TestCheckSpec:
             assert check_spec(s, spec, horizon) == reference_check_spec(s, spec, horizon)
         # A synthesized closed loop holds at the full horizon, so a shorter
         # one is violated only by runs that reach a state too late: the
-        # case where the (state, depth) memo must not forget the depth.
+        # case where a node's depth decides whether it is clean.
         target = spec.target or frozenset(sys.states[:1])
         result = synthesize_reach_avoid(sys, ReachAvoidSpec(frozenset(), target, frozenset()))
         closed = controlled_system(sys, result.controller)
@@ -298,13 +331,61 @@ class TestCheckSpec:
         verdict = check_spec(sys, spec, 4)
         assert verdict.witness == Trajectory(("x", "a", "b", "c"), ("u1", "u0", "u0"))
 
+    def test_matches_references_on_seeded_systems(self):
+        ends = Counter()
+        for seed in range(2000):
+            sys, spec = spec_case(seed)
+            for horizon in (None, 1, 2, 3, 5):
+                got = outcome(check_spec, sys, spec, horizon)
+                assert got == outcome(reference_check_spec, sys, spec, horizon), (seed, horizon)
+                assert got == outcome(reference_memoised_check_spec, sys, spec, horizon)
+                if isinstance(got, tuple):
+                    ends[got[0].__name__] += 1
+                elif got.holds:
+                    ends["holds"] += 1
+                else:
+                    last, length = got.witness.states[-1], got.witness.length
+                    bound = default_horizon(sys) if horizon is None else horizon
+                    ends["obstacle" if last in spec.obstacle else
+                         "horizon" if length == bound else "dead end"] += 1
+        # Every way a verdict can come out: a witness that ends at an
+        # obstacle, at a dead end or at the horizon, and an unknown state.
+        assert set(ends) == {"holds", "obstacle", "dead end", "horizon", "DomainError"}
+
     def test_long_chain_closed_loop_verifies(self):
         sys = chain(1500)
         spec = ReachAvoidSpec(frozenset({"s0"}), frozenset({"s1499"}), frozenset())
         result = synthesize_reach_avoid(sys, spec)
-        assert check_spec(controlled_system(sys, result.controller), spec).holds
+        closed = controlled_system(sys, result.controller)
+        assert check_spec(closed, spec).holds
         short = check_spec(sys, spec, 1499)
         assert short.witness.states == tuple(f"s{i}" for i in range(1499))
+        for s, horizon in ((closed, None), (sys, 1499), (sys, 1500)):
+            assert check_spec(s, spec, horizon) == reference_memoised_check_spec(s, spec, horizon)
+
+    def test_large_synthesized_closed_loop_matches_memoised_reference(self):
+        # `down` falls one to three states, `jump` lands anywhere; a few
+        # obstacles make some states lose.
+        rng = random.Random(5)
+        states = [f"p{i:04d}" for i in range(1200)]
+        trans = {}
+        for i, x in enumerate(states):
+            trans[(x, "down")] = {states[max(0, i - rng.randint(1, 3))] for _ in range(2)}
+            trans[(x, "jump")] = {rng.choice(states) for _ in range(rng.randint(1, 2))}
+        sys = FiniteTransitionSystem(tuple(states), ("down", "jump"), trans)
+        target = frozenset(states[:1])
+        obstacle = frozenset(rng.sample(states[1:], 12))
+        result = synthesize_reach_avoid(sys, ReachAvoidSpec(frozenset(), target, obstacle))
+        assert len(result.winning) >= 1000
+        closed = controlled_system(sys, result.controller)
+        spec = ReachAvoidSpec(result.winning, target, obstacle)
+        top = max(result.rank.values())
+        verdicts = {}
+        for horizon in (None, top + 1, top, top // 2):
+            verdicts[horizon] = check_spec(closed, spec, horizon)
+            assert verdicts[horizon] == reference_memoised_check_spec(closed, spec, horizon)
+        assert verdicts[None].holds and verdicts[top + 1].holds
+        assert not verdicts[top].holds and verdicts[top].witness.length == top
 
     def test_ladder_with_exponentially_many_runs(self):
         # 60 layers of two states, each wired to both of the next layer:
@@ -333,5 +414,5 @@ class TestTrajectory:
             Trajectory(("a", "b"), ())
 
     def test_validity(self, fx):
-        assert Trajectory(("1", "2", "5"), ("0", "0")).is_valid_for(fx.s1)
-        assert not Trajectory(("1", "5"), ("0",)).is_valid_for(fx.s1)
+        assert reference_is_valid_for(Trajectory(("1", "2", "5"), ("0", "0")), fx.s1)
+        assert not reference_is_valid_for(Trajectory(("1", "5"), ("0",)), fx.s1)

@@ -310,7 +310,7 @@ class TestVerification:
 
     def test_cover_spans_its_hull(self):
         cover = fig8_cover(L)
-        assert cover.covers(cover.hull())
+        assert interval_covered(cover.hull(), [cell for _, cell in cover.cells])
 
     def test_dropping_a_successor_breaks_containment(self):
         inputs = fig8_constant_inputs(Fraction(1, 2))

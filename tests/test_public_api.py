@@ -1,0 +1,47 @@
+"""The names ``symcret`` exports.  Adding an export, or bringing back a
+removed one, changes this list, so the change shows in the diff."""
+import types
+
+import symcret
+
+PUBLIC = [
+    "AbstractInput", "AffineMap", "AllControllersVerdict", "BrokenCertificateError",
+    "BudgetExceededError", "CellCover", "ContractError", "Controller",
+    "ControllerUndefinedError", "CrosscheckFailure", "CrosscheckReport", "DomainError",
+    "DynamicConcretizer", "DynamicConcretizerState", "ExtendedRelation", "Fig5",
+    "Fig8Case", "Fig8Report", "FiniteTransitionSystem", "Interface", "IntervalCell",
+    "OutOfDomainError", "PropertyVerdict", "PropertyWitness", "ReachAvoidSpec",
+    "Relation", "RelationCheckError", "RelationKind", "RelationVerdict",
+    "RelationWitness", "SpecVerdict", "StrictnessError", "SymcretError",
+    "SynthesisResult", "Trajectory", "affine_image", "build_abstraction", "check_asr",
+    "check_controlled_simulability", "check_frr", "check_mcr",
+    "check_memoryless_concretization",
+    "check_memoryless_concretization_all_controllers", "check_relation", "check_spec",
+    "closed_loop_run", "compose", "controlled_system", "controller_count",
+    "count_dynamic_runs", "default_horizon", "enumerate_controllers",
+    "extended_relation", "fig5", "fig8_affine_inputs", "fig8_constant_inputs",
+    "fig8_cover", "fig8_target_spec", "interval_covered", "is_sub_controller",
+    "maximal_interface", "mcr_extension", "memoryless_controller",
+    "prove_frr_infeasible_fig8", "quantize", "rank_decreasing_controller",
+    "replay_memoryless_witness", "replay_witness", "run_crosscheck", "scripted",
+    "synthesize_reach_avoid", "translate_spec", "validate_interface",
+    "verify_asr_interval", "verify_fig5_consistency", "verify_mcr_interval",
+    "winning_region",
+]
+
+
+def test_public_names_are_pinned():
+    # Submodules become attributes of the package once anything imports
+    # them, so they are not names the package exports.
+    names = sorted(
+        name for name, value in vars(symcret).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC
+
+
+def test_test_only_methods_stay_out():
+    # Their references live in the tests.
+    assert not hasattr(symcret.Relation, "inverse")
+    assert not hasattr(symcret.Trajectory, "is_valid_for")
+    assert not hasattr(symcret.CellCover, "covers")

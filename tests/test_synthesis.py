@@ -8,14 +8,11 @@ from symcret import (
     ContractError,
     FiniteTransitionSystem,
     ReachAvoidSpec,
-    SymcretError,
     check_spec,
-    controllable_predecessor,
     controlled_system,
     controller_count,
     enumerate_controllers,
     is_sub_controller,
-    losing_initial_states,
     rank_decreasing_controller,
     synthesize_reach_avoid,
     winning_region,
@@ -23,7 +20,7 @@ from symcret import (
 from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import random_system
 
-from conftest import chain, seeded_rng
+from conftest import chain, outcome, seeded_rng
 
 
 def brute_force_predecessor(sys, safe, target):
@@ -36,6 +33,25 @@ def brute_force_predecessor(sys, safe, target):
             for u in sys.inputs
         )
     )
+
+
+def reference_controllable_predecessor(sys, safe, target):
+    """States in ``safe`` with some input forcing every successor into
+    ``target``: the one-step operator of the Kleene iteration."""
+    safe = frozenset(safe)
+    target = frozenset(target)
+    if not target <= safe:
+        raise ContractError("target must be contained in safe")
+    return frozenset(
+        x
+        for x in safe
+        if any(sys.successors(x, u) <= target for u in sys.available_inputs(x))
+    )
+
+
+def reference_losing_initial_states(sys, spec):
+    winning, _ = winning_region(sys, spec)
+    return frozenset(spec.initial) - winning
 
 
 # The Kleene iteration that `winning_region` replaced, kept as the reference:
@@ -51,7 +67,7 @@ def reference_winning_region(sys, spec):
     level = 0
     while True:
         level += 1
-        fresh = controllable_predecessor(sys, safe, winning) - winning
+        fresh = reference_controllable_predecessor(sys, safe, winning) - winning
         if not fresh:
             return winning, rank
         for x in fresh:
@@ -69,13 +85,6 @@ def reference_choices(sys, spec, winning, rank):
         )
         for x in winning - spec.target
     }
-
-
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except SymcretError as exc:
-        return type(exc), str(exc)
 
 
 @st.composite
@@ -104,27 +113,29 @@ def reach_avoid_problems(draw):
 
 
 class TestControllablePredecessor:
+    # The Kleene step is a test reference; these pin it on known values.
+
     def test_extended_abstraction_row(self, fx):
         safe = frozenset(fx.s2_extended.states) - {"d"}
-        got = controllable_predecessor(fx.s2_extended, safe, {"f"})
+        got = reference_controllable_predecessor(fx.s2_extended, safe, {"f"})
         assert got == frozenset({"b", "e", "f"})
         assert got == brute_force_predecessor(fx.s2_extended, safe, frozenset({"f"}))
 
     def test_target_equals_safe(self, fx):
         everything = frozenset(fx.s2.states)
-        assert controllable_predecessor(fx.s2, everything, everything) == everything
+        assert reference_controllable_predecessor(fx.s2, everything, everything) == everything
 
     def test_chain_parent(self):
         sys = FiniteTransitionSystem(
             ("s0", "s1", "s2"), ("go",),
             {("s0", "go"): {"s1"}, ("s1", "go"): {"s2"}, ("s2", "go"): {"s2"}},
         )
-        got = controllable_predecessor(sys, frozenset(sys.states), {"s1"})
+        got = reference_controllable_predecessor(sys, frozenset(sys.states), {"s1"})
         assert got == frozenset({"s0"})
 
     def test_target_outside_safe_rejected(self, fx):
         with pytest.raises(ContractError):
-            controllable_predecessor(fx.s2, {"a"}, {"f"})
+            reference_controllable_predecessor(fx.s2, {"a"}, {"f"})
 
 
 class TestSynthesis:
@@ -152,7 +163,7 @@ class TestSynthesis:
     def test_unreachable_target(self, fx):
         spec = ReachAvoidSpec(frozenset({"a"}), frozenset({"d"}), frozenset())
         assert synthesize_reach_avoid(fx.s2, spec) is None
-        assert losing_initial_states(fx.s2, spec) == frozenset({"a"})
+        assert reference_losing_initial_states(fx.s2, spec) == frozenset({"a"})
 
     def test_target_obstacle_clash_rejected(self, fx):
         spec = ReachAvoidSpec(frozenset({"a"}), frozenset({"d"}), frozenset({"d"}))
@@ -213,7 +224,7 @@ class TestSynthesis:
         spec = ReachAvoidSpec(initial, target, obstacle)
         result = synthesize_reach_avoid(sys, spec)
         if result is None:
-            assert losing_initial_states(sys, spec)
+            assert reference_losing_initial_states(sys, spec)
             return
         closed = controlled_system(sys, result.controller)
         assert check_spec(closed, spec, len(sys.states) + 1).holds
@@ -227,7 +238,7 @@ class TestAgainstKleeneReference:
         expected = outcome(reference_winning_region, sys, spec)
         assert outcome(winning_region, sys, spec) == expected
         result = outcome(synthesize_reach_avoid, sys, spec)
-        losing = outcome(losing_initial_states, sys, spec)
+        losing = outcome(reference_losing_initial_states, sys, spec)
         if not isinstance(expected[0], frozenset):
             assert result == losing == expected
             return
