@@ -41,6 +41,7 @@ from .relations import (
     extended_relation,
     maximal_interface,
     mcr_extension,
+    validate_interface,
 )
 from .synthesis import (
     is_sub_controller,
@@ -210,7 +211,10 @@ def _controller_for_simulation(ref: str, s1: FiniteTransitionSystem):
     s2 = jsonio.system_from_obj(doc["s2"])
     rel = jsonio.relation_from_obj(doc["relation"], s1, s2)
     interface = jsonio.interface_from_obj(doc["interface"])
-    return DynamicConcretizer(s2, jsonio.controller_from_obj(doc["controller"]), rel, interface)
+    c2 = jsonio.controller_from_obj(doc["controller"])
+    validate_interface(s1, s2, rel, interface)
+    c2.validate_for(s2)
+    return DynamicConcretizer(s2, c2, rel, interface)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -158,10 +158,6 @@ class Trajectory:
         if len(self.inputs) != len(self.states) - 1:
             raise ContractError("a trajectory of T states carries exactly T-1 inputs")
 
-    @property
-    def length(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class ReachAvoidSpec:

@@ -5,9 +5,9 @@ with ``|`` separating the composite transition key, so identifiers may not
 contain ``|``.  Relations are arrays of pairs, controllers map states to
 input arrays, rationals are written as ``"p/q"`` strings.  Serialization is
 canonical (sorted keys, sorted arrays), so save -> load -> save is
-bit-identical.  A malformed document (a missing field, a number where a list
-belongs) makes its decoder raise :class:`FormatError` naming the document
-kind, which the command line reports as a validation error (exit code 2).
+bit-identical.  A malformed document (a missing field, a string or number
+where an array of names belongs) makes its decoder raise :class:`FormatError`
+naming the document kind, a validation error (exit code 2) on the command line.
 """
 from __future__ import annotations
 
@@ -34,6 +34,18 @@ def _check_id(name: str) -> str:
     if KEY_SEP in name:
         raise FormatError(f"identifier {name!r} may not contain {KEY_SEP!r}")
     return name
+
+
+def _names(value: Any) -> list[str]:
+    """``value`` if it is an array of strings; anything else, a string
+    included, is a TypeError, which the decoder reports: nothing is coerced."""
+    if isinstance(value, list):
+        for name in value:
+            if not isinstance(name, str):
+                break
+        else:
+            return value
+    raise TypeError(f"expected an array of names, got {json.dumps(value)}")
 
 
 def tagged(kind: str, body: dict[str, Any]) -> dict[str, Any]:
@@ -91,13 +103,13 @@ def system_to_obj(sys: FiniteTransitionSystem) -> dict[str, Any]:
 
 @_decoder("system")
 def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
-    trans: dict[tuple[str, str], frozenset[str]] = {}
+    trans: dict[tuple[str, str], list[str]] = {}
     for key, succ in obj["trans"].items():
         x, sep, u = key.partition(KEY_SEP)
         if not sep:
             raise FormatError(f"transition key {key!r} lacks the {KEY_SEP!r} separator")
-        trans[(x, u)] = frozenset(succ)
-    sys = FiniteTransitionSystem(tuple(obj["states"]), tuple(obj["inputs"]), trans)
+        trans[(x, u)] = _names(succ)
+    sys = FiniteTransitionSystem(_names(obj["states"]), _names(obj["inputs"]), trans)
     sys.require_non_blocking()
     return sys
 
@@ -115,8 +127,7 @@ def relation_to_obj(rel: Relation) -> dict[str, Any]:
 def relation_from_obj(
     obj: Mapping[str, Any], s1: FiniteTransitionSystem, s2: FiniteTransitionSystem
 ) -> Relation:
-    pairs = frozenset((a, b) for a, b in obj["pairs"])
-    return Relation(s1.states, s2.states, pairs)
+    return Relation(s1.states, s2.states, map(_names, obj["pairs"]))
 
 
 # ------------------------------------------------------------ controllers
@@ -130,7 +141,7 @@ def controller_to_obj(ctrl: Controller) -> dict[str, Any]:
 
 @_decoder("controller")
 def controller_from_obj(obj: Mapping[str, Any]) -> Controller:
-    return Controller({x: frozenset(us) for x, us in obj["choices"].items()})
+    return Controller({x: _names(us) for x, us in obj["choices"].items()})
 
 
 # ------------------------------------------------------------------ specs
@@ -146,9 +157,7 @@ def spec_to_obj(spec: ReachAvoidSpec) -> dict[str, Any]:
 
 @_decoder("spec")
 def spec_from_obj(obj: Mapping[str, Any]) -> ReachAvoidSpec:
-    return ReachAvoidSpec(
-        frozenset(obj["initial"]), frozenset(obj["target"]), frozenset(obj["obstacle"])
-    )
+    return ReachAvoidSpec(_names(obj["initial"]), _names(obj["target"]), _names(obj["obstacle"]))
 
 
 # ------------------------------------------------------------- interfaces
@@ -164,12 +173,12 @@ def interface_to_obj(interface: Interface) -> dict[str, Any]:
 
 @_decoder("interface")
 def interface_from_obj(obj: Mapping[str, Any]) -> Interface:
-    table: dict[tuple[str, str, str], frozenset[str]] = {}
+    table: dict[tuple[str, str, str], list[str]] = {}
     for key, us in obj["table"].items():
         parts = key.split(KEY_SEP)
         if len(parts) != 3:
             raise FormatError(f"interface key {key!r} must have three components")
-        table[(parts[0], parts[1], parts[2])] = frozenset(us)
+        table[(parts[0], parts[1], parts[2])] = _names(us)
     return Interface(RelationKind(obj["relation_kind"]), table)
 
 
@@ -229,7 +238,7 @@ def cover_from_obj(
         )
         for i in obj["inputs"]
     )
-    availability = {name: list(us) for name, us in obj["availability"].items()}
+    availability = {name: _names(us) for name, us in obj["availability"].items()}
     return cover, inputs, availability
 
 
@@ -246,8 +255,8 @@ def trajectory_to_obj(traj: Trajectory) -> dict[str, Any]:
 @_decoder("trace")
 def trajectory_from_obj(obj: Mapping[str, Any]) -> Trajectory:
     steps = obj["steps"]
-    states = tuple(step["x"] for step in steps)
-    inputs = tuple(step["u"] for step in steps[1:])
+    states = _names([step["x"] for step in steps])
+    inputs = _names([step["u"] for step in steps[1:]])
     return Trajectory(states, inputs)
 
 

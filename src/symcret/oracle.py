@@ -1,9 +1,9 @@
 """Verification of the two controller-transfer guarantees.
 
-*Controlled simulability*: every bounded state sequence of the concrete
-closed loop has some related state sequence in the abstract closed loop.
-The check searches the product of concrete states and tracked sets of
-abstract states breadth-first rather than enumerating sequences.
+*Controlled simulability*: every state sequence of the concrete closed loop
+has some related state sequence in the abstract closed loop.  The check
+searches the product of concrete states and tracked sets of abstract states
+breadth-first to its fixed point rather than enumerating sequences.
 
 *Memoryless concretization*: running the quantizer-in-the-loop architecture
 (quantize the current concrete state, ask the abstract controller there, map
@@ -33,6 +33,7 @@ from .relations import (
     Relation,
     RelationKind,
     StrictnessError,
+    _escape,
     _validate_triplet,
     check_asr,
     check_mcr,
@@ -42,13 +43,6 @@ from .relations import (
     replay_witness,
 )
 from .synthesis import BudgetExceededError, controller_count, enumerate_controllers
-
-
-def _default_horizon_pair(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem) -> int:
-    """Default depth of the transfer checks, one more than the number of
-    state pairs.  Not a pigeonhole bound: with overlapping cells simulability
-    searches (x1, tracked set) nodes, which may outnumber the pairs."""
-    return len(s1.states) * len(s2.states) + 1
 
 
 @dataclass(frozen=True)
@@ -86,8 +80,8 @@ def check_controlled_simulability(
     c2: Controller,
     horizon: int | None = None,
 ) -> PropertyVerdict:
-    """Does every bounded state sequence of c1 x s1 have a pointwise-related
-    state sequence in c2 x s2?
+    """Does every state sequence of c1 x s1, of at most ``horizon`` states
+    when one is given, have a pointwise-related state sequence in c2 x s2?
 
     The abstract states a matching sequence could be at (the tracked set)
     depend only on the concrete sequence, so the check walks (x1, tracked
@@ -96,7 +90,8 @@ def check_controlled_simulability(
     kept with the least path that first reaches it (a failure below a later or
     larger path to it has a shorter or smaller copy below that one).  The
     witness is the shortest, least sequence at which the tracked set empties.
-    The walk stops at the horizon or at a level with no new node.  Cost
+    The walk stops at a level with no new node, or at the horizon if given;
+    a shortest failure may be exponentially long, as for NFA inclusion.  Cost
     O(N * r * (p + m * d)) over the N reachable nodes, with m inputs, d
     successors and r related abstract states per concrete state and p states
     per abstract controlled post, plus sorting each node's moves.
@@ -104,7 +99,6 @@ def check_controlled_simulability(
     _validate_triplet(s1, s2, rel)
     c1.validate_for(s1)
     c2.validate_for(s2)
-    bound = _default_horizon_pair(s1, s2) if horizon is None else horizon
     level = [(x0, rel.forward(x0)) for x0 in sorted(s1.states)]
     for x0, start in level:
         if not start:
@@ -114,7 +108,7 @@ def check_controlled_simulability(
     # Every node maps to the (node, input) it was first reached by.
     parent: dict[tuple[str, frozenset[str]], Any] = dict.fromkeys(level)
     depth = 1
-    while level and depth < bound:
+    while level and (horizon is None or depth < horizon):
         grown = []
         for node in level:
             x, tracked = node
@@ -145,19 +139,21 @@ def _extend_architecture_run(
     states: list[str],
     quant: list[str],
     inputs: list[str],
-    bound: int,
+    horizon: int | None,
 ) -> PropertyWitness:
-    """Continue a run lexicographically until the horizon or an uncovered
-    abstract state, so witnesses read as complete executions.  A step depends
-    only on the current (x1, x2), so a repeated pair's cycle fills the rest."""
-    seen: dict[tuple[str, str], int] = {}
-    while len(states) < bound:
+    """Continue a run lexicographically until an uncovered abstract state or a
+    dead end.  A least step depends only on the current (x1, x2): without a
+    horizon the run ends at its first repeated pair, a lasso; with one, the
+    cycle fills the run up to it, the first pair (an escape step) not counted."""
+    seen = {} if horizon is not None else {(states[0], quant[0]): 0}
+    while horizon is None or len(states) < horizon:
         x1, x2 = states[-1], quant[-1]
         start = seen.setdefault((x1, x2), len(states) - 1)
         if start < len(states) - 1:
-            period, missing = len(states) - 1 - start, bound - len(states)
-            for run, lo in ((states, start + 1), (quant, start + 1), (inputs, start)):
-                run.extend(islice(cycle(run[lo:lo + period]), missing))
+            if horizon is not None:
+                period, missing = len(states) - 1 - start, horizon - len(states)
+                for run, lo in ((states, start + 1), (quant, start + 1), (inputs, start)):
+                    run.extend(islice(cycle(run[lo:lo + period]), missing))
             break
         menu = sorted(c2.choices.get(x2, frozenset()))
         if not menu:
@@ -172,21 +168,6 @@ def _extend_architecture_run(
         inputs.append(u1)
         quant.append(sorted(rel.forward(x1p))[0])
     return PropertyWitness(tuple(states), tuple(inputs), tuple(quant))
-
-
-def _escape(
-    s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation,
-    interface: Interface, x1: str, x2: str, u2: str,
-) -> tuple[str, str, str] | None:
-    """The least (u1, x1', x2') with u1 in the interface entry, x1' in F1(x1, u1)
-    and x2' in R(x1') - F2(x2, u2), or None; a missing entry raises."""
-    succ2 = s2.successors(x2, u2)
-    for u1 in sorted(interface.inputs_for(x1, x2, u2)):
-        for x1p in sorted(s1.successors(x1, u1)):
-            outside = rel.forward(x1p) - succ2
-            if outside:
-                return u1, x1p, min(outside)
-    return None
 
 
 def check_memoryless_concretization(
@@ -204,22 +185,23 @@ def check_memoryless_concretization(
     related pair (x1, x2), abstract choice u2 there, interface output u1,
     plant move x1', and a quantization x2' of x1' outside F2(x2, u2).  Since
     runs may start at any state, the verdict does not depend on the horizon
-    once it admits a single step; the witness run is capped by it.
+    once it admits a single step.  The witness is the least such step run on
+    to the horizon or, without one, to its first repeated (x1, x2) pair.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
-    bound = _default_horizon_pair(s1, s2) if horizon is None else horizon
-    if bound < 2:
+    if horizon is not None and horizon < 2:
         return PropertyVerdict(True, None)
     for x1, x2 in sorted(rel.pairs):
         for u2 in sorted(c2.choices.get(x2, frozenset())):
-            step = _escape(s1, s2, rel, interface, x1, x2, u2)
-            if step is not None:
-                u1, x1p, x2p = step
-                return PropertyVerdict(False, _extend_architecture_run(
-                    s1, rel, interface, c2, [x1, x1p], [x2, x2p], [u1], bound))
+            row = s2.successors(x2, u2)
+            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+                step = _escape(s1, rel, x1, u1, row)
+                if step is not None:
+                    return PropertyVerdict(False, _extend_architecture_run(
+                        s1, rel, interface, c2, [x1, step[0]], [x2, step[1]], [u1], horizon))
     return PropertyVerdict(True, None)
 
 
@@ -295,8 +277,12 @@ def check_memoryless_concretization_all_controllers(
         if i in events[x2]:
             continue
         try:
-            if _escape(s1, s2, rel, interface, x1, x2, u2) is None:
-                continue
+            row = s2.successors(x2, u2)
+            for u1 in interface.inputs_for(x1, x2, u2):
+                if _escape(s1, rel, x1, u1, row) is not None:
+                    break
+            else:
+                continue  # no input escapes
         except SymcretError:
             pass  # the check raises for every controller playing u2 at x2
         events[x2].add(i)

@@ -64,16 +64,14 @@ class Relation:
     def __post_init__(self) -> None:
         domain = tuple(sorted(dict.fromkeys(self.domain)))
         codomain = tuple(sorted(dict.fromkeys(self.codomain)))
-        pairs = frozenset((str(a), str(b)) for a, b in self.pairs)
-        dset, cset = frozenset(domain), frozenset(codomain)
-        for a, b in pairs:
-            if a not in dset:
-                raise DomainError(f"pair ({a!r}, {b!r}) leaves the domain")
-            if b not in cset:
-                raise DomainError(f"pair ({a!r}, {b!r}) leaves the codomain")
+        pairs = frozenset((a, b) for a, b in self.pairs)
         fwd: dict[str, set[str]] = {a: set() for a in domain}
         inv: dict[str, set[str]] = {b: set() for b in codomain}
         for a, b in pairs:
+            if a not in fwd:
+                raise DomainError(f"pair ({a!r}, {b!r}) leaves the domain")
+            if b not in inv:
+                raise DomainError(f"pair ({a!r}, {b!r}) leaves the codomain")
             fwd[a].add(b)
             inv[b].add(a)
         object.__setattr__(self, "domain", domain)
@@ -249,23 +247,29 @@ def _admissible(
             yield u1
 
 
+def _escape(
+    s1: FiniteTransitionSystem, rel: Relation, x1: str, u1: str, row: frozenset[str]
+) -> tuple[str, str] | None:
+    """The least x1' in F1(x1, u1) with a quantization outside ``row``, and its
+    least such quantization, or None; an input unknown to ``s1`` raises."""
+    for x1p in sorted(s1.successors(x1, u1)):
+        outside = rel.forward(x1p) - row
+        if outside:
+            return x1p, min(outside)
+    return None
+
+
 def _refutation(
     kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
     rel: Relation, x1: str, x2: str, u2: str,
 ) -> RelationWitness:
-    """Witness for a triple with no admissible input.  For MCR and FRR the
-    evidence is the least, over the candidate inputs, of each one's first
-    escaping (x1', x2'); there is none when no input is a candidate."""
+    """Witness for a triple with no admissible input.  For MCR and FRR every
+    candidate input escapes, and the evidence is the least of their escapes;
+    there is none when no input is a candidate."""
     if kind is RelationKind.ASR:
         return RelationWitness(x1, x2, u2)
     row = s2.successors(x2, u2)
-    escapes: list[tuple[str, str]] = []
-    for u1 in _candidates(kind, s1, x1, u2):
-        for x1p in sorted(s1.successors(x1, u1)):
-            escaped = rel.forward(x1p) - row
-            if escaped:
-                escapes.append((x1p, min(escaped)))
-                break
+    escapes = [_escape(s1, rel, x1, u1, row) for u1 in _candidates(kind, s1, x1, u2)]
     return RelationWitness(x1, x2, u2, min(escapes, default=None))
 
 

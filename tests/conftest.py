@@ -70,6 +70,34 @@ def chain(n, loop_last=True):
     return FiniteTransitionSystem(tuple(states), ("go",), trans)
 
 
+def cycle_product(lengths=(2, 3, 5, 7), start=None, hole=None):
+    """A simulability instance whose shortest failure is long.  The plant
+    runs s -> a, a -> {a, b}, b -> d, d -> d under one input; the abstraction
+    is disjoint cycles of the given lengths.  R(s) is position ``start[i]``
+    (default 1) of cycle i, R(a) = R(d) = every abstract state, and R(b)
+    leaves out position ``hole[i]`` (default 0).  Both controllers allow every
+    input, so the tracked set empties at b exactly when every cycle sits at
+    its hole: the shortest failure is s a...a b with b at the least k >= 2
+    such that start[i] + k = hole[i] modulo lengths[i] for every i, if there
+    is one.  With the defaults k = 209, a 210-state run."""
+    start = start or [1] * len(lengths)
+    hole = hole or [0] * len(lengths)
+    s1 = FiniteTransitionSystem(("a", "b", "d", "s"), ("u",), {
+        ("s", "u"): {"a"}, ("a", "u"): {"a", "b"}, ("b", "u"): {"d"}, ("d", "u"): {"d"},
+    })
+    cycles = [[f"c{i}_{p}" for p in range(n)] for i, n in enumerate(lengths)]
+    s2 = FiniteTransitionSystem(tuple(q for cyc in cycles for q in cyc), ("v",), {
+        (cyc[p], "v"): {cyc[(p + 1) % len(cyc)]} for cyc in cycles for p in range(len(cyc))
+    })
+    pairs = {("s", cyc[start[i]]) for i, cyc in enumerate(cycles)}
+    pairs |= {(x, q) for x in ("a", "d") for q in s2.states}
+    pairs |= {("b", q) for i, cyc in enumerate(cycles) for p, q in enumerate(cyc) if p != hole[i]}
+    rel = Relation(s1.states, s2.states, frozenset(pairs))
+    c1 = Controller({x: {"u"} for x in s1.states})
+    c2 = Controller({q: {"v"} for q in s2.states})
+    return s1, s2, rel, c1, c2
+
+
 def outcome(fn, *args, **kwargs):
     """The result of ``fn``, or the type and message of the library error it
     raised, so that two implementations can be compared on both."""

@@ -19,6 +19,8 @@ from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 from symcret.oracle import random_system
 
+from conftest import cycle_product
+
 
 @pytest.fixture(scope="module")
 def bundle_path(tmp_path_factory):
@@ -226,6 +228,29 @@ class TestCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "validation"
 
+    def test_simulate_validates_a_loaded_dynamic_concretizer(self, capsys, bundle_path, tmp_path):
+        config = tmp_path / "tracker.json"
+        code, _, _ = run(
+            capsys, "concretize", "--mode", "dynamic",
+            "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+            "--rel", f"{bundle_path}:R", "--controller", f"{bundle_path}:c2_via_b",
+            "--kind", "asr", "--out", str(config),
+        )
+        assert code == 0
+        doc = jsonio.load(config)
+        # Input 1 at state 2 leads into the obstacle 3.
+        doc["interface"]["table"][f"2|b|{ALPHA}"] = ["1"]
+        jsonio.save(config, doc)
+        code, out, err = run(
+            capsys, "simulate", "--sys", f"{bundle_path}:S1", "--controller", str(config),
+            "--from", "1", "--horizon", "3",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "validation",
+            "detail": f"interface entry ('2', 'b', '{ALPHA}') -> '1' violates the asr condition",
+        }
+
     def test_simulate_memoryless_with_scripts(self, capsys, bundle_path, tmp_path):
         ctrl_file = tmp_path / "leaky.json"
         jsonio.save(ctrl_file, {
@@ -255,6 +280,25 @@ class TestCommands:
         )
         doc = json.loads(out)
         assert code == 1 and doc["witness"]["concrete"] == ["1", "2", "3"]
+
+    def test_verify_property_one_without_horizon_is_exact(self, capsys, tmp_path):
+        s1, s2, rel, c1, c2 = cycle_product()
+        files = {}
+        for name, obj in (("s1", jsonio.system_to_obj(s1)), ("s2", jsonio.system_to_obj(s2)),
+                          ("rel", jsonio.relation_to_obj(rel)),
+                          ("c1", jsonio.controller_to_obj(c1)),
+                          ("c2", jsonio.controller_to_obj(c2))):
+            files[name] = str(tmp_path / f"{name}.json")
+            jsonio.save(files[name], obj)
+        code, out, _ = run(
+            capsys, "verify", "--property", "one", *(
+                arg for name in ("s1", "s2", "rel", "c1", "c2")
+                for arg in (f"--{name}", files[name])),
+            "--json",
+        )
+        witness = json.loads(out)["witness"]
+        assert code == 1
+        assert witness["concrete"] == ["s"] + ["a"] * 208 + ["b"]
 
     def test_verify_property_two_exit_codes(self, capsys, bundle_path):
         code, out, _ = run(
@@ -293,6 +337,9 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 1
         assert doc["witness"]["controller"]["choices"]["a"] == [ALPHA]
+        # Without --horizon the run ends at its first repeated (state, cell) pair.
+        assert doc["witness"]["concrete"] == ["1", "2", "3", "3"]
+        assert doc["witness"]["quantization"] == ["a", "c", "d", "d"]
 
     def test_verify_two_all_needs_no_budget(self, capsys, tmp_path):
         sys_ = random_system(random.Random(1), 10, 2, fully_available=True)
@@ -438,6 +485,12 @@ class TestErrors:
         pytest.param(case, error, detail, id=case) for case, error, detail in [
             ("system-without-trans", "validation", "malformed system document (KeyError: 'trans')"),
             ("successors-as-a-number", "validation", "malformed system document (TypeError: "),
+            ("successors-as-a-string", "validation", "malformed system document "
+             '(TypeError: expected an array of names, got "25")'),
+            ("inputs-as-a-string", "validation", "malformed system document "
+             '(TypeError: expected an array of names, got "01")'),
+            ("relation-pair-with-a-number", "validation",
+             'malformed relation document (TypeError: expected an array of names, got [1, "a"])'),
             ("member-of-an-array", "validation", "document is not a JSON object"),
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
@@ -450,13 +503,21 @@ class TestErrors:
         self, capsys, tmp_path, bundle_path, case, error, detail
     ):
         system = jsonio.system_to_obj(fig5().s1)
+        relation = jsonio.relation_to_obj(fig5().relation)
         docs = {
             "system-without-trans": {k: v for k, v in system.items() if k != "trans"},
             "successors-as-a-number": {**system, "trans": {**system["trans"], "1|0": 5}},
+            "successors-as-a-string": {**system, "trans": {**system["trans"], "1|0": "25"}},
+            "inputs-as-a-string": {**system, "inputs": "01"},
             "member-of-an-array": [system],
+            "relation-pair-with-a-number": {**relation, "pairs": [[1, "a"], *relation["pairs"]]},
         }
         doc_file = tmp_path / "doc.json"
-        if case in docs:
+        if case == "relation-pair-with-a-number":
+            doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
+            argv = ["check", "asr", "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+                    "--rel", str(doc_file)]
+        elif case in docs:
             doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
             ref = f"{doc_file}:S1" if case == "member-of-an-array" else str(doc_file)
             argv = ["check", "asr", "--s1", ref, "--s2", ref, "--rel", ref]

@@ -240,7 +240,7 @@ class TestBoundedBehavior:
         large = reference_bounded_behavior(sys, sys.states[:1], 4)
         assert small <= large
         for traj in large:
-            for cut in range(1, traj.length):
+            for cut in range(1, len(traj.states)):
                 assert Trajectory(traj.states[:cut], traj.inputs[: cut - 1]) in large
 
     def test_deterministic_singleton_has_one_maximal_run(self):
@@ -344,7 +344,7 @@ class TestCheckSpec:
                 elif got.holds:
                     ends["holds"] += 1
                 else:
-                    last, length = got.witness.states[-1], got.witness.length
+                    last, length = got.witness.states[-1], len(got.witness.states)
                     bound = default_horizon(sys) if horizon is None else horizon
                     ends["obstacle" if last in spec.obstacle else
                          "horizon" if length == bound else "dead end"] += 1
@@ -385,7 +385,7 @@ class TestCheckSpec:
             verdicts[horizon] = check_spec(closed, spec, horizon)
             assert verdicts[horizon] == reference_memoised_check_spec(closed, spec, horizon)
         assert verdicts[None].holds and verdicts[top + 1].holds
-        assert not verdicts[top].holds and verdicts[top].witness.length == top
+        assert not verdicts[top].holds and len(verdicts[top].witness.states) == top
 
     def test_ladder_with_exponentially_many_runs(self):
         # 60 layers of two states, each wired to both of the next layer:

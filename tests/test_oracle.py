@@ -1,5 +1,6 @@
 import gc
 import time
+from collections import Counter
 from itertools import cycle, islice
 
 import pytest
@@ -40,6 +41,7 @@ from symcret.relations import RelationCheckError, StrictnessError, _validate_tri
 
 from conftest import (
     chain,
+    cycle_product,
     random_partial_controller,
     reference_enumerate_dynamic_runs,
     seeded_rng,
@@ -79,13 +81,12 @@ def brute_force_memoryless_check(s1, s2, rel, interface, c2, horizon):
     return True
 
 
-def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon=None):
+def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon):
     """The former path enumeration, kept as the reference for the product
     search: every concrete path up to the horizon, the least failure by
-    (length, states) among all of them."""
+    (length, states) among all of them.  It needs a horizon."""
     c1.validate_for(s1)
     c2.validate_for(s2)
-    bound = len(s1.states) * len(s2.states) + 1 if horizon is None else horizon
     post = {}
     for q in s2.states:
         succ = set()
@@ -95,7 +96,7 @@ def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon=None):
     found = []
 
     def walk(x1s, u1s, tracked):
-        if len(x1s) >= bound:
+        if len(x1s) >= horizon:
             return
         x = x1s[-1]
         reachable = frozenset().union(*(post[q] for q in tracked)) if tracked else frozenset()
@@ -121,8 +122,7 @@ def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon=None):
 
 def simulability_case(seed):
     """A random closed loop: overlapping, sometimes non-strict relations,
-    partial controllers on both sides, horizons 0-7 (or the default on small
-    products)."""
+    partial controllers on both sides, horizons 0-7."""
     rng = seeded_rng(seed)
     s1 = random_system(rng, rng.randint(1, 6), rng.randint(1, 3),
                        fully_available=rng.random() < 0.5)
@@ -134,24 +134,21 @@ def simulability_case(seed):
         kept = frozenset(pair for pair in sorted(rel.pairs) if rng.random() < 0.8)
         rel = Relation(rel.domain, rel.codomain, kept)
     c1, c2 = random_partial_controller(rng, s1), random_partial_controller(rng, s2)
-    horizons = list(range(8))
-    if len(s1.states) * len(s2.states) <= 9:
-        horizons.append(None)
-    return s1, s2, rel, c1, c2, rng.choice(horizons)
+    return s1, s2, rel, c1, c2, rng.randrange(8)
 
 
 def reference_memoryless_concretization(s1, s2, rel, interface, c2, horizon=None):
     """The former memoryless check, kept as the reference for the shared
     step-local test and the cycle-repeating witness: nested loops over every
-    (x1, x2, u2, u1, x1', x2'), and a witness extended one step at a time.
+    (x1, x2, u2, u1, x1', x2'), and a witness extended one step at a time, to
+    the horizon or, without one, until its last (x1, x2) pair occurred before.
     A relation that does not match the two systems is a domain error, as
     for every entry point."""
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
-    bound = len(s1.states) * len(s2.states) + 1 if horizon is None else horizon
-    if bound < 2:
+    if horizon is not None and horizon < 2:
         return PropertyVerdict(True, None)
     for x1, x2 in sorted(rel.pairs):
         for u2 in sorted(c2.choices.get(x2, frozenset())):
@@ -162,8 +159,10 @@ def reference_memoryless_concretization(s1, s2, rel, interface, c2, horizon=None
                         if x2p in succ2:
                             continue
                         states, quant, inputs = [x1, x1p], [x2, x2p], [u1]
-                        while len(states) < bound:
+                        while horizon is None or len(states) < horizon:
                             y1, y2 = states[-1], quant[-1]
+                            if horizon is None and (y1, y2) in zip(states[:-1], quant[:-1]):
+                                break
                             menu = sorted(c2.choices.get(y2, frozenset()))
                             if not menu:
                                 break
@@ -251,6 +250,16 @@ def memoryless_case(seed):
     return rng, s1, s2, rel, interface
 
 
+def memoryless_case_controller(rng, s2):
+    """A random non-empty subset of the available inputs at about 85 % of the
+    states that have any."""
+    return Controller({
+        q: frozenset(rng.sample(s2.available_inputs(q), rng.randint(1, len(s2.available_inputs(q)))))
+        for q in s2.states
+        if s2.available_inputs(q) and rng.random() < 0.85
+    })
+
+
 def asr_gap_cases(seeds):
     """Fully available plants of 2-5 states, overlap 0.4, a perturbed induced
     abstraction with its maximal ASR interface, and every abstract controller
@@ -327,6 +336,41 @@ class TestControlledSimulability:
     def test_product_search_matches_path_enumeration(self, seed):
         case = simulability_case(seed)
         assert check_controlled_simulability(*case) == reference_controlled_simulability(*case)
+
+    def test_no_horizon_refutes_a_failure_longer_than_the_state_pairs(self):
+        s1, s2, rel, c1, c2 = cycle_product()
+        verdict = check_controlled_simulability(s1, s2, rel, c1, c2)
+        assert verdict == check_controlled_simulability(s1, s2, rel, c1, c2, 10**6)
+        assert verdict.witness == PropertyWitness(
+            ("s",) + ("a",) * 208 + ("b",), ("u",) * 209, None)
+        # The former default horizon, one more than the 68 state pairs.
+        assert check_controlled_simulability(s1, s2, rel, c1, c2, 69).holds
+
+    def test_no_horizon_equals_the_pigeonhole_horizon(self):
+        """Without a horizon the search runs until no new node appears, so it
+        equals the horizon n1 * 2^n2 + 1, one more than the (x1, tracked set)
+        nodes there can be.  Every fourth case is a cycle product with random
+        lengths, starts and holes, whose failures can outrun the state pairs
+        (and never come when 2 and 4 disagree)."""
+        kinds = Counter()
+        for seed in range(1200):
+            rng = seeded_rng(seed)
+            if seed % 4:
+                s1, s2, rel, c1, c2, _ = simulability_case(seed)
+            else:
+                lengths = rng.sample((2, 3, 4, 5, 7), rng.randint(1, 4))
+                s1, s2, rel, c1, c2 = cycle_product(
+                    lengths, [rng.randrange(n) for n in lengths],
+                    [rng.randrange(n) for n in lengths])
+            n1, n2 = len(s1.states), len(s2.states)
+            verdict = check_controlled_simulability(s1, s2, rel, c1, c2)
+            assert verdict == check_controlled_simulability(
+                s1, s2, rel, c1, c2, n1 * 2**n2 + 1), seed
+            if verdict.holds:
+                kinds["holds"] += 1
+            else:
+                kinds["long" if len(verdict.witness.concrete) > n1 * n2 + 1 else "short"] += 1
+        assert min(kinds["holds"], kinds["short"], kinds["long"]) >= 20, kinds
 
     def test_witness_orders_states_before_inputs(self):
         s1 = FiniteTransitionSystem(("a", "b", "c"), ("u0", "u1"), {
@@ -488,11 +532,7 @@ class TestMemorylessConcretization:
     @given(seed=st.integers(0, 10**6))
     def test_matches_step_by_step_reference(self, seed):
         rng, s1, s2, rel, interface = memoryless_case(seed)
-        c2 = Controller({
-            q: frozenset(rng.sample(s2.available_inputs(q), rng.randint(1, len(s2.available_inputs(q)))))
-            for q in s2.states
-            if s2.available_inputs(q) and rng.random() < 0.85
-        })
+        c2 = memoryless_case_controller(rng, s2)
         args = (s1, s2, rel, interface, c2, rng.choice([0, 1, 2, 3, 5, 8, 13, 40, None]))
         assert outcome(check_memoryless_concretization, *args) == outcome(
             reference_memoryless_concretization, *args
@@ -515,6 +555,34 @@ class TestMemorylessConcretization:
         run = ("a",) + tuple(islice(cycle("bca"), 10**6 - 1))
         assert verdict.witness == PropertyWitness(run, ("u",) * (10**6 - 1), run)
         assert elapsed < 1.0
+        # Without a horizon the run ends where (a, a) comes round again.
+        lasso = check_memoryless_concretization(s1, s2, ident, iface, c2)
+        assert lasso.witness == PropertyWitness(tuple("abca"), ("u",) * 3, tuple("abca"))
+
+    def test_no_horizon_witness_is_a_lasso_within_the_state_pairs(self):
+        # (x, q0) escapes to (x, q1), whose least step returns to (x, q0):
+        # the first pair counts as seen, or the run would have 4 states.
+        s1 = FiniteTransitionSystem(("x",), ("u",), {("x", "u"): {"x"}})
+        s2 = FiniteTransitionSystem(("q0", "q1"), ("v",), {("q0", "v"): {"q0"}, ("q1", "v"): {"q0"}})
+        rel = Relation(s1.states, s2.states, frozenset({("x", "q0"), ("x", "q1")}))
+        iface = Interface(RelationKind.ASR, {("x", q, "v"): {"u"} for q in s2.states})
+        c2 = Controller({q: {"v"} for q in s2.states})
+        verdict = check_memoryless_concretization(s1, s2, rel, iface, c2)
+        assert verdict.witness == PropertyWitness(("x",) * 3, ("u",) * 2, ("q0", "q1", "q0"))
+        kinds = Counter()
+        for seed in range(2000):
+            rng, s1, s2, rel, interface = memoryless_case(seed)
+            c2 = memoryless_case_controller(rng, s2)
+            verdict = outcome(check_memoryless_concretization, s1, s2, rel, interface, c2)
+            if isinstance(verdict, tuple) or verdict.holds:
+                continue
+            pairs = list(zip(verdict.witness.concrete, verdict.witness.quantization))
+            assert len(pairs) <= len(s1.states) * len(s2.states) + 1, seed
+            # The run stops at its first repeated pair, or where it cannot go on.
+            assert len(set(pairs[:-1])) == len(pairs) - 1, seed
+            kinds["lasso" if pairs[-1] in pairs[:-1] else "stuck"] += 1
+            kinds[len(pairs)] += 1
+        assert kinds["lasso"] > 100 and kinds["stuck"] > 0 and kinds[4] > 0, kinds
 
 
 def line_system(rng, n_cells):
@@ -548,6 +616,15 @@ class TestAllControllers:
             fx.s1, fx.s2, fx.relation, asr_interface,
             outcome.witness_controller, outcome.witness,
         )
+
+    def test_default_witness_ends_at_its_first_repeated_pair(self, fx, asr_interface):
+        verdict = check_memoryless_concretization_all_controllers(
+            fx.s1, fx.s2, fx.relation, asr_interface)
+        witness = verdict.witness
+        assert witness.concrete == ("1", "2", "3", "3")
+        assert witness.quantization == ("a", "c", "d", "d")
+        assert replay_memoryless_witness(
+            fx.s1, fx.s2, fx.relation, asr_interface, verdict.witness_controller, witness)
 
     def test_extension_passes_for_every_controller(self, fx):
         iface = maximal_interface(fx.s1, fx.s2_extended, fx.relation, RelationKind.MCR)

@@ -196,6 +196,9 @@ class TestRelationBasics:
     def test_pairs_outside_carriers_rejected(self):
         with pytest.raises(DomainError):
             Relation(("a",), ("q",), frozenset({("b", "q")}))
+        # A name is not coerced: the number 1 is not the state "1".
+        with pytest.raises(DomainError):
+            Relation(("1",), ("q",), frozenset({(1, "q")}))
 
 
 class TestRelationAlgebra:
