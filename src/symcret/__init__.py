@@ -34,7 +34,6 @@ from .relations import (
     validate_interface,
 )
 from .synthesis import (
-    BudgetExceededError,
     SpecVerdict,
     SynthesisResult,
     check_spec,
@@ -57,6 +56,7 @@ from .concretize import (
 )
 from .oracle import (
     AllControllersVerdict,
+    BudgetExceededError,
     CrosscheckFailure,
     CrosscheckReport,
     PropertyVerdict,

@@ -235,6 +235,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    for flag, reader in (("horizon", "one"), ("budget", "two-all")):
+        if getattr(args, flag) is not None and args.property != reader:
+            raise UsageError(f"--{flag} applies to property `{reader}` only")
     s1, s2, rel = _load_triplet(args)
     if args.property == "one":
         if not (args.c1 and args.c2):
@@ -247,11 +250,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if not args.c2:
                 raise UsageError("property `two` needs --c2")
             c2 = jsonio.controller_from_obj(_load_doc(args.c2))
-            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, args.horizon)
+            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
         else:
             verdict = check_memoryless_concretization_all_controllers(
-                s1, s2, rel, interface, args.horizon, budget=args.budget
-            )
+                s1, s2, rel, interface, args.budget)
     witness = None
     if verdict.witness is not None:
         inner = verdict.witness
@@ -338,7 +340,7 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     )
     rows.append(("memoryless-controller-values", values_ok, "c1(1)={0}, c1(2)={0,1}"))
 
-    p2_bad = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_b, 6)
+    p2_bad = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_b)
     bad_ok = (
         not p2_bad.holds
         and p2_bad.witness is not None
@@ -348,7 +350,7 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     rows.append(("memoryless-guarantee-refuted", bad_ok,
                  "run (1,2,3) quantizes to invalid abstract trace (a,c,d)"))
 
-    p2_good = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_e, 6)
+    p2_good = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_e)
     rows.append(("alternate-controller-safe", p2_good.holds,
                  "the detour controller satisfies the memoryless guarantee"))
 
@@ -530,7 +532,8 @@ def _build_parser() -> _Parser:
                             parents=[props, triplet, kind, as_json])
     verify.add_argument("--c1")
     verify.add_argument("--c2")
-    verify.add_argument("--horizon", type=_count, default=None)
+    verify.add_argument("--horizon", type=_count, default=None,
+                        help="one: count only runs of at most this many states")
     verify.add_argument("--budget", type=_count, default=None,
                         help="two-all: refuse up front above this many controllers")
     verify.set_defaults(run=cmd_verify)

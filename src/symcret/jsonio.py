@@ -6,8 +6,10 @@ contain ``|``.  Relations are arrays of pairs, controllers map states to
 input arrays, rationals are written as ``"p/q"`` strings.  Serialization is
 canonical (sorted keys, sorted arrays), so save -> load -> save is
 bit-identical.  A malformed document (a missing field, a string or number
-where an array of names belongs) makes its decoder raise :class:`FormatError`
-naming the document kind, a validation error (exit code 2) on the command line.
+where an array of names belongs, a relation pair without two names, a number
+where a rational string or a name belongs, an endpoint flag that is not a
+JSON boolean) makes its decoder raise :class:`FormatError` naming the
+document kind, a validation error (exit code 2) on the command line.
 """
 from __future__ import annotations
 
@@ -46,6 +48,21 @@ def _names(value: Any) -> list[str]:
         else:
             return value
     raise TypeError(f"expected an array of names, got {json.dumps(value)}")
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if it is a ``kind``; anything else is a TypeError, which the
+    decoder reports: nothing is coerced."""
+    if isinstance(value, kind):
+        return value
+    raise TypeError(f"expected {what}, got {json.dumps(value)}")
+
+
+def _pair(value: Any) -> list[str]:
+    names = _names(value)
+    if len(names) != 2:
+        raise TypeError(f"expected a pair of names, got {json.dumps(value)}")
+    return names
 
 
 def tagged(kind: str, body: dict[str, Any]) -> dict[str, Any]:
@@ -127,7 +144,7 @@ def relation_to_obj(rel: Relation) -> dict[str, Any]:
 def relation_from_obj(
     obj: Mapping[str, Any], s1: FiniteTransitionSystem, s2: FiniteTransitionSystem
 ) -> Relation:
-    return Relation(s1.states, s2.states, map(_names, obj["pairs"]))
+    return Relation(s1.states, s2.states, map(_pair, obj["pairs"]))
 
 
 # ------------------------------------------------------------ controllers
@@ -194,12 +211,16 @@ def _cell_to_obj(cell: IntervalCell) -> dict[str, Any]:
     }
 
 
+def _rational(value: Any) -> Fraction:
+    return fraction_from_str(_typed(value, str, 'a "p/q" string'))
+
+
 def _cell_from_obj(obj: Mapping[str, Any]) -> IntervalCell:
     return IntervalCell(
-        fraction_from_str(obj["lo"]),
-        fraction_from_str(obj["hi"]),
-        bool(obj["lo_closed"]),
-        bool(obj["hi_closed"]),
+        _rational(obj["lo"]),
+        _rational(obj["hi"]),
+        _typed(obj["lo_closed"], bool, "true or false"),
+        _typed(obj["hi_closed"], bool, "true or false"),
     )
 
 
@@ -230,11 +251,13 @@ def cover_to_obj(
 def cover_from_obj(
     obj: Mapping[str, Any],
 ) -> tuple[CellCover, tuple[AbstractInput, ...], dict[str, list[str]]]:
-    cover = CellCover(tuple((c["state"], _cell_from_obj(c)) for c in obj["cells"]))
+    cover = CellCover(tuple(
+        (_typed(c["state"], str, "a name"), _cell_from_obj(c)) for c in obj["cells"]
+    ))
     inputs = tuple(
         AbstractInput(
-            i["input"],
-            AffineMap(fraction_from_str(i["gain"]), fraction_from_str(i["offset"])),
+            _typed(i["input"], str, "a name"),
+            AffineMap(_rational(i["gain"]), _rational(i["offset"])),
         )
         for i in obj["inputs"]
     )

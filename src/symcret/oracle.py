@@ -10,8 +10,9 @@ breadth-first to its fixed point rather than enumerating sequences.
 the abstract input through the interface, let the plant move), the abstract
 trace produced is a valid run of the abstract closed loop, for every choice
 the quantizer, the controllers, and the plant could make.  Violations are
-step-local, so the check walks the finite product of related pairs rather
-than enumerating trajectories; witnesses are reported as full runs.
+step-local, so the check walks the related pairs once and takes no horizon;
+a witness is the violating step run on to its first repeated (x1, x2) pair,
+a lasso.
 
 ``run_crosscheck`` cross-validates the whole theory on randomly generated
 systems: the containment hierarchy of the relation checks, the collapse on
@@ -24,10 +25,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import cycle, islice
 from typing import Any, Iterable
 
-from .core import Controller, FiniteTransitionSystem, SymcretError
+from .core import ContractError, Controller, FiniteTransitionSystem, SymcretError
 from .relations import (
     Interface,
     Relation,
@@ -42,7 +42,12 @@ from .relations import (
     compose,
     replay_witness,
 )
-from .synthesis import BudgetExceededError, controller_count, enumerate_controllers
+from .synthesis import controller_count, enumerate_controllers
+
+
+class BudgetExceededError(ContractError):
+    """The abstraction has more controllers than the ``budget`` given to
+    :func:`check_memoryless_concretization_all_controllers`."""
 
 
 @dataclass(frozen=True)
@@ -139,22 +144,14 @@ def _extend_architecture_run(
     states: list[str],
     quant: list[str],
     inputs: list[str],
-    horizon: int | None,
 ) -> PropertyWitness:
-    """Continue a run lexicographically until an uncovered abstract state or a
-    dead end.  A least step depends only on the current (x1, x2): without a
-    horizon the run ends at its first repeated pair, a lasso; with one, the
-    cycle fills the run up to it, the first pair (an escape step) not counted."""
-    seen = {} if horizon is not None else {(states[0], quant[0]): 0}
-    while horizon is None or len(states) < horizon:
+    """Continue a run lexicographically until an uncovered abstract state, a
+    dead end, or its first repeated (x1, x2) pair.  A least step depends only
+    on the current pair, so the run is a lasso of at most n1 * n2 + 1 states."""
+    seen = {(states[0], quant[0])}
+    while (states[-1], quant[-1]) not in seen:
         x1, x2 = states[-1], quant[-1]
-        start = seen.setdefault((x1, x2), len(states) - 1)
-        if start < len(states) - 1:
-            if horizon is not None:
-                period, missing = len(states) - 1 - start, horizon - len(states)
-                for run, lo in ((states, start + 1), (quant, start + 1), (inputs, start)):
-                    run.extend(islice(cycle(run[lo:lo + period]), missing))
-            break
+        seen.add((x1, x2))
         menu = sorted(c2.choices.get(x2, frozenset()))
         if not menu:
             break
@@ -176,24 +173,21 @@ def check_memoryless_concretization(
     rel: Relation,
     interface: Interface,
     c2: Controller,
-    horizon: int | None = None,
 ) -> PropertyVerdict:
     """Does every quantizer-in-the-loop run produce a valid abstract run?
 
     A violation is one architecture step whose freshly quantized state is not
     an abstract successor of the committed (abstract state, abstract input):
     related pair (x1, x2), abstract choice u2 there, interface output u1,
-    plant move x1', and a quantization x2' of x1' outside F2(x2, u2).  Since
-    runs may start at any state, the verdict does not depend on the horizon
-    once it admits a single step.  The witness is the least such step run on
-    to the horizon or, without one, to its first repeated (x1, x2) pair.
+    plant move x1', and a quantization x2' of x1' outside F2(x2, u2).  Runs
+    may start at any state, so the check is step-local and has no horizon.
+    The witness is the least such step run on lexicographically to a dead end
+    or to its first repeated (x1, x2) pair.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
-    if horizon is not None and horizon < 2:
-        return PropertyVerdict(True, None)
     for x1, x2 in sorted(rel.pairs):
         for u2 in sorted(c2.choices.get(x2, frozenset())):
             row = s2.successors(x2, u2)
@@ -201,7 +195,7 @@ def check_memoryless_concretization(
                 step = _escape(s1, rel, x1, u1, row)
                 if step is not None:
                     return PropertyVerdict(False, _extend_architecture_run(
-                        s1, rel, interface, c2, [x1, step[0]], [x2, step[1]], [u1], horizon))
+                        s1, rel, interface, c2, [x1, step[0]], [x2, step[1]], [u1]))
     return PropertyVerdict(True, None)
 
 
@@ -244,7 +238,6 @@ def check_memoryless_concretization_all_controllers(
     s2: FiniteTransitionSystem,
     rel: Relation,
     interface: Interface,
-    horizon: int | None = None,
     budget: int | None = None,
 ) -> AllControllersVerdict:
     """Does every total abstract controller pass the memoryless check?  The
@@ -258,7 +251,8 @@ def check_memoryless_concretization_all_controllers(
     event at a least input makes the least controller the first violator;
     else the last state k with an event takes its least event input, the i-th
     of U(k) from 0, and ``checked`` is (2^i - 1) * prod_{x > k} (2^|U(x)| - 1)
-    + 1.  Its check gives the witness or error.  ``budget`` refuses up front."""
+    + 1.  Its check gives the witness or error.  ``budget`` refuses up front
+    with :class:`BudgetExceededError`."""
     _validate_triplet(s1, s2, rel)
     total = controller_count(s2, s2.states)
     if budget is not None and total > budget:
@@ -267,8 +261,6 @@ def check_memoryless_concretization_all_controllers(
         return AllControllersVerdict(True, None, None, 0)
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
-    if horizon is not None and horizon < 2:
-        return AllControllersVerdict(True, None, None, total)
     dom = sorted(s2.states)
     avail = {x: s2.available_inputs(x) for x in dom}
     events: dict[str, set[int]] = {x: set() for x in dom}
@@ -294,7 +286,7 @@ def check_memoryless_concretization_all_controllers(
     k, i = next(((x, i) for x, i in hot if i == 0), hot[-1])
     c2 = Controller({**{x: frozenset(avail[x][:1]) for x in dom}, k: frozenset({avail[k][i]})})
     index = (2 ** i - 1) * controller_count(s2, dom[dom.index(k) + 1:])
-    verdict = check_memoryless_concretization(s1, s2, rel, interface, c2, horizon)
+    verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
     return AllControllersVerdict(False, c2, verdict.witness, index + 1)
 
 

@@ -176,14 +176,14 @@ class Interface:
         table = {k: frozenset(v) for k, v in dict(self.table).items()}
         for key, us in table.items():
             if not us:
-                raise ContractError(f"interface entry {key!r} is empty")
+                raise ContractError(f"interface entry ({', '.join(key)}) is empty")
         object.__setattr__(self, "table", table)
 
     def inputs_for(self, x1: str, x2: str, u2: str) -> frozenset[str]:
         try:
             return self.table[(x1, x2, u2)]
         except KeyError:
-            raise ContractError(f"interface has no entry for ({x1!r}, {x2!r}, {u2!r})") from None
+            raise ContractError(f"interface has no entry for ({x1}, {x2}, {u2})") from None
 
 
 def _validate_triplet(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation) -> None:
@@ -194,17 +194,13 @@ def _validate_triplet(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, re
 
 
 def _require(
-    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
-    rel: Relation, allow_non_strict: bool,
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> None:
     """Preconditions of a check: matching carriers, and for MCR and FRR a
-    strict relation unless the bare definition is asked for."""
+    strict relation."""
     _validate_triplet(s1, s2, rel)
-    if kind is not RelationKind.ASR and not allow_non_strict and not rel.is_strict():
-        raise StrictnessError(
-            f"{kind.value} guarantees assume a strict relation; "
-            "pass allow_non_strict=True to evaluate the bare definition"
-        )
+    if kind is not RelationKind.ASR and not rel.is_strict():
+        raise StrictnessError(f"{kind.value} guarantees assume a strict relation")
 
 
 def _triples(s2: FiniteTransitionSystem, rel: Relation) -> Iterator[tuple[str, str, str]]:
@@ -273,56 +269,43 @@ def _refutation(
     return RelationWitness(x1, x2, u2, min(escapes, default=None))
 
 
-def _verdict(
-    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
-    rel: Relation, allow_non_strict: bool,
+def check_relation(
+    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> RelationVerdict:
-    _require(kind, s1, s2, rel, allow_non_strict)
+    """Decide the relation of ``kind`` from ``s1`` to ``s2`` along ``rel``,
+    refuted at the first (x1, x2, u2) in sorted order with no admissible u1.
+    For MCR and FRR a non-strict ``rel`` is a :class:`StrictnessError`.
+
+    Cost: O(P log P) for the P related pairs, plus at most O(T * m * d * r)
+    over T triples, m concrete inputs (tried up to the first admissible one),
+    d successors per row and r related abstract states per successor."""
+    kind = RelationKind(kind)
+    _require(kind, s1, s2, rel)
     for x1, x2, u2 in _triples(s2, rel):
         if next(_admissible(kind, s1, s2, rel, x1, x2, u2), None) is None:
             return RelationVerdict(False, _refutation(kind, s1, s2, rel, x1, x2, u2))
     return RelationVerdict(True, None)
 
 
-def check_relation(
-    kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
-) -> RelationVerdict:
-    """Decide the relation of ``kind`` from ``s1`` to ``s2`` along ``rel``,
-    refuted at the first (x1, x2, u2) in sorted order with no admissible u1.
-
-    Cost: O(P log P) for the P related pairs, plus at most O(T * m * d * r)
-    over T triples, m concrete inputs (tried up to the first admissible one),
-    d successors per row and r related abstract states per successor."""
-    return _verdict(RelationKind(kind), s1, s2, rel, allow_non_strict=False)
-
-
 def check_asr(
     s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> RelationVerdict:
     """Alternating simulation from ``s1`` to ``s2`` along ``rel``."""
-    return _verdict(RelationKind.ASR, s1, s2, rel, allow_non_strict=False)
+    return check_relation(RelationKind.ASR, s1, s2, rel)
 
 
 def check_mcr(
-    s1: FiniteTransitionSystem,
-    s2: FiniteTransitionSystem,
-    rel: Relation,
-    *,
-    allow_non_strict: bool = False,
+    s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> RelationVerdict:
     """Memoryless concretization relation from ``s1`` to ``s2`` along ``rel``."""
-    return _verdict(RelationKind.MCR, s1, s2, rel, allow_non_strict)
+    return check_relation(RelationKind.MCR, s1, s2, rel)
 
 
 def check_frr(
-    s1: FiniteTransitionSystem,
-    s2: FiniteTransitionSystem,
-    rel: Relation,
-    *,
-    allow_non_strict: bool = False,
+    s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> RelationVerdict:
     """Feedback refinement relation from ``s1`` to ``s2`` along ``rel``."""
-    return _verdict(RelationKind.FRR, s1, s2, rel, allow_non_strict)
+    return check_relation(RelationKind.FRR, s1, s2, rel)
 
 
 def replay_witness(
@@ -387,7 +370,7 @@ def maximal_interface(
     O(P log P + T * m * d * r).
     """
     kind = RelationKind(kind)
-    _require(kind, s1, s2, rel, allow_non_strict=False)
+    _require(kind, s1, s2, rel)
     table: dict[tuple[str, str, str], frozenset[str]] = {}
     for x1, x2, u2 in _triples(s2, rel):
         entry = frozenset(_admissible(kind, s1, s2, rel, x1, x2, u2))
@@ -417,11 +400,10 @@ def validate_interface(
         for u1 in sorted(entry.difference(_admissible(kind, s1, s2, rel, x1, x2, u2))):
             if u1 not in s1.available_inputs(x1):
                 raise ContractError(
-                    f"interface offers unavailable input {u1!r} at ({x1!r}, {x2!r}, {u2!r})"
+                    f"interface offers unavailable input {u1} at ({x1}, {x2}, {u2})"
                 )
             raise ContractError(
-                f"interface entry ({x1!r}, {x2!r}, {u2!r}) -> {u1!r} violates "
-                f"the {kind.value} condition"
+                f"interface entry ({x1}, {x2}, {u2}) -> {u1} violates the {kind.value} condition"
             )
 
 

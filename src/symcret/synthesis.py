@@ -20,10 +20,6 @@ from typing import Iterable, Iterator, Mapping
 from .core import Controller, ContractError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
 
 
-class BudgetExceededError(ContractError):
-    """An enumeration would exceed its configured budget."""
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     """Winning set, rank bound per winning state, and the maximally
@@ -216,24 +212,15 @@ def _nonempty_subsets(items: tuple[str, ...]) -> list[frozenset[str]]:
 
 
 def enumerate_controllers(
-    sys: FiniteTransitionSystem,
-    domain: Iterable[str],
-    budget: int | None = None,
+    sys: FiniteTransitionSystem, domain: Iterable[str]
 ) -> Iterator[Controller]:
-    """Yield every controller over ``domain`` in a fixed deterministic order.
-
-    The count is checked against ``budget`` before anything is yielded.  A
-    domain state with no available input admits no controller at all.
+    """Yield every controller over ``domain`` in a fixed deterministic order,
+    :func:`controller_count` of them.  A domain state with no available input
+    admits no controller at all.
     """
     dom = sorted(set(domain))
     for x in dom:
         sys.require_state(x)
-    if budget is not None:
-        total = controller_count(sys, dom)
-        if total > budget:
-            raise BudgetExceededError(
-                f"{total} controllers exceed the budget of {budget}"
-            )
     menus = [_nonempty_subsets(sys.available_inputs(x)) for x in dom]
     for combo in itertools.product(*menus):
         yield Controller(dict(zip(dom, combo)))

@@ -56,11 +56,11 @@ def test_03_memoryless_controller_values(fx):
 
 def test_04_memoryless_guarantee_refutation(fx):
     iface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
-    bad = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, iface, fx.c2_via_b, 6)
+    bad = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, iface, fx.c2_via_b)
     assert not bad.holds
     assert bad.witness.concrete == ("1", "2", "3")
     assert bad.witness.quantization == ("a", "c", "d")
-    good = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, iface, fx.c2_via_e, 6)
+    good = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, iface, fx.c2_via_e)
     assert good.holds
     _report(4, "route controller refuted by (1,2,3) -> (a,c,d); detour controller passes")
 

@@ -248,7 +248,7 @@ class TestCommands:
         assert code == 2 and out == ""
         assert json.loads(err) == {
             "error": "validation",
-            "detail": f"interface entry ('2', 'b', '{ALPHA}') -> '1' violates the asr condition",
+            "detail": f"interface entry (2, b, {ALPHA}) -> 1 violates the asr condition",
         }
 
     def test_simulate_memoryless_with_scripts(self, capsys, bundle_path, tmp_path):
@@ -470,6 +470,23 @@ class TestErrors:
         doc = json.loads(err)
         assert doc["error"] == "usage" and "non-negative integer" in doc["detail"]
 
+    @pytest.mark.parametrize("extra, detail", [
+        (("two", "--c2", "c2_via_b", "--horizon", "3"), "--horizon applies to property `one` only"),
+        (("two-all", "--horizon", "3"), "--horizon applies to property `one` only"),
+        (("one", "--c1", "c1_safe", "--c2", "c2_via_b", "--budget", "5"),
+         "--budget applies to property `two-all` only"),
+        (("two", "--c2", "c2_via_b", "--budget", "5"),
+         "--budget applies to property `two-all` only"),
+    ])
+    def test_verify_rejects_flags_its_property_does_not_read(
+        self, capsys, bundle_path, extra, detail
+    ):
+        refs = {"S1", "S2", "R", "c1_safe", "c2_via_b"}
+        argv = ["verify", "--property", *extra, "--s1", "S1", "--s2", "S2", "--rel", "R"]
+        code, out, err = run(capsys, *(f"{bundle_path}:{a}" if a in refs else a for a in argv))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "usage", "detail": detail}
+
     def test_negative_simulation_horizon_is_a_usage_error(self, capsys, bundle_path):
         code, out, err = run(
             capsys, "simulate", "--sys", f"{bundle_path}:S1",
@@ -491,6 +508,9 @@ class TestErrors:
              '(TypeError: expected an array of names, got "01")'),
             ("relation-pair-with-a-number", "validation",
              'malformed relation document (TypeError: expected an array of names, got [1, "a"])'),
+            ("relation-pair-with-three-names", "validation",
+             'malformed relation document (TypeError: expected a pair of names, '
+             'got ["1", "a", "x"])'),
             ("member-of-an-array", "validation", "document is not a JSON object"),
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
@@ -511,9 +531,11 @@ class TestErrors:
             "inputs-as-a-string": {**system, "inputs": "01"},
             "member-of-an-array": [system],
             "relation-pair-with-a-number": {**relation, "pairs": [[1, "a"], *relation["pairs"]]},
+            "relation-pair-with-three-names": {
+                **relation, "pairs": [["1", "a", "x"], *relation["pairs"]]},
         }
         doc_file = tmp_path / "doc.json"
-        if case == "relation-pair-with-a-number":
+        if case.startswith("relation-pair"):
             doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
             argv = ["check", "asr", "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
                     "--rel", str(doc_file)]

@@ -245,6 +245,24 @@ class TestCellCover:
         with pytest.raises(ContractError):
             CellCover((("q", IntervalCell.point(0)), ("q", IntervalCell.point(1))))
 
+    @pytest.mark.parametrize("section, key, value, detail", [
+        pytest.param("cells", "lo", -0.1, 'expected a "p/q" string, got -0.1',
+                     id="endpoint-as-a-float"),
+        pytest.param("cells", "lo_closed", "no", 'expected true or false, got "no"',
+                     id="flag-as-a-string"),
+        pytest.param("cells", "state", 7, "expected a name, got 7", id="cell-named-by-a-number"),
+        pytest.param("inputs", "gain", True, 'expected a "p/q" string, got true',
+                     id="gain-as-a-boolean"),
+        pytest.param("inputs", "input", 5, "expected a name, got 5",
+                     id="input-named-by-a-number"),
+    ])
+    def test_cover_document_coerces_nothing(self, section, key, value, detail):
+        obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+        obj[section][0][key] = value
+        with pytest.raises(jsonio.FormatError) as err:
+            jsonio.cover_from_obj(obj)
+        assert str(err.value) == f"malformed cover document (TypeError: {detail})"
+
 
 class TestQuantize:
     def test_origin_is_its_own_cell(self):

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcret import (
-    BudgetExceededError,
     Controller,
     ContractError,
     FiniteTransitionSystem,
@@ -274,10 +273,6 @@ class TestEnumeration:
         n = controller_count(fx.s2, fx.s2.states)
         assert n == 3  # only `a` has more than one available input
         assert len(list(enumerate_controllers(fx.s2, fx.s2.states))) == n
-
-    def test_budget(self, fx):
-        with pytest.raises(BudgetExceededError):
-            list(enumerate_controllers(fx.s2, fx.s2.states, budget=2))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**6))
