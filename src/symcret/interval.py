@@ -2,9 +2,10 @@
 
 The concrete plant moves by plain translation, x' = x + u, on a bounded
 segment of the rational line.  Cells carry explicit open/closed endpoint
-flags and all arithmetic is over ``fractions.Fraction``: the separating
-examples hinge on whether images touch the single point 0, which floating
-point cannot be trusted with.
+flags and all arithmetic is exact, over ``fractions.Fraction`` and, inside
+the cover's index, over integers scaled by a common denominator: the
+separating examples hinge on whether images touch the single point 0, which
+floating point cannot be trusted with.
 
 Abstract inputs are affine state-feedback laws u = gain * x + offset that act
 on a whole cell; the closed-loop map of a cell is then the affine map
@@ -20,6 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .core import ContractError, DomainError, FiniteTransitionSystem, ReachAvoidSpec
@@ -132,17 +134,22 @@ class CellCover:
     """Ordered list of named cells; may overlap, may leave gaps, must not be
     empty.
 
-    Construction sorts the cells by lower endpoint once, in O(n log n), and
-    keeps an index of them: the cells in that order with their lower
-    endpoints, the running maximum of the upper endpoints in the same order,
-    the hull, and a name -> cell dict.  ``hull()`` and ``cell()`` are then
-    O(1) and ``quantize`` is O(log n + cells visited).
+    Construction keys every endpoint v by the integer 2·v·d over the common
+    denominator d (the lcm of the endpoint denominators), moved one step
+    inward when open.  An odd key is the open gap between two multiples of
+    1/d, so a cell is exactly the integers between its keys.  The cells are
+    sorted by lower key once, in O(n log n), beside the running maximum of
+    their upper keys, the hull and a name -> cell dict: ``hull()`` and
+    ``cell()`` are O(1) and ``quantize`` compares integers only.  Keys grow
+    with the number of distinct denominators, not of cells.
     """
 
     cells: tuple[tuple[str, IntervalCell], ...]
-    _by_lo: tuple[tuple[str, IntervalCell], ...] = field(init=False, repr=False, compare=False)
-    _los: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    _max_hi: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    _scale: int = field(init=False, repr=False, compare=False)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _los: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _his: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _max_hi: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _hull: IntervalCell = field(init=False, repr=False, compare=False)
     _by_name: dict[str, IntervalCell] = field(init=False, repr=False, compare=False)
 
@@ -153,18 +160,26 @@ class CellCover:
         by_name = dict(cells)
         if len(by_name) != len(cells):
             raise ContractError("cell names must be unique")
-        by_lo = tuple(sorted(cells, key=lambda item: item[1].lo))
-        max_hi = tuple(accumulate((cell.hi for _, cell in by_lo), max))
-        lo, hi = by_lo[0][1].lo, max_hi[-1]
+        d = lcm(*(v.denominator for _, cell in cells for v in (cell.lo, cell.hi)))
+        keyed = sorted(
+            (
+                2 * cell.lo.numerator * (d // cell.lo.denominator) + (not cell.lo_closed),
+                2 * cell.hi.numerator * (d // cell.hi.denominator) - (not cell.hi_closed),
+                name,
+            )
+            for name, cell in cells
+        )
+        los, his, names = zip(*keyed)
+        max_hi = tuple(accumulate(his, max))
+        lo, hi = los[0], max_hi[-1]
         hull = IntervalCell(
-            lo,
-            hi,
-            any(cell.lo_closed for _, cell in cells if cell.lo == lo),
-            any(cell.hi_closed for _, cell in cells if cell.hi == hi),
+            Fraction(lo // 2, d), Fraction(-(-hi // 2), d), lo % 2 == 0, hi % 2 == 0
         )
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_by_lo", by_lo)
-        object.__setattr__(self, "_los", tuple(cell.lo for _, cell in by_lo))
+        object.__setattr__(self, "_scale", d)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_los", los)
+        object.__setattr__(self, "_his", his)
         object.__setattr__(self, "_max_hi", max_hi)
         object.__setattr__(self, "_hull", hull)
         object.__setattr__(self, "_by_name", by_name)
@@ -186,24 +201,17 @@ class CellCover:
 def interval_covered(target: IntervalCell, pieces: Sequence[IntervalCell]) -> bool:
     """Exact test that ``target`` lies inside the union of ``pieces``.
 
-    Membership in a union of intervals is constant between consecutive
-    endpoint values, so it suffices to test every endpoint inside the target
-    and one rational midpoint between each adjacent pair.
+    One sweep over the pieces sorted by lower endpoint, closed before open:
+    O(s log s) comparisons.  A cut (v, False) sits just before v and
+    (v, True) just after it; ``need`` is the cut before the least target
+    point not yet covered, and the sweep stops at a piece starting past it.
     """
-    marks = {target.lo, target.hi}
-    for piece in pieces:
-        marks.add(piece.lo)
-        marks.add(piece.hi)
-    ordered = sorted(marks)
-    samples: list[Fraction] = []
-    for value in ordered:
-        if target.contains(value):
-            samples.append(value)
-    for left, right in zip(ordered, ordered[1:]):
-        mid = (left + right) / 2
-        if target.contains(mid):
-            samples.append(mid)
-    return all(any(piece.contains(s) for piece in pieces) for s in samples)
+    need = (target.lo, not target.lo_closed)
+    for start, end in sorted(((p.lo, not p.lo_closed), (p.hi, p.hi_closed)) for p in pieces):
+        if start > need:
+            break
+        need = max(need, end)
+    return need >= (target.hi, target.hi_closed)
 
 
 def affine_image(cell: IntervalCell, law: AffineMap) -> IntervalCell:
@@ -226,25 +234,37 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
     """Names of all cells meeting ``target``, exactly honouring endpoint
     flags.  Raises if the target is not contained in the covered segment.
 
-    O(log n + cells visited): a bisection finds the last cell whose lower
-    endpoint is at most ``target.hi``, and the walk left from it stops once
-    the running maximum of the upper endpoints drops below ``target.lo``.
-    Every visited cell is decided by ``IntervalCell.intersects``.
+    O(log n + cells visited), on integers only.  The target's endpoints are
+    keyed once like the cover's; one off the multiples of 1/d, at t·d, keys
+    as the gap 2·floor(t·d) + 1.  A bisection finds the last cell whose
+    lower key is at most the target's upper key, and the walk left from it
+    stops once the running maximum of the upper keys drops below the
+    target's lower key.  A visited cell meets the target iff its upper key
+    reaches that lower key.
     """
-    if not isinstance(target, IntervalCell):
-        target = IntervalCell.point(target)
-    hull = cover.hull()
-    if not target.is_subset_of(hull):
-        raise OutOfDomainError(f"{target.describe()} escapes the domain {hull.describe()}")
-    by_lo, max_hi = cover._by_lo, cover._max_hi
-    names = []
-    i = bisect_right(cover._los, target.hi) - 1
-    while i >= 0 and max_hi[i] >= target.lo:
-        name, cell = by_lo[i]
-        if cell.intersects(target):
-            names.append(name)
+    if isinstance(target, IntervalCell):
+        lo, hi, lo_closed, hi_closed = target.lo, target.hi, target.lo_closed, target.hi_closed
+    else:
+        lo = hi = _frac(target)
+        lo_closed = hi_closed = True
+    d = cover._scale
+    k, rest = divmod(lo.numerator * d, lo.denominator)
+    lo_key = 2 * k + (bool(rest) or not lo_closed)
+    k, rest = divmod(hi.numerator * d, hi.denominator)
+    hi_key = 2 * k + 1 if rest else 2 * k - (not hi_closed)
+    los, his, max_hi = cover._los, cover._his, cover._max_hi
+    if lo_key < los[0] or hi_key > max_hi[-1]:
+        if not isinstance(target, IntervalCell):
+            target = IntervalCell.point(lo)
+        raise OutOfDomainError(f"{target.describe()} escapes the domain {cover.hull().describe()}")
+    names = cover._names
+    found = []
+    i = bisect_right(los, hi_key) - 1
+    while i >= 0 and max_hi[i] >= lo_key:
+        if his[i] >= lo_key:
+            found.append(names[i])
         i -= 1
-    return frozenset(names)
+    return frozenset(found)
 
 
 def _law(laws: Mapping[str, AffineMap], input_name: str) -> AffineMap:
@@ -315,9 +335,9 @@ def verify_asr_interval(
     must fall in at least one declared successor cell, i.e. the image is
     covered by the successors' union.
 
-    Per row, the s successor cells are looked up in O(1) each and the union
-    test checks O(s) sample points against each of them: O(s^2) per row,
-    independent of the size of the cover.
+    Per row, the s successor cells are looked up in O(1) each and
+    ``interval_covered`` sweeps them once: O(s log s) per row, independent
+    of the size of the cover.
     """
     laws = {ai.name: ai.law for ai in inputs}
     for name, cell in cover.cells:

@@ -196,7 +196,13 @@ def interface_from_obj(obj: Mapping[str, Any]) -> Interface:
         if len(parts) != 3:
             raise FormatError(f"interface key {key!r} must have three components")
         table[(parts[0], parts[1], parts[2])] = _names(us)
-    return Interface(RelationKind(obj["relation_kind"]), table)
+    try:
+        kind = RelationKind(obj["relation_kind"])
+    except ValueError:
+        raise TypeError(
+            f"expected asr, mcr or frr, got {json.dumps(obj['relation_kind'])}"
+        ) from None
+    return Interface(kind, table)
 
 
 # ----------------------------------------------------------------- covers

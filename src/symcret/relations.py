@@ -69,9 +69,9 @@ class Relation:
         inv: dict[str, set[str]] = {b: set() for b in codomain}
         for a, b in pairs:
             if a not in fwd:
-                raise DomainError(f"pair ({a!r}, {b!r}) leaves the domain")
+                raise DomainError(f"pair ({a}, {b}) leaves the domain")
             if b not in inv:
-                raise DomainError(f"pair ({a!r}, {b!r}) leaves the codomain")
+                raise DomainError(f"pair ({a}, {b}) leaves the codomain")
             fwd[a].add(b)
             inv[b].add(a)
         object.__setattr__(self, "domain", domain)

@@ -511,6 +511,10 @@ class TestErrors:
             ("relation-pair-with-three-names", "validation",
              'malformed relation document (TypeError: expected a pair of names, '
              'got ["1", "a", "x"])'),
+            ("relation-pair-off-the-domain", "validation", "pair (zz, a) leaves the domain"),
+            ("relation-pair-off-the-codomain", "validation", "pair (1, zz) leaves the codomain"),
+            ("interface-of-an-unknown-kind", "validation", "malformed interface document "
+             '(TypeError: expected asr, mcr or frr, got "xyz")'),
             ("member-of-an-array", "validation", "document is not a JSON object"),
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
@@ -533,6 +537,8 @@ class TestErrors:
             "relation-pair-with-a-number": {**relation, "pairs": [[1, "a"], *relation["pairs"]]},
             "relation-pair-with-three-names": {
                 **relation, "pairs": [["1", "a", "x"], *relation["pairs"]]},
+            "relation-pair-off-the-domain": {**relation, "pairs": [["zz", "a"]]},
+            "relation-pair-off-the-codomain": {**relation, "pairs": [["1", "zz"]]},
         }
         doc_file = tmp_path / "doc.json"
         if case.startswith("relation-pair"):
@@ -543,6 +549,15 @@ class TestErrors:
             doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
             ref = f"{doc_file}:S1" if case == "member-of-an-array" else str(doc_file)
             argv = ["check", "asr", "--s1", ref, "--s2", ref, "--rel", ref]
+        elif case == "interface-of-an-unknown-kind":
+            run(capsys, "concretize", "--mode", "dynamic", "--s1", f"{bundle_path}:S1",
+                "--s2", f"{bundle_path}:S2", "--rel", f"{bundle_path}:R",
+                "--controller", f"{bundle_path}:c2_via_b", "--kind", "asr", "--out", str(doc_file))
+            tracker = jsonio.load(doc_file)
+            tracker["interface"]["relation_kind"] = "xyz"
+            jsonio.save(doc_file, tracker)
+            argv = ["simulate", "--sys", f"{bundle_path}:S1", "--controller", str(doc_file),
+                    "--from", "1", "--horizon", "3"]
         elif case == "directory-as-a-system":
             argv = ["synthesize", "--sys", str(tmp_path), "--spec", str(tmp_path)]
         elif case == "bound-with-a-zero-denominator":

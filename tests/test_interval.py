@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symcret import (
@@ -132,6 +132,39 @@ def reference_quantize(cover, target):
     return frozenset(n for n, c in cover.cells if c.intersects(target))
 
 
+def reference_interval_covered(target, pieces):
+    """The sampler the sweep replaced: membership in a union of intervals is
+    constant between consecutive endpoint values, so every endpoint inside
+    the target and one rational midpoint between each adjacent pair decide
+    it, in O(s^2) ``contains`` calls."""
+    marks = {target.lo, target.hi}
+    for piece in pieces:
+        marks.add(piece.lo)
+        marks.add(piece.hi)
+    ordered = sorted(marks)
+    samples = [value for value in ordered if target.contains(value)]
+    samples += [
+        mid for mid in ((a + b) / 2 for a, b in zip(ordered, ordered[1:])) if target.contains(mid)
+    ]
+    return all(any(piece.contains(s) for piece in pieces) for s in samples)
+
+
+def reference_verify(cover, abstraction, inputs):
+    """(mcr, asr) verdicts from the scans: every quantization of a row's
+    image is a successor, and the successors' union covers the image."""
+    laws = {ai.name: ai.law for ai in inputs}
+    mcr = asr = True
+    for name, cell in cover.cells:
+        for u in abstraction.available_inputs(name):
+            image = affine_image(cell, laws[u])
+            succ = abstraction.successors(name, u)
+            mcr = mcr and reference_quantize(cover, image) <= succ
+            asr = asr and reference_interval_covered(
+                image, [reference_cell(cover, q) for q in succ]
+            )
+    return mcr, asr
+
+
 def reference_build(cover, inputs, availability):
     laws = {ai.name: ai.law for ai in inputs}
     trans = {
@@ -145,6 +178,21 @@ def reference_build(cover, inputs, availability):
 # Endpoints on a coarse half-integer grid, so that equal endpoints, shared
 # boundaries and point cells come up often.
 ENDPOINTS = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+# Endpoints with denominators 2, 3, 5 and 7 on the same segment, so that a
+# cover's common denominator reaches 210 and targets fall between its
+# multiples.
+MIXED_ENDPOINTS = st.sampled_from((2, 3, 5, 7)).flatmap(
+    lambda q: st.integers(-3 * q, 3 * q).map(lambda k: Fraction(k, q))
+)
+ANY_ENDPOINTS = ENDPOINTS | MIXED_ENDPOINTS
+LAWS = st.lists(
+    st.tuples(
+        st.integers(-4, 2).map(lambda k: Fraction(k, 2)),
+        st.integers(-4, 4).map(lambda k: Fraction(k, 4)),
+    ),
+    min_size=1,
+    max_size=3,
+)
 
 
 @st.composite
@@ -157,7 +205,7 @@ def intervals(draw, values):
 
 @st.composite
 def covers(draw, max_cells=8):
-    cells = draw(st.lists(intervals(ENDPOINTS), min_size=1, max_size=max_cells))
+    cells = draw(st.lists(intervals(ANY_ENDPOINTS), min_size=1, max_size=max_cells))
     named = [(f"c{i}", cell) for i, cell in enumerate(cells)]
     return CellCover(tuple(draw(st.permutations(named))))
 
@@ -190,6 +238,33 @@ class TestCoverIndexAgainstScan:
         else:
             assert quantize(cover, target) == expected
 
+    def test_quantize_over_distinct_prime_denominators(self):
+        # Common denominator 2·101·103·107·109·113·127 ≈ 3.5e12: every probe
+        # and every interval between two probes against the scan.
+        primes = (101, 103, 107, 109, 113, 127)
+        cells = []
+        for i, p in enumerate(primes):
+            lo, hi = Fraction(i * p - 7, p), Fraction((i + 1) * p + 5, p)
+            cells.append((f"c{i}", IntervalCell(lo, hi, i % 2 == 0, i % 3 != 0)))
+        cells.append(("dot", IntervalCell.point(Fraction(5, 2))))
+        cover = CellCover(tuple(cells))
+        assert cover._scale == 2 * 101 * 103 * 107 * 109 * 113 * 127
+        probes = probe_points(cover)
+        targets = [*probes]
+        for lo in probes:
+            for hi in probes:
+                if lo < hi:
+                    targets += [IntervalCell(lo, hi, a, b) for a in (True, False)
+                                for b in (True, False)]
+        for target in targets:
+            try:
+                expected = reference_quantize(cover, target)
+            except OutOfDomainError:
+                with pytest.raises(OutOfDomainError):
+                    quantize(cover, target)
+            else:
+                assert quantize(cover, target) == expected
+
     @settings(max_examples=100, deadline=None)
     @given(cover=covers())
     def test_hull_and_lookup_match_the_scan(self, cover):
@@ -200,18 +275,7 @@ class TestCoverIndexAgainstScan:
             cover.cell("missing")
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        cover=covers(),
-        laws=st.lists(
-            st.tuples(
-                st.integers(-4, 2).map(lambda k: Fraction(k, 2)),
-                st.integers(-4, 4).map(lambda k: Fraction(k, 4)),
-            ),
-            min_size=1,
-            max_size=3,
-        ),
-        data=st.data(),
-    )
+    @given(cover=covers(), laws=LAWS, data=st.data())
     def test_build_abstraction_matches_the_scan(self, cover, laws, data):
         inputs = tuple(AbstractInput(f"k{j}", AffineMap(g, o)) for j, (g, o) in enumerate(laws))
         names = [ai.name for ai in inputs]
@@ -228,6 +292,35 @@ class TestCoverIndexAgainstScan:
             built = build_abstraction(cover, inputs, availability)
             assert built == expected
             assert verify_mcr_interval(cover, built, inputs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cover=covers(), laws=LAWS, data=st.data())
+    def test_verification_matches_the_references_with_a_successor_dropped(
+        self, cover, laws, data
+    ):
+        inputs = tuple(AbstractInput(f"k{j}", AffineMap(g, o)) for j, (g, o) in enumerate(laws))
+        # Every law whose image of the cell stays in the hull.
+        availability = {
+            q: [ai.name for ai in inputs
+                if affine_image(cell, ai.law).is_subset_of(cover.hull())]
+            for q, cell in cover.cells
+        }
+        built = build_abstraction(cover, inputs, availability)
+        rows = sorted(key for key, succ in built.trans.items() if succ)
+        assume(rows)
+        row = data.draw(st.sampled_from(rows))
+        dropped = data.draw(st.sampled_from(sorted(built.trans[row])))
+        trimmed = {key: succ - {dropped} if key == row else succ
+                   for key, succ in built.trans.items()}
+        shrunk = FiniteTransitionSystem(built.states, built.inputs, trimmed)
+        expected = reference_verify(cover, shrunk, inputs)
+        assert (verify_mcr_interval(cover, shrunk, inputs),
+                verify_asr_interval(cover, shrunk, inputs)) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(target=intervals(ANY_ENDPOINTS), pieces=st.lists(intervals(ANY_ENDPOINTS), max_size=6))
+    def test_interval_covered_matches_the_sampler(self, target, pieces):
+        assert interval_covered(target, pieces) == reference_interval_covered(target, pieces)
 
 
 class TestCellCover:
