@@ -60,10 +60,11 @@ def scripted(values: Sequence[str]) -> Chooser:
 def _chooser(policy: Chooser | Sequence[str] | None) -> Chooser:
     if policy is None:
         return itemgetter(0)
-    base = policy if callable(policy) else scripted(policy)
+    if not callable(policy):
+        return scripted(policy)
 
     def choose(options: Sequence[str]) -> str:
-        pick = base(options)
+        pick = policy(options)
         if pick not in options:
             raise ContractError(f"policy chose {pick!r} outside {list(options)!r}")
         return pick

@@ -1,11 +1,15 @@
 """Exact 1-D interval abstractions for translation dynamics on a segment.
 
 The concrete plant moves by plain translation, x' = x + u, on a bounded
-segment of the rational line.  Cells carry explicit open/closed endpoint
-flags and all arithmetic is exact, over ``fractions.Fraction`` and, inside
-the cover's index, over integers scaled by a common denominator: the
-separating examples hinge on whether images touch the single point 0, which
-floating point cannot be trusted with.
+segment of the rational line.  All arithmetic is exact, over
+``fractions.Fraction`` and, inside the cover's index, over integers scaled
+by a common denominator: the separating examples hinge on whether images
+touch the single point 0, which floating point cannot be trusted with.
+
+Cells carry open/closed endpoint flags, and every decision reads them as
+cuts.  A cut (v, s) compares as a tuple: s = 0 is the point v itself, s = +1
+just above v (an open lower end), s = -1 just below v (an open upper end).
+A cell is every cut from its lower cut to its upper cut, both included.
 
 Abstract inputs are affine state-feedback laws u = gain * x + offset that act
 on a whole cell; the closed-loop map of a cell is then the affine map
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import ContractError, DomainError, FiniteTransitionSystem, ReachAvoidSpec
 from .synthesis import synthesize_reach_avoid
@@ -33,6 +37,7 @@ class OutOfDomainError(ContractError):
 
 
 Rational = Fraction | int
+Cut = tuple[Fraction, int]
 
 
 def _frac(value: Rational) -> Fraction:
@@ -42,7 +47,8 @@ def _frac(value: Rational) -> Fraction:
 @dataclass(frozen=True)
 class IntervalCell:
     """Rational interval with endpoint flags; a single point is the closed
-    degenerate case lo == hi."""
+    degenerate case lo == hi.  Cuts: lower (lo, 0), or (lo, +1) if open;
+    upper (hi, 0), or (hi, -1) if open; x is inside iff lower <= (x, 0) <= upper."""
 
     lo: Fraction
     hi: Fraction
@@ -62,36 +68,24 @@ class IntervalCell:
         v = _frac(value)
         return IntervalCell(v, v, True, True)
 
+    @property
+    def _cuts(self) -> tuple[Cut, Cut]:
+        return (self.lo, 0 if self.lo_closed else 1), (self.hi, 0 if self.hi_closed else -1)
+
     def is_point(self) -> bool:
         return self.lo == self.hi
 
     def contains(self, x: Rational) -> bool:
-        x = _frac(x)
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        lo, hi = self._cuts
+        return lo <= (_frac(x), 0) <= hi
 
     def intersects(self, other: "IntervalCell") -> bool:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            return False
-        if lo < hi:
-            return True
-        return self.contains(lo) and other.contains(lo)
+        (lo, hi), (other_lo, other_hi) = self._cuts, other._cuts
+        return max(lo, other_lo) <= min(hi, other_hi)
 
     def is_subset_of(self, other: "IntervalCell") -> bool:
-        if self.lo < other.lo or self.hi > other.hi:
-            return False
-        if self.lo == other.lo and self.lo_closed and not other.lo_closed:
-            return False
-        if self.hi == other.hi and self.hi_closed and not other.hi_closed:
-            return False
-        return True
+        (lo, hi), (other_lo, other_hi) = self._cuts, other._cuts
+        return other_lo <= lo and hi <= other_hi
 
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
@@ -99,6 +93,15 @@ class IntervalCell:
         if self.is_point():
             return f"{{{self.lo}}}"
         return f"{left}{self.lo}, {self.hi}{right}"
+
+
+def _key(cut: Cut, d: int) -> int:
+    """Integer key of a cut over the denominator d, in the order of the cuts
+    at multiples of 1/d: 2·v·d + s when v·d is an integer, else the open gap
+    2·floor(v·d) + 1 between two multiples."""
+    v, s = cut
+    k, rest = divmod(v.numerator * d, v.denominator)
+    return 2 * k + 1 if rest else 2 * k + s
 
 
 @dataclass(frozen=True)
@@ -134,14 +137,15 @@ class CellCover:
     """Ordered list of named cells; may overlap, may leave gaps, must not be
     empty.
 
-    Construction keys every endpoint v by the integer 2·v·d over the common
-    denominator d (the lcm of the endpoint denominators), moved one step
-    inward when open.  An odd key is the open gap between two multiples of
-    1/d, so a cell is exactly the integers between its keys.  The cells are
-    sorted by lower key once, in O(n log n), beside the running maximum of
-    their upper keys, the hull and a name -> cell dict: ``hull()`` and
-    ``cell()`` are O(1) and ``quantize`` compares integers only.  Keys grow
-    with the number of distinct denominators, not of cells.
+    Construction keys both cuts of every cell with ``_key`` over the common
+    denominator d (the lcm of the endpoint denominators), so a cell is
+    exactly the integers between its two keys and an odd key is the open gap
+    between two multiples of 1/d.  The cells are sorted by lower key once, in
+    O(n log n), beside the running maximum of their upper keys, the hull
+    (from the least lower cut to the greatest upper cut) and a name -> cell
+    dict: ``hull()`` and ``cell()`` are O(1) and ``quantize`` compares
+    integers only.  Keys grow with the number of distinct denominators, not
+    of cells.
     """
 
     cells: tuple[tuple[str, IntervalCell], ...]
@@ -161,27 +165,21 @@ class CellCover:
         if len(by_name) != len(cells):
             raise ContractError("cell names must be unique")
         d = lcm(*(v.denominator for _, cell in cells for v in (cell.lo, cell.hi)))
-        keyed = sorted(
-            (
-                2 * cell.lo.numerator * (d // cell.lo.denominator) + (not cell.lo_closed),
-                2 * cell.hi.numerator * (d // cell.hi.denominator) - (not cell.hi_closed),
-                name,
-            )
-            for name, cell in cells
-        )
-        los, his, names = zip(*keyed)
+        lows, highs = zip(*(cell._cuts for _, cell in cells))
+        lo_keys, hi_keys = [_key(cut, d) for cut in lows], [_key(cut, d) for cut in highs]
+        los, his, names = zip(*sorted(zip(lo_keys, hi_keys, by_name)))
         max_hi = tuple(accumulate(his, max))
-        lo, hi = los[0], max_hi[-1]
-        hull = IntervalCell(
-            Fraction(lo // 2, d), Fraction(-(-hi // 2), d), lo % 2 == 0, hi % 2 == 0
-        )
+        # Keys order the cover's cuts exactly: the extreme keys find the
+        # hull's cuts without comparing fractions.
+        lo, lo_side = lows[lo_keys.index(los[0])]
+        hi, hi_side = highs[hi_keys.index(max_hi[-1])]
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_scale", d)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_los", los)
         object.__setattr__(self, "_his", his)
         object.__setattr__(self, "_max_hi", max_hi)
-        object.__setattr__(self, "_hull", hull)
+        object.__setattr__(self, "_hull", IntervalCell(lo, hi, lo_side == 0, hi_side == 0))
         object.__setattr__(self, "_by_name", by_name)
 
     @property
@@ -201,17 +199,18 @@ class CellCover:
 def interval_covered(target: IntervalCell, pieces: Sequence[IntervalCell]) -> bool:
     """Exact test that ``target`` lies inside the union of ``pieces``.
 
-    One sweep over the pieces sorted by lower endpoint, closed before open:
-    O(s log s) comparisons.  A cut (v, False) sits just before v and
-    (v, True) just after it; ``need`` is the cut before the least target
-    point not yet covered, and the sweep stops at a piece starting past it.
+    One sweep over the pieces' cuts sorted by lower cut: O(s log s)
+    comparisons.  ``need`` is the least target cut not yet covered; a piece
+    reaching it moves it to just past the piece's upper cut (v, s), which is
+    (v, s + 1), and the sweep stops at a piece starting past it.  The target
+    is covered iff ``need`` passes the target's upper cut.
     """
-    need = (target.lo, not target.lo_closed)
-    for start, end in sorted(((p.lo, not p.lo_closed), (p.hi, p.hi_closed)) for p in pieces):
+    need, last = target._cuts
+    for start, (v, s) in sorted(piece._cuts for piece in pieces):
         if start > need:
             break
-        need = max(need, end)
-    return need >= (target.hi, target.hi_closed)
+        need = max(need, (v, s + 1))
+    return need > last
 
 
 def affine_image(cell: IntervalCell, law: AffineMap) -> IntervalCell:
@@ -234,28 +233,23 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
     """Names of all cells meeting ``target``, exactly honouring endpoint
     flags.  Raises if the target is not contained in the covered segment.
 
-    O(log n + cells visited), on integers only.  The target's endpoints are
-    keyed once like the cover's; one off the multiples of 1/d, at t·d, keys
-    as the gap 2·floor(t·d) + 1.  A bisection finds the last cell whose
-    lower key is at most the target's upper key, and the walk left from it
-    stops once the running maximum of the upper keys drops below the
-    target's lower key.  A visited cell meets the target iff its upper key
-    reaches that lower key.
+    O(log n + cells visited), on integers only.  The target's two cuts are
+    keyed once with ``_key``, like the cover's; a point t is the cut (t, 0)
+    at both ends.  A bisection finds the last cell whose lower key is at most
+    the target's upper key, and the walk left from it stops once the running
+    maximum of the upper keys drops below the target's lower key.  A visited
+    cell meets the target iff its upper key reaches that lower key.
     """
-    if isinstance(target, IntervalCell):
-        lo, hi, lo_closed, hi_closed = target.lo, target.hi, target.lo_closed, target.hi_closed
-    else:
-        lo = hi = _frac(target)
-        lo_closed = hi_closed = True
     d = cover._scale
-    k, rest = divmod(lo.numerator * d, lo.denominator)
-    lo_key = 2 * k + (bool(rest) or not lo_closed)
-    k, rest = divmod(hi.numerator * d, hi.denominator)
-    hi_key = 2 * k + 1 if rest else 2 * k - (not hi_closed)
+    if isinstance(target, IntervalCell):
+        lo_cut, hi_cut = target._cuts
+        lo_key, hi_key = _key(lo_cut, d), _key(hi_cut, d)
+    else:
+        lo_key = hi_key = _key((_frac(target), 0), d)
     los, his, max_hi = cover._los, cover._his, cover._max_hi
     if lo_key < los[0] or hi_key > max_hi[-1]:
         if not isinstance(target, IntervalCell):
-            target = IntervalCell.point(lo)
+            target = IntervalCell.point(target)
         raise OutOfDomainError(f"{target.describe()} escapes the domain {cover.hull().describe()}")
     names = cover._names
     found = []
@@ -267,11 +261,19 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
     return frozenset(found)
 
 
-def _law(laws: Mapping[str, AffineMap], input_name: str) -> AffineMap:
-    try:
-        return laws[input_name]
-    except KeyError:
-        raise DomainError(f"unknown abstract input {input_name!r}") from None
+def _rows(
+    cover: CellCover, inputs: Sequence[AbstractInput], available: Callable[[str], Iterable[str]]
+) -> Iterator[tuple[str, str, IntervalCell]]:
+    """(cell name, input name, exact closed-loop image) of every row, cell by
+    cell in cover order, inputs in the order ``available`` gives them."""
+    laws = {ai.name: ai.law for ai in inputs}
+    for name, cell in cover.cells:
+        for input_name in available(name):
+            try:
+                law = laws[input_name]
+            except KeyError:
+                raise DomainError(f"unknown abstract input {input_name!r}") from None
+            yield name, input_name, affine_image(cell, law)
 
 
 def build_abstraction(
@@ -292,18 +294,17 @@ def build_abstraction(
     """
     if unknown := set(availability).difference(cover.names):
         raise DomainError(f"availability names unknown cell {min(unknown)!r}")
-    laws = {ai.name: ai.law for ai in inputs}
     trans: dict[tuple[str, str], frozenset[str]] = {}
-    for name, cell in cover.cells:
-        for input_name in sorted(set(availability.get(name, ()))):
-            image = affine_image(cell, _law(laws, input_name))
-            try:
-                trans[(name, input_name)] = quantize(cover, image)
-            except OutOfDomainError as err:
-                raise OutOfDomainError(
-                    f"image of cell {name!r} under {input_name!r} leaves the domain: {err}"
-                ) from None
-    return FiniteTransitionSystem(cover.names, tuple(sorted(laws)), trans)
+    for name, input_name, image in _rows(
+        cover, inputs, lambda name: sorted(set(availability.get(name, ())))
+    ):
+        try:
+            trans[(name, input_name)] = quantize(cover, image)
+        except OutOfDomainError as err:
+            raise OutOfDomainError(
+                f"image of cell {name!r} under {input_name!r} leaves the domain: {err}"
+            ) from None
+    return FiniteTransitionSystem(cover.names, tuple(sorted({ai.name for ai in inputs})), trans)
 
 
 def verify_mcr_interval(
@@ -317,13 +318,10 @@ def verify_mcr_interval(
 
     One ``quantize`` per row, as in ``build_abstraction``: O(r log n + v).
     """
-    laws = {ai.name: ai.law for ai in inputs}
-    for name, cell in cover.cells:
-        for input_name in abstraction.available_inputs(name):
-            image = affine_image(cell, _law(laws, input_name))
-            if not quantize(cover, image) <= abstraction.successors(name, input_name):
-                return False
-    return True
+    return all(
+        quantize(cover, image) <= abstraction.successors(name, input_name)
+        for name, input_name, image in _rows(cover, inputs, abstraction.available_inputs)
+    )
 
 
 def verify_asr_interval(
@@ -339,14 +337,10 @@ def verify_asr_interval(
     ``interval_covered`` sweeps them once: O(s log s) per row, independent
     of the size of the cover.
     """
-    laws = {ai.name: ai.law for ai in inputs}
-    for name, cell in cover.cells:
-        for input_name in abstraction.available_inputs(name):
-            image = affine_image(cell, _law(laws, input_name))
-            pieces = [cover.cell(q) for q in abstraction.successors(name, input_name)]
-            if not interval_covered(image, pieces):
-                return False
-    return True
+    return all(
+        interval_covered(image, [cover.cell(q) for q in abstraction.successors(name, input_name)])
+        for name, input_name, image in _rows(cover, inputs, abstraction.available_inputs)
+    )
 
 
 # --------------------------------------------------------------------------

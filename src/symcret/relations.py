@@ -68,10 +68,12 @@ class Relation:
         fwd: dict[str, set[str]] = {a: set() for a in domain}
         inv: dict[str, set[str]] = {b: set() for b in codomain}
         for a, b in pairs:
-            if a not in fwd:
-                raise DomainError(f"pair ({a}, {b}) leaves the domain")
-            if b not in inv:
-                raise DomainError(f"pair ({a}, {b}) leaves the codomain")
+            if a not in fwd or b not in inv:
+                # The least stray pair by text, not hash order (names may be ints).
+                a, b = min((p for p in pairs if p[0] not in fwd or p[1] not in inv),
+                           key=lambda p: (str(p[0]), str(p[1]), repr(p)))
+                side = "domain" if a not in fwd else "codomain"
+                raise DomainError(f"pair ({a}, {b}) leaves the {side}")
             fwd[a].add(b)
             inv[b].add(a)
         object.__setattr__(self, "domain", domain)

@@ -426,6 +426,35 @@ class TestDemos:
              "deterministic, solvable, both side cells one step from the origin"),
         ]
 
+    @pytest.mark.parametrize("bound, width, half", [
+        ("1", "1/1", "1/2"), ("3/2", "3/2", "3/4"), ("1/3", "1/3", "1/6"),
+    ])
+    def test_fig8_report(self, capsys, bound, width, half):
+        code, out, _ = run(capsys, "demo", "fig8", "--bound", bound, "--json")
+        assert code == 0
+        assert json.loads(out)["report"] == {
+            "affine": {
+                "deterministic": True,
+                "memoryless_containment": True,
+                "ranks": {"q1": 1, "q2": 0, "q3": 1},
+                "solvable": True,
+            },
+            "bound": width,
+            "cases": [
+                {"label": "0 < c < L", "shift": half, "solvable": False,
+                 "q1_successors": ["q1", "q2", "q3"], "q3_successors": ["q1", "q2", "q3"]},
+                {"label": "c = L", "shift": width, "solvable": False,
+                 "q1_successors": ["q2", "q3"], "q3_successors": ["q1", "q2"]},
+                {"label": "c = 0", "shift": "0/1", "solvable": False,
+                 "q1_successors": ["q1"], "q3_successors": ["q3"]},
+            ],
+            "rationale": (
+                "constant shift c on the negative cell maps [-L, 0) to [c - L, c); "
+                "its quantization only depends on the comparisons of c with 0 and L, "
+                "so one exact representative per case decides the whole family"
+            ),
+        }
+
     def test_fig8(self, capsys):
         code, out, _ = run(capsys, "demo", "fig8")
         assert code == 0 and "affine-feedback" in out

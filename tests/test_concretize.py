@@ -291,8 +291,12 @@ class TestClosedLoopRun:
         assert err.value.state == "5"
 
     def test_scripted_resolver_validates(self, fx):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=r"scripted choice '4' not among \['2'\]"):
             closed_loop_run(fx.s1, fx.c1_safe, "1", 3, resolver=["4"])
+
+    def test_callable_policy_validates(self, fx):
+        with pytest.raises(ContractError, match=r"policy chose 'zz' outside \['2'\]"):
+            closed_loop_run(fx.s1, fx.c1_safe, "1", 3, resolver=lambda options: "zz")
 
     def test_script_exhaustion(self, fx):
         with pytest.raises(ContractError):

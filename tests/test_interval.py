@@ -106,7 +106,39 @@ class TestAffineImage:
         assert image.hi == law.closed_loop(NEGATIVES.hi)
 
 
-# Reference: the linear scans that the cover index replaced.
+# References: the endpoint flag cases that the cuts replaced, and the linear
+# scans that the cover index replaced, built on those cases only.
+
+
+def reference_contains(cell, x):
+    x = Fraction(x)
+    if x < cell.lo or x > cell.hi:
+        return False
+    if x == cell.lo and not cell.lo_closed:
+        return False
+    if x == cell.hi and not cell.hi_closed:
+        return False
+    return True
+
+
+def reference_intersects(cell, other):
+    lo = max(cell.lo, other.lo)
+    hi = min(cell.hi, other.hi)
+    if lo > hi:
+        return False
+    if lo < hi:
+        return True
+    return reference_contains(cell, lo) and reference_contains(other, lo)
+
+
+def reference_is_subset_of(cell, other):
+    if cell.lo < other.lo or cell.hi > other.hi:
+        return False
+    if cell.lo == other.lo and cell.lo_closed and not other.lo_closed:
+        return False
+    if cell.hi == other.hi and cell.hi_closed and not other.hi_closed:
+        return False
+    return True
 
 
 def reference_hull(cover):
@@ -127,9 +159,9 @@ def reference_cell(cover, name):
 def reference_quantize(cover, target):
     if not isinstance(target, IntervalCell):
         target = IntervalCell.point(target)
-    if not target.is_subset_of(reference_hull(cover)):
+    if not reference_is_subset_of(target, reference_hull(cover)):
         raise OutOfDomainError(target.describe())
-    return frozenset(n for n, c in cover.cells if c.intersects(target))
+    return frozenset(n for n, c in cover.cells if reference_intersects(c, target))
 
 
 def reference_interval_covered(target, pieces):
@@ -142,11 +174,12 @@ def reference_interval_covered(target, pieces):
         marks.add(piece.lo)
         marks.add(piece.hi)
     ordered = sorted(marks)
-    samples = [value for value in ordered if target.contains(value)]
+    samples = [value for value in ordered if reference_contains(target, value)]
     samples += [
-        mid for mid in ((a + b) / 2 for a, b in zip(ordered, ordered[1:])) if target.contains(mid)
+        mid for mid in ((a + b) / 2 for a, b in zip(ordered, ordered[1:]))
+        if reference_contains(target, mid)
     ]
-    return all(any(piece.contains(s) for piece in pieces) for s in samples)
+    return all(any(reference_contains(piece, s) for piece in pieces) for s in samples)
 
 
 def reference_verify(cover, abstraction, inputs):
@@ -223,6 +256,28 @@ def covers_and_targets(draw):
     cover = draw(covers())
     values = st.sampled_from(probe_points(cover))
     return cover, draw(values | intervals(values))
+
+
+def half_integer_cells():
+    """Every cell with endpoints on -3/2, -1, ..., 3/2: the seven points and
+    each pair of distinct endpoints under all four flag pairs."""
+    ends = [Fraction(k, 2) for k in range(-3, 4)]
+    cells = [IntervalCell.point(v) for v in ends]
+    cells += [IntervalCell(lo, hi, a, b) for lo in ends for hi in ends if lo < hi
+              for a in (True, False) for b in (True, False)]
+    return cells
+
+
+def test_cut_predicates_match_the_flag_cases():
+    cells = half_integer_cells()
+    assert len(cells) == 91
+    probes = [Fraction(k, 4) for k in range(-8, 9)]
+    for cell in cells:
+        for x in probes:
+            assert cell.contains(x) == reference_contains(cell, x), (cell, x)
+        for other in cells:
+            assert cell.intersects(other) == reference_intersects(cell, other), (cell, other)
+            assert cell.is_subset_of(other) == reference_is_subset_of(cell, other), (cell, other)
 
 
 class TestCoverIndexAgainstScan:
@@ -302,7 +357,7 @@ class TestCoverIndexAgainstScan:
         # Every law whose image of the cell stays in the hull.
         availability = {
             q: [ai.name for ai in inputs
-                if affine_image(cell, ai.law).is_subset_of(cover.hull())]
+                if reference_is_subset_of(affine_image(cell, ai.law), reference_hull(cover))]
             for q, cell in cover.cells
         }
         built = build_abstraction(cover, inputs, availability)

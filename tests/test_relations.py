@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +31,7 @@ from symcret import (
     translate_spec,
     validate_interface,
 )
+import symcret
 from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
@@ -197,6 +203,39 @@ class TestRelationBasics:
         # A name is not coerced: the number 1 is not the state "1".
         with pytest.raises(DomainError):
             Relation(("1",), ("q",), frozenset({(1, "q")}))
+
+    def test_stray_pair_message_ignores_hash_order(self):
+        # The message names the least stray pair, whatever order string
+        # hashing gives the frozenset; an int name must not break the order,
+        # and the int 1 and the string "1" must not tie.
+        code = (
+            "from symcret import DomainError, Relation\n"
+            "cases = [\n"
+            "    (('1', '2'), ('a',), {('1', 'zz'), ('2', 'yy'), ('1', 'a')}),\n"
+            "    (('1',), ('a', 'b'), {('3', 'a'), ('2', 'b'), ('1', 'a')}),\n"
+            "    (('1',), ('a',), {(1, 'a'), ('0', 'a'), ('1', 'a')}),\n"
+            "    (('1',), ('a',), {(1, 'x'), ('1', 'x')}),\n"
+            "]\n"
+            "for domain, codomain, pairs in cases:\n"
+            "    try:\n"
+            "        Relation(domain, codomain, frozenset(pairs))\n"
+            "    except DomainError as err:\n"
+            "        print(err)\n"
+        )
+        src = str(Path(symcret.__file__).resolve().parent.parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            ).stdout
+            for seed in range(1, 7)
+        }
+        assert outputs == {
+            "pair (1, zz) leaves the codomain\n"
+            "pair (2, b) leaves the domain\n"
+            "pair (0, a) leaves the domain\n"
+            "pair (1, x) leaves the codomain\n"
+        }
 
 
 class TestRelationAlgebra:
