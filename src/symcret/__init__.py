@@ -10,7 +10,6 @@ from .core import (
     ReachAvoidSpec,
     SymcretError,
     Trajectory,
-    controlled_system,
 )
 from .relations import (
     ExtendedRelation,
@@ -75,13 +74,11 @@ from .interval import (
     Fig8Report,
     IntervalCell,
     OutOfDomainError,
-    affine_image,
     build_abstraction,
     fig8_affine_inputs,
     fig8_constant_inputs,
     fig8_cover,
     fig8_target_spec,
-    interval_covered,
     prove_frr_infeasible_fig8,
     quantize,
     verify_asr_interval,

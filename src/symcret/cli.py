@@ -88,11 +88,16 @@ def _split_ref(ref: str) -> tuple[Path, str | None]:
     return Path(ref), None
 
 
-def _load_doc(ref: str) -> Any:
+def _load_doc(ref: str, parsed: dict[Path, Any]) -> Any:
+    """The document or bundle member ``ref`` names.  ``parsed`` holds the
+    command's documents by path, so a file named by several references is
+    read and parsed once."""
     path, member = _split_ref(ref)
     if not path.exists():
         raise UsageError(f"no such file: {path}")
-    doc = jsonio.load(path)
+    if path not in parsed:
+        parsed[path] = jsonio.load(path)
+    doc = parsed[path]
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
     if member is None:
@@ -109,9 +114,9 @@ def _load_doc(ref: str) -> Any:
 def _load_triplet(
     args: argparse.Namespace,
 ) -> tuple[FiniteTransitionSystem, FiniteTransitionSystem, Relation]:
-    s1 = jsonio.system_from_obj(_load_doc(args.s1))
-    s2 = jsonio.system_from_obj(_load_doc(args.s2))
-    return s1, s2, jsonio.relation_from_obj(_load_doc(args.rel), s1, s2)
+    s1 = jsonio.system_from_obj(_load_doc(args.s1, args.parsed))
+    s2 = jsonio.system_from_obj(_load_doc(args.s2, args.parsed))
+    return s1, s2, jsonio.relation_from_obj(_load_doc(args.rel, args.parsed), s1, s2)
 
 
 def _maybe_save(obj: dict[str, Any], out: str | None) -> None:
@@ -160,8 +165,8 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    sys_ = jsonio.system_from_obj(_load_doc(args.sys))
-    spec = jsonio.spec_from_obj(_load_doc(args.spec))
+    sys_ = jsonio.system_from_obj(_load_doc(args.sys, args.parsed))
+    spec = jsonio.spec_from_obj(_load_doc(args.spec, args.parsed))
     winning, rank = winning_region(sys_, spec)
     losing = spec.initial - winning
     if losing:
@@ -185,7 +190,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_concretize(args: argparse.Namespace) -> int:
     s1, s2, rel = _load_triplet(args)
-    c2 = jsonio.controller_from_obj(_load_doc(args.controller))
+    c2 = jsonio.controller_from_obj(_load_doc(args.controller, args.parsed))
     interface = maximal_interface(s1, s2, rel, RelationKind(args.kind))
     if args.mode == "memoryless":
         obj = jsonio.controller_to_obj(memoryless_controller(c2, rel, interface))
@@ -201,8 +206,7 @@ def cmd_concretize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _controller_for_simulation(ref: str, s1: FiniteTransitionSystem):
-    doc = _load_doc(ref)
+def _controller_for_simulation(doc: Any, s1: FiniteTransitionSystem):
     if doc.get("kind") != "concretizer":
         return jsonio.controller_from_obj(doc)
     missing = sorted({"s2", "relation", "interface", "controller"} - doc.keys())
@@ -218,8 +222,8 @@ def _controller_for_simulation(ref: str, s1: FiniteTransitionSystem):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    sys_ = jsonio.system_from_obj(_load_doc(args.sys))
-    controller = _controller_for_simulation(args.controller, sys_)
+    sys_ = jsonio.system_from_obj(_load_doc(args.sys, args.parsed))
+    controller = _controller_for_simulation(_load_doc(args.controller, args.parsed), sys_)
     resolver = args.resolver.split(",") if args.resolver and args.resolver != "lex" else None
     input_script = args.input_script.split(",") if args.input_script else None
     traj = closed_loop_run(
@@ -242,14 +246,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.property == "one":
         if not (args.c1 and args.c2):
             raise UsageError("property `one` needs --c1 and --c2")
-        c1, c2 = (jsonio.controller_from_obj(_load_doc(ref)) for ref in (args.c1, args.c2))
+        c1, c2 = (jsonio.controller_from_obj(_load_doc(ref, args.parsed))
+                  for ref in (args.c1, args.c2))
         verdict = check_controlled_simulability(s1, s2, rel, c1, c2, args.horizon)
     else:
         interface = maximal_interface(s1, s2, rel, RelationKind(args.kind))
         if args.property == "two":
             if not args.c2:
                 raise UsageError("property `two` needs --c2")
-            c2 = jsonio.controller_from_obj(_load_doc(args.c2))
+            c2 = jsonio.controller_from_obj(_load_doc(args.c2, args.parsed))
             verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
         else:
             verdict = check_memoryless_concretization_all_controllers(
@@ -561,6 +566,7 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        args.parsed = {}  # path -> document, for ``_load_doc``
         return args.run(args)
     except UsageError as err:
         return _fail("usage", str(err))

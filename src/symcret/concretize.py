@@ -30,7 +30,7 @@ from .core import (
     SymcretError,
     Trajectory,
 )
-from .relations import Interface, Relation, StrictnessError, _validate_triplet
+from .relations import Interface, Relation, StrictnessError, _validate_codomain, _validate_triplet
 
 
 class BrokenCertificateError(SymcretError):
@@ -105,7 +105,8 @@ class DynamicConcretizerState:
 class DynamicConcretizer:
     """The dynamic architecture: a delay block holds the committed (x2, u2)
     and is re-synchronised after every plant move.  Records the
-    (x1, x2, u2, u1) trace of the latest execution (``initialize`` starts one)."""
+    (x1, x2, u2, u1) trace of the latest execution (``initialize`` starts one).
+    Built without the plant, it checks only the relation's codomain."""
 
     def __init__(
         self,
@@ -114,6 +115,7 @@ class DynamicConcretizer:
         rel: Relation,
         interface: Interface,
     ) -> None:
+        _validate_codomain(s2, rel)
         self.s2 = s2
         self.c2 = c2
         self.rel = rel

@@ -179,19 +179,3 @@ class ReachAvoidSpec:
             stray = group - frozenset(sys.states)
             if stray:
                 raise DomainError(f"{name} set contains unknown states {sorted(stray)!r}")
-
-
-def controlled_system(sys: FiniteTransitionSystem, ctrl: Controller) -> FiniteTransitionSystem:
-    """Restrict the transition map to the controller's choices.
-
-    Rows for inputs the controller does not enable become empty.  States
-    outside the controller's domain lose all their moves; whether that is
-    acceptable depends on what is reachable, which only a check of the
-    closed loop can decide, so it is not rejected here.
-    """
-    ctrl.validate_for(sys)
-    table = {
-        (x, u): (succ if u in ctrl.choices.get(x, frozenset()) else frozenset())
-        for (x, u), succ in sys.trans.items()
-    }
-    return FiniteTransitionSystem(sys.states, sys.inputs, table)

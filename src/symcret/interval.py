@@ -1,10 +1,10 @@
 """Exact 1-D interval abstractions for translation dynamics on a segment.
 
 The concrete plant moves by plain translation, x' = x + u, on a bounded
-segment of the rational line.  All arithmetic is exact, over
-``fractions.Fraction`` and, inside the cover's index, over integers scaled
-by a common denominator: the separating examples hinge on whether images
-touch the single point 0, which floating point cannot be trusted with.
+segment of the rational line.  All arithmetic is exact, on integers scaled
+by the cover's common denominator d (``Fraction`` images are built only for
+error messages): the separating examples hinge on whether images touch the
+single point 0, which floating point cannot be trusted with.
 
 Cells carry open/closed endpoint flags, and every decision reads them as
 cuts.  A cut (v, s) compares as a tuple: s = 0 is the point v itself, s = +1
@@ -12,11 +12,14 @@ just above v (an open lower end), s = -1 just below v (an open upper end).
 A cell is every cut from its lower cut to its upper cut, both included.
 
 Abstract inputs are affine state-feedback laws u = gain * x + offset that act
-on a whole cell; the closed-loop map of a cell is then the affine map
-x -> (1 + gain) * x + offset, whose exact image interval is computed here.
-Because an affine map sends a cell onto exactly its image interval, the
-memoryless containment condition over all points of a cell reduces to one
-inclusion between quantizations, so the checks below are exact without any
+on a whole cell; the closed-loop map of a cell is then x -> σx + c with
+σ = 1 + gain = σn/σd and c = offset = cn/cd.  It sends the cut at k/d to
+(A·k + B)/D times 1/d, where A = σn·cd, B = cn·σd·d and D = σd·cd > 0 are
+integers fixed per law, so each image cut is keyed with one ``divmod``.  A
+negative A swaps the two cuts and negates their sides, and A = 0 (gain -1)
+is the closed point c.  An affine map sends a cell onto exactly its image
+interval, so the memoryless containment condition over all points of a cell
+is one inclusion between quantizations: the checks below are exact without
 sampling.
 """
 from __future__ import annotations
@@ -95,13 +98,12 @@ class IntervalCell:
         return f"{left}{self.lo}, {self.hi}{right}"
 
 
-def _key(cut: Cut, d: int) -> int:
-    """Integer key of a cut over the denominator d, in the order of the cuts
-    at multiples of 1/d: 2·v·d + s when v·d is an integer, else the open gap
-    2·floor(v·d) + 1 between two multiples."""
-    v, s = cut
-    k, rest = divmod(v.numerator * d, v.denominator)
-    return 2 * k + 1 if rest else 2 * k + s
+def _key(n: int, den: int, side: int) -> int:
+    """Integer key over the denominator d of the cut (v, side) with v·d =
+    n/den, in the order of the cuts at multiples of 1/d: 2·v·d + side when
+    den divides n, else the open gap 2·floor(v·d) + 1 between two multiples."""
+    m, rest = divmod(n, den)
+    return 2 * m + 1 if rest else 2 * m + side
 
 
 @dataclass(frozen=True)
@@ -137,19 +139,18 @@ class CellCover:
     """Ordered list of named cells; may overlap, may leave gaps, must not be
     empty.
 
-    Construction keys both cuts of every cell with ``_key`` over the common
-    denominator d (the lcm of the endpoint denominators), so a cell is
-    exactly the integers between its two keys and an odd key is the open gap
-    between two multiples of 1/d.  The cells are sorted by lower key once, in
-    O(n log n), beside the running maximum of their upper keys, the hull
-    (from the least lower cut to the greatest upper cut) and a name -> cell
-    dict: ``hull()`` and ``cell()`` are O(1) and ``quantize`` compares
-    integers only.  Keys grow with the number of distinct denominators, not
-    of cells.
+    Construction keeps, per name, the integer cuts (k_lo, s_lo, k_hi, s_hi),
+    k = v·d exact over the common denominator d of the endpoints.  A cut's
+    key is 2k + s, so a cell is exactly the integers between its keys and an
+    odd key is the open gap between two multiples of 1/d.  The cells are
+    sorted by lower key once, in O(n log n), beside the running maximum of
+    their upper keys, the hull (read off the extreme keys) and a name -> cell
+    dict.  Keys grow with the number of distinct denominators, not of cells.
     """
 
     cells: tuple[tuple[str, IntervalCell], ...]
     _scale: int = field(init=False, repr=False, compare=False)
+    _int_cuts: dict[str, tuple[int, int, int, int]] = field(init=False, repr=False, compare=False)
     _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _los: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _his: tuple[int, ...] = field(init=False, repr=False, compare=False)
@@ -165,21 +166,26 @@ class CellCover:
         if len(by_name) != len(cells):
             raise ContractError("cell names must be unique")
         d = lcm(*(v.denominator for _, cell in cells for v in (cell.lo, cell.hi)))
-        lows, highs = zip(*(cell._cuts for _, cell in cells))
-        lo_keys, hi_keys = [_key(cut, d) for cut in lows], [_key(cut, d) for cut in highs]
-        los, his, names = zip(*sorted(zip(lo_keys, hi_keys, by_name)))
+        int_cuts = {}
+        for name, cell in cells:
+            (lo, lo_side), (hi, hi_side) = cell._cuts
+            int_cuts[name] = (lo.numerator * (d // lo.denominator), lo_side,
+                              hi.numerator * (d // hi.denominator), hi_side)
+        los, his, names = zip(*sorted(
+            (2 * k_lo + s_lo, 2 * k_hi + s_hi, name)
+            for name, (k_lo, s_lo, k_hi, s_hi) in int_cuts.items()
+        ))
         max_hi = tuple(accumulate(his, max))
-        # Keys order the cover's cuts exactly: the extreme keys find the
-        # hull's cuts without comparing fractions.
-        lo, lo_side = lows[lo_keys.index(los[0])]
-        hi, hi_side = highs[hi_keys.index(max_hi[-1])]
+        first, last = by_name[names[0]], by_name[names[his.index(max_hi[-1])]]
+        hull = IntervalCell(first.lo, last.hi, first.lo_closed, last.hi_closed)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "_scale", d)
+        object.__setattr__(self, "_int_cuts", int_cuts)
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_los", los)
         object.__setattr__(self, "_his", his)
         object.__setattr__(self, "_max_hi", max_hi)
-        object.__setattr__(self, "_hull", IntervalCell(lo, hi, lo_side == 0, hi_side == 0))
+        object.__setattr__(self, "_hull", hull)
         object.__setattr__(self, "_by_name", by_name)
 
     @property
@@ -196,61 +202,14 @@ class CellCover:
         return self._hull
 
 
-def interval_covered(target: IntervalCell, pieces: Sequence[IntervalCell]) -> bool:
-    """Exact test that ``target`` lies inside the union of ``pieces``.
-
-    One sweep over the pieces' cuts sorted by lower cut: O(s log s)
-    comparisons.  ``need`` is the least target cut not yet covered; a piece
-    reaching it moves it to just past the piece's upper cut (v, s), which is
-    (v, s + 1), and the sweep stops at a piece starting past it.  The target
-    is covered iff ``need`` passes the target's upper cut.
-    """
-    need, last = target._cuts
-    for start, (v, s) in sorted(piece._cuts for piece in pieces):
-        if start > need:
-            break
-        need = max(need, (v, s + 1))
-    return need > last
-
-
-def affine_image(cell: IntervalCell, law: AffineMap) -> IntervalCell:
-    """Exact image of a cell under the closed loop x -> (1 + gain) x + offset.
-
-    Endpoint flags follow the sign of (1 + gain); a gain of -1 collapses the
-    cell to the single point {offset}.
-    """
-    slope = 1 + law.gain
-    if slope == 0:
-        return IntervalCell.point(law.offset)
-    lo = slope * cell.lo + law.offset
-    hi = slope * cell.hi + law.offset
-    if slope > 0:
-        return IntervalCell(lo, hi, cell.lo_closed, cell.hi_closed)
-    return IntervalCell(hi, lo, cell.hi_closed, cell.lo_closed)
-
-
-def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str]:
-    """Names of all cells meeting ``target``, exactly honouring endpoint
-    flags.  Raises if the target is not contained in the covered segment.
-
-    O(log n + cells visited), on integers only.  The target's two cuts are
-    keyed once with ``_key``, like the cover's; a point t is the cut (t, 0)
-    at both ends.  A bisection finds the last cell whose lower key is at most
-    the target's upper key, and the walk left from it stops once the running
-    maximum of the upper keys drops below the target's lower key.  A visited
-    cell meets the target iff its upper key reaches that lower key.
-    """
-    d = cover._scale
-    if isinstance(target, IntervalCell):
-        lo_cut, hi_cut = target._cuts
-        lo_key, hi_key = _key(lo_cut, d), _key(hi_cut, d)
-    else:
-        lo_key = hi_key = _key((_frac(target), 0), d)
+def _quantize_keys(cover: CellCover, lo_key: int, hi_key: int) -> frozenset[str] | None:
+    """The integer part of ``quantize``: names of the cells whose keys meet
+    [lo_key, hi_key], or None when the keys leave the hull.  A bisection finds
+    the last cell whose lower key is at most hi_key, and the walk left from
+    it stops once the running maximum of the upper keys drops below lo_key."""
     los, his, max_hi = cover._los, cover._his, cover._max_hi
     if lo_key < los[0] or hi_key > max_hi[-1]:
-        if not isinstance(target, IntervalCell):
-            target = IntervalCell.point(target)
-        raise OutOfDomainError(f"{target.describe()} escapes the domain {cover.hull().describe()}")
+        return None
     names = cover._names
     found = []
     i = bisect_right(los, hi_key) - 1
@@ -261,19 +220,61 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
     return frozenset(found)
 
 
-def _rows(
-    cover: CellCover, inputs: Sequence[AbstractInput], available: Callable[[str], Iterable[str]]
-) -> Iterator[tuple[str, str, IntervalCell]]:
-    """(cell name, input name, exact closed-loop image) of every row, cell by
-    cell in cover order, inputs in the order ``available`` gives them."""
-    laws = {ai.name: ai.law for ai in inputs}
-    for name, cell in cover.cells:
+def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str]:
+    """Names of all cells meeting ``target``, exactly honouring endpoint
+    flags.  Raises if the target is not contained in the covered segment.
+
+    O(log n + cells visited), on integers only: the target's two cuts are
+    keyed once with ``_key``, a point t as the cut (t, 0) at both ends, and
+    ``_quantize_keys`` walks the cover's index.
+    """
+    d = cover._scale
+    if isinstance(target, IntervalCell):
+        (lo, lo_side), (hi, hi_side) = target._cuts
+        lo_key = _key(lo.numerator * d, lo.denominator, lo_side)
+        hi_key = _key(hi.numerator * d, hi.denominator, hi_side)
+    else:
+        lo_key = hi_key = _key(target.numerator * d, target.denominator, 0)
+    found = _quantize_keys(cover, lo_key, hi_key)
+    if found is None:
+        cell = target if isinstance(target, IntervalCell) else IntervalCell.point(target)
+        raise OutOfDomainError(f"{cell.describe()} escapes the domain {cover.hull().describe()}")
+    return found
+
+
+def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
+          available: Callable[[str], Iterable[str]]) -> Iterator[tuple[str, str, int, int]]:
+    """(cell name, input name, lower key, upper key) of the exact closed-loop
+    image of every row, cells in cover order, inputs in ``available`` order.
+    Each law becomes (A, B, D, sign of A) once (see the module docstring), and
+    an image cut is ``_key(A·k + B, D, side · sign)``: O(1) per row."""
+    d = cover._scale
+    laws = {}
+    for ai in inputs:
+        (g, g_den), (c, c_den) = ai.law.gain.as_integer_ratio(), ai.law.offset.as_integer_ratio()
+        a = (g + g_den) * c_den
+        laws[ai.name] = a, c * g_den * d, g_den * c_den, (a > 0) - (a < 0)
+    for name, (k_lo, s_lo, k_hi, s_hi) in cover._int_cuts.items():
         for input_name in available(name):
             try:
-                law = laws[input_name]
+                a, b, den, sign = laws[input_name]
             except KeyError:
                 raise DomainError(f"unknown abstract input {input_name!r}") from None
-            yield name, input_name, affine_image(cell, law)
+            lo, hi = _key(a * k_lo + b, den, s_lo * sign), _key(a * k_hi + b, den, s_hi * sign)
+            yield (name, input_name, lo, hi) if a >= 0 else (name, input_name, hi, lo)
+
+
+def _row_cells(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
+               input_name: str, lo_key: int, hi_key: int) -> frozenset[str]:
+    """``quantize`` of a row's image from its keys.  A row about to raise
+    builds its image over ``Fraction``, and ``quantize`` raises its error."""
+    found = _quantize_keys(cover, lo_key, hi_key)
+    if found is None:
+        law, cell = {ai.name: ai.law for ai in inputs}[input_name], cover.cell(name)
+        lo, hi = law.closed_loop(cell.lo), law.closed_loop(cell.hi)
+        flags = (cell.lo_closed, cell.hi_closed) if lo < hi else (cell.hi_closed, cell.lo_closed)
+        quantize(cover, IntervalCell(min(lo, hi), max(lo, hi), *flags) if lo != hi else lo)
+    return found
 
 
 def build_abstraction(
@@ -288,18 +289,18 @@ def build_abstraction(
     smallest successor assignment under which the memoryless containment
     holds for every point of the cell.
 
-    One ``quantize`` per (cell, input) row: O(r log n + v) for r rows over n
-    cells, where v counts the cells the quantizations visit.  Availability
+    Each row is keyed by ``_rows`` and quantized from its keys: O(r log n + v)
+    for r rows over n cells, where v counts the cells visited.  Availability
     for a cell the cover lacks is a DomainError naming the least such cell.
     """
     if unknown := set(availability).difference(cover.names):
         raise DomainError(f"availability names unknown cell {min(unknown)!r}")
     trans: dict[tuple[str, str], frozenset[str]] = {}
-    for name, input_name, image in _rows(
+    for name, input_name, lo_key, hi_key in _rows(
         cover, inputs, lambda name: sorted(set(availability.get(name, ())))
     ):
         try:
-            trans[(name, input_name)] = quantize(cover, image)
+            trans[(name, input_name)] = _row_cells(cover, inputs, name, input_name, lo_key, hi_key)
         except OutOfDomainError as err:
             raise OutOfDomainError(
                 f"image of cell {name!r} under {input_name!r} leaves the domain: {err}"
@@ -316,11 +317,12 @@ def verify_mcr_interval(
     every quantization of every point of a cell's closed-loop image must be a
     declared successor.  Availability is read off the abstraction's rows.
 
-    One ``quantize`` per row, as in ``build_abstraction``: O(r log n + v).
+    Rows are keyed and quantized as in ``build_abstraction``: O(r log n + v).
     """
     return all(
-        quantize(cover, image) <= abstraction.successors(name, input_name)
-        for name, input_name, image in _rows(cover, inputs, abstraction.available_inputs)
+        _row_cells(cover, inputs, name, input_name, lo_key, hi_key)
+        <= abstraction.successors(name, input_name)
+        for name, input_name, lo_key, hi_key in _rows(cover, inputs, abstraction.available_inputs)
     )
 
 
@@ -333,14 +335,23 @@ def verify_asr_interval(
     must fall in at least one declared successor cell, i.e. the image is
     covered by the successors' union.
 
-    Per row, the s successor cells are looked up in O(1) each and
-    ``interval_covered`` sweeps them once: O(s log s) per row, independent
-    of the size of the cover.
+    Per row, the s successors' integer cuts are looked up in O(1) each and
+    swept by lower key a, O(s log s) on integers: ``need``, the least image
+    key not yet covered, moves past the upper key b of each successor with
+    a <= need, to b + 1, and the row is covered iff it passes the image's.
     """
-    return all(
-        interval_covered(image, [cover.cell(q) for q in abstraction.successors(name, input_name)])
-        for name, input_name, image in _rows(cover, inputs, abstraction.available_inputs)
-    )
+    int_cuts = cover._int_cuts
+    for name, input_name, need, hi_key in _rows(cover, inputs, abstraction.available_inputs):
+        # ``cell`` raises the unknown-cell DomainError for a name off the cover.
+        pieces = [int_cuts[q] if q in int_cuts else cover.cell(q)
+                  for q in abstraction.successors(name, input_name)]
+        for k_lo, s_lo, k_hi, s_hi in sorted(pieces):
+            if 2 * k_lo + s_lo > need:
+                break
+            need = max(need, 2 * k_hi + s_hi + 1)
+        if need <= hi_key:
+            return False
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -428,32 +439,18 @@ def prove_frr_infeasible_fig8(bound: Rational) -> Fig8Report:
     spec = fig8_target_spec(cover)
 
     cases = []
-    for label, shift in (
-        ("0 < c < L", size / 2),
-        ("c = L", size),
-        ("c = 0", Fraction(0)),
-    ):
-        inputs = fig8_constant_inputs(shift)
-        abstraction = build_abstraction(cover, inputs, FIG8_AVAILABILITY)
-        result = synthesize_reach_avoid(abstraction, spec)
-        cases.append(
-            Fig8Case(
-                label=label,
-                shift=shift,
-                q1_successors=abstraction.successors("q1", "k1"),
-                q3_successors=abstraction.successors("q3", "k3"),
-                solvable=result is not None,
-            )
-        )
+    for label, shift in (("0 < c < L", size / 2), ("c = L", size), ("c = 0", Fraction(0))):
+        abstraction = build_abstraction(cover, fig8_constant_inputs(shift), FIG8_AVAILABILITY)
+        cases.append(Fig8Case(
+            label=label, shift=shift,
+            q1_successors=abstraction.successors("q1", "k1"),
+            q3_successors=abstraction.successors("q3", "k3"),
+            solvable=synthesize_reach_avoid(abstraction, spec) is not None,
+        ))
 
     affine_inputs = fig8_affine_inputs()
     affine = build_abstraction(cover, affine_inputs, FIG8_AVAILABILITY)
     affine_result = synthesize_reach_avoid(affine, spec)
-    rationale = (
-        "constant shift c on the negative cell maps [-L, 0) to [c - L, c); "
-        "its quantization only depends on the comparisons of c with 0 and L, "
-        "so one exact representative per case decides the whole family"
-    )
     return Fig8Report(
         bound=size,
         constant_cases=tuple(cases),
@@ -461,5 +458,7 @@ def prove_frr_infeasible_fig8(bound: Rational) -> Fig8Report:
         affine_deterministic=affine.is_deterministic(),
         affine_ranks=dict(affine_result.rank) if affine_result else {},
         affine_mcr_ok=verify_mcr_interval(cover, affine, affine_inputs),
-        rationale=rationale,
+        rationale="constant shift c on the negative cell maps [-L, 0) to [c - L, c); "
+        "its quantization only depends on the comparisons of c with 0 and L, "
+        "so one exact representative per case decides the whole family",
     )

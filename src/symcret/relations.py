@@ -191,6 +191,10 @@ class Interface:
 def _validate_triplet(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation) -> None:
     if set(rel.domain) != set(s1.states):
         raise DomainError("relation domain must be the concrete state set")
+    _validate_codomain(s2, rel)
+
+
+def _validate_codomain(s2: FiniteTransitionSystem, rel: Relation) -> None:
     if set(rel.codomain) != set(s2.states):
         raise DomainError("relation codomain must be the abstract state set")
 

@@ -107,6 +107,22 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def controlled_system(sys, ctrl):
+    """Restrict the transition map to the controller's choices.
+
+    Rows for inputs the controller does not enable become empty.  States
+    outside the controller's domain lose all their moves; whether that is
+    acceptable depends on what is reachable, which only a check of the
+    closed loop can decide, so it is not rejected here.
+    """
+    ctrl.validate_for(sys)
+    table = {
+        (x, u): (succ if u in ctrl.choices.get(x, frozenset()) else frozenset())
+        for (x, u), succ in sys.trans.items()
+    }
+    return FiniteTransitionSystem(sys.states, sys.inputs, table)
+
+
 def reference_moves(sys, x):
     return [(u, xp) for u in sys.available_inputs(x) for xp in sorted(sys.successors(x, u))]
 

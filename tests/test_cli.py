@@ -281,6 +281,27 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 1 and doc["witness"]["concrete"] == ["1", "2", "3"]
 
+    def test_each_file_is_parsed_once_per_command(self, capsys, bundle_path, tmp_path,
+                                                  monkeypatch):
+        c1_file = tmp_path / "c1.json"
+        jsonio.save(c1_file, {
+            "format": jsonio.FORMAT, "kind": "controller",
+            "choices": {"1": ["0"], "2": ["0", "1"]},
+        })
+        argv = ["verify", "--property", "one",
+                "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+                "--rel", f"{bundle_path}:R",
+                "--c1", str(c1_file), "--c2", f"{bundle_path}:c2_via_b", "--json"]
+        expected = run(capsys, *argv)
+        parsed = []
+        real_load = jsonio.load
+        monkeypatch.setattr(jsonio, "load", lambda path: parsed.append(path) or real_load(path))
+        assert run(capsys, *argv) == expected
+        assert parsed == [bundle_path, c1_file]
+        # The next command reads the files again.
+        assert run(capsys, *argv) == expected
+        assert parsed == [bundle_path, c1_file] * 2
+
     def test_verify_property_one_without_horizon_is_exact(self, capsys, tmp_path):
         s1, s2, rel, c1, c2 = cycle_product()
         files = {}
@@ -427,7 +448,7 @@ class TestDemos:
         ]
 
     @pytest.mark.parametrize("bound, width, half", [
-        ("1", "1/1", "1/2"), ("3/2", "3/2", "3/4"), ("1/3", "1/3", "1/6"),
+        ("1", "1/1", "1/2"), ("3/2", "3/2", "3/4"), ("1/3", "1/3", "1/6"), ("7/5", "7/5", "7/10"),
     ])
     def test_fig8_report(self, capsys, bound, width, half):
         code, out, _ = run(capsys, "demo", "fig8", "--bound", bound, "--json")

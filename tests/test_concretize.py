@@ -19,7 +19,6 @@ from symcret import (
     SymcretError,
     Trajectory,
     closed_loop_run,
-    controlled_system,
     count_dynamic_runs,
     maximal_interface,
     memoryless_controller,
@@ -32,6 +31,7 @@ from symcret.relations import StrictnessError
 from conftest import (
     DynamicRun,
     chain,
+    controlled_system,
     outcome,
     random_partial_controller,
     reference_enumerate_dynamic_runs,
@@ -201,6 +201,12 @@ class TestDynamicArchitecture:
         tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, partial, asr_interface)
         with pytest.raises(ContractError):
             tracker.initialize("3")
+
+    def test_codomain_off_the_abstraction_is_rejected(self, fx, asr_interface):
+        wider = Relation(fx.s1.states, fx.s2.states + ("z",), fx.relation.pairs)
+        with pytest.raises(DomainError) as err:
+            DynamicConcretizer(fx.s2, fx.c2_via_b, wider, asr_interface)
+        assert str(err.value) == "relation codomain must be the abstract state set"
 
     def test_step_resynchronises_through_overlap(self, fx, asr_interface):
         tracker = DynamicConcretizer(fx.s2, fx.c2_via_b, fx.relation, asr_interface)

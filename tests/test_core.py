@@ -14,7 +14,6 @@ from symcret import (
     SpecVerdict,
     Trajectory,
     check_spec,
-    controlled_system,
     default_horizon,
     synthesize_reach_avoid,
 )
@@ -23,6 +22,7 @@ from symcret.oracle import random_system
 
 from conftest import (
     chain,
+    controlled_system,
     outcome,
     random_partial_controller,
     reference_is_valid_for,

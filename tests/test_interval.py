@@ -16,7 +16,6 @@ from symcret import (
     OutOfDomainError,
     Relation,
     RelationKind,
-    affine_image,
     build_abstraction,
     check_frr,
     check_mcr,
@@ -24,7 +23,6 @@ from symcret import (
     fig8_constant_inputs,
     fig8_cover,
     fig8_target_spec,
-    interval_covered,
     maximal_interface,
     prove_frr_infeasible_fig8,
     quantize,
@@ -35,8 +33,43 @@ from symcret import (
 from symcret import jsonio
 from symcret.interval import FIG8_AVAILABILITY
 
+from conftest import outcome
+
 L = Fraction(1)
 NEGATIVES = IntervalCell(-L, Fraction(0), True, False)
+
+
+# The Fraction image and the Fraction cut sweep that the integer row keys
+# replaced in the library, kept as references.
+
+
+def affine_image(cell, law):
+    """Exact image of a cell under the closed loop x -> (1 + gain) x + offset.
+
+    Endpoint flags follow the sign of (1 + gain); a gain of -1 collapses the
+    cell to the single point {offset}.
+    """
+    slope = 1 + law.gain
+    if slope == 0:
+        return IntervalCell.point(law.offset)
+    lo = slope * cell.lo + law.offset
+    hi = slope * cell.hi + law.offset
+    if slope > 0:
+        return IntervalCell(lo, hi, cell.lo_closed, cell.hi_closed)
+    return IntervalCell(hi, lo, cell.hi_closed, cell.lo_closed)
+
+
+def interval_covered(target, pieces):
+    """Exact test that ``target`` lies inside the union of ``pieces``: one
+    sweep over the pieces' cuts sorted by lower cut.  ``need`` is the least
+    target cut not yet covered; a piece reaching it moves it to just past
+    the piece's upper cut (v, s), which is (v, s + 1)."""
+    need, last = target._cuts
+    for start, (v, s) in sorted(piece._cuts for piece in pieces):
+        if start > need:
+            break
+        need = max(need, (v, s + 1))
+    return need > last
 
 
 class TestIntervalCell:
@@ -159,8 +192,9 @@ def reference_cell(cover, name):
 def reference_quantize(cover, target):
     if not isinstance(target, IntervalCell):
         target = IntervalCell.point(target)
-    if not reference_is_subset_of(target, reference_hull(cover)):
-        raise OutOfDomainError(target.describe())
+    hull = reference_hull(cover)
+    if not reference_is_subset_of(target, hull):
+        raise OutOfDomainError(f"{target.describe()} escapes the domain {hull.describe()}")
     return frozenset(n for n, c in cover.cells if reference_intersects(c, target))
 
 
@@ -182,29 +216,44 @@ def reference_interval_covered(target, pieces):
     return all(any(reference_contains(piece, s) for piece in pieces) for s in samples)
 
 
-def reference_verify(cover, abstraction, inputs):
-    """(mcr, asr) verdicts from the scans: every quantization of a row's
-    image is a successor, and the successors' union covers the image."""
+def reference_rows(cover, abstraction, inputs):
     laws = {ai.name: ai.law for ai in inputs}
-    mcr = asr = True
     for name, cell in cover.cells:
         for u in abstraction.available_inputs(name):
-            image = affine_image(cell, laws[u])
-            succ = abstraction.successors(name, u)
-            mcr = mcr and reference_quantize(cover, image) <= succ
-            asr = asr and reference_interval_covered(
-                image, [reference_cell(cover, q) for q in succ]
-            )
-    return mcr, asr
+            yield affine_image(cell, laws[u]), abstraction.successors(name, u)
+
+
+def reference_verify(cover, abstraction, inputs):
+    """(mcr, asr) outcomes from the scans, each a verdict or the type and
+    message of the error raised: every quantization of a row's image is a
+    successor, and the successors' union covers the image."""
+    def mcr():
+        return all(reference_quantize(cover, image) <= succ
+                   for image, succ in reference_rows(cover, abstraction, inputs))
+
+    def asr():
+        return all(reference_interval_covered(image, [reference_cell(cover, q) for q in succ])
+                   for image, succ in reference_rows(cover, abstraction, inputs))
+
+    return outcome(mcr), outcome(asr)
+
+
+def verify_both(cover, abstraction, inputs):
+    return (outcome(verify_mcr_interval, cover, abstraction, inputs),
+            outcome(verify_asr_interval, cover, abstraction, inputs))
 
 
 def reference_build(cover, inputs, availability):
     laws = {ai.name: ai.law for ai in inputs}
-    trans = {
-        (name, u): reference_quantize(cover, affine_image(cell, laws[u]))
-        for name, cell in cover.cells
-        for u in sorted(set(availability.get(name, ())))
-    }
+    trans = {}
+    for name, cell in cover.cells:
+        for u in sorted(set(availability.get(name, ()))):
+            try:
+                trans[(name, u)] = reference_quantize(cover, affine_image(cell, laws[u]))
+            except OutOfDomainError as err:
+                raise OutOfDomainError(
+                    f"image of cell {name!r} under {u!r} leaves the domain: {err}"
+                ) from None
     return FiniteTransitionSystem(cover.names, tuple(sorted(laws)), trans)
 
 
@@ -285,13 +334,7 @@ class TestCoverIndexAgainstScan:
     @given(case=covers_and_targets())
     def test_quantize_matches_the_scan(self, case):
         cover, target = case
-        try:
-            expected = reference_quantize(cover, target)
-        except OutOfDomainError:
-            with pytest.raises(OutOfDomainError):
-                quantize(cover, target)
-        else:
-            assert quantize(cover, target) == expected
+        assert outcome(quantize, cover, target) == outcome(reference_quantize, cover, target)
 
     def test_quantize_over_distinct_prime_denominators(self):
         # Common denominator 2·101·103·107·109·113·127 ≈ 3.5e12: every probe
@@ -312,13 +355,7 @@ class TestCoverIndexAgainstScan:
                     targets += [IntervalCell(lo, hi, a, b) for a in (True, False)
                                 for b in (True, False)]
         for target in targets:
-            try:
-                expected = reference_quantize(cover, target)
-            except OutOfDomainError:
-                with pytest.raises(OutOfDomainError):
-                    quantize(cover, target)
-            else:
-                assert quantize(cover, target) == expected
+            assert outcome(quantize, cover, target) == outcome(reference_quantize, cover, target)
 
     @settings(max_examples=100, deadline=None)
     @given(cover=covers())
@@ -338,14 +375,9 @@ class TestCoverIndexAgainstScan:
             q: data.draw(st.lists(st.sampled_from(names), max_size=len(names)))
             for q in cover.names
         }
-        try:
-            expected = reference_build(cover, inputs, availability)
-        except OutOfDomainError:
-            with pytest.raises(OutOfDomainError):
-                build_abstraction(cover, inputs, availability)
-        else:
-            built = build_abstraction(cover, inputs, availability)
-            assert built == expected
+        built = outcome(build_abstraction, cover, inputs, availability)
+        assert built == outcome(reference_build, cover, inputs, availability)
+        if isinstance(built, FiniteTransitionSystem):
             assert verify_mcr_interval(cover, built, inputs)
 
     @settings(max_examples=150, deadline=None)
@@ -368,14 +400,105 @@ class TestCoverIndexAgainstScan:
         trimmed = {key: succ - {dropped} if key == row else succ
                    for key, succ in built.trans.items()}
         shrunk = FiniteTransitionSystem(built.states, built.inputs, trimmed)
-        expected = reference_verify(cover, shrunk, inputs)
-        assert (verify_mcr_interval(cover, shrunk, inputs),
-                verify_asr_interval(cover, shrunk, inputs)) == expected
+        assert verify_both(cover, shrunk, inputs) == reference_verify(cover, shrunk, inputs)
 
     @settings(max_examples=500, deadline=None)
     @given(target=intervals(ANY_ENDPOINTS), pieces=st.lists(intervals(ANY_ENDPOINTS), max_size=6))
     def test_interval_covered_matches_the_sampler(self, target, pieces):
         assert interval_covered(target, pieces) == reference_interval_covered(target, pieces)
+
+
+# A fixed table for the integer row keys: endpoints with denominators 2, 3,
+# 5 and 7 (common denominator 210), overlapping cells, point cells, all four
+# flag pairs, and laws whose closed-loop slope 1 + gain is positive,
+# negative and zero.
+TABLE_COVER = CellCover((
+    ("a", IntervalCell(Fraction(-2), Fraction(-1, 2), True, False)),
+    ("b", IntervalCell(Fraction(-1, 2), Fraction(1, 3), True, True)),
+    ("c", IntervalCell.point(Fraction(1, 3))),
+    ("d", IntervalCell(Fraction(-2, 7), Fraction(7, 5), False, False)),
+    ("e", IntervalCell(Fraction(6, 5), Fraction(15, 7), False, True)),
+    ("f", IntervalCell.point(Fraction(-2))),
+    ("g", IntervalCell(Fraction(-3, 2), Fraction(2, 3), False, True)),
+))
+TABLE_INPUTS = tuple(
+    AbstractInput(f"k{j}", AffineMap(Fraction(gain), Fraction(offset)))
+    for j, (gain, offset) in enumerate((
+        ("-1", "0"), ("-1", "2/7"), ("-3/2", "1/2"), ("-3/2", "-3/5"), ("-1/2", "-1/3"),
+        ("-2/3", "2/7"), ("0", "1/2"), ("0", "-3/5"), ("1/2", "-1/3"), ("-8/3", "0"),
+        ("-2/7", "2/7"),
+    ))
+)
+
+
+class TestIntegerRowsAgainstFractions:
+    def test_every_row_matches_the_references(self):
+        escaped = 0
+        for name in TABLE_COVER.names:
+            for ai in TABLE_INPUTS:
+                availability = {name: [ai.name]}
+                built = outcome(build_abstraction, TABLE_COVER, TABLE_INPUTS, availability)
+                assert built == outcome(reference_build, TABLE_COVER, TABLE_INPUTS, availability)
+                escaped += not isinstance(built, FiniteTransitionSystem)
+        assert 0 < escaped < len(TABLE_COVER.names) * len(TABLE_INPUTS)
+
+    def test_verifiers_match_the_references_with_each_successor_dropped(self):
+        availability = {
+            name: [ai.name for ai in TABLE_INPUTS
+                   if isinstance(outcome(build_abstraction, TABLE_COVER, TABLE_INPUTS,
+                                         {name: [ai.name]}), FiniteTransitionSystem)]
+            for name in TABLE_COVER.names
+        }
+        built = build_abstraction(TABLE_COVER, TABLE_INPUTS, availability)
+        assert built == reference_build(TABLE_COVER, TABLE_INPUTS, availability)
+        assert verify_both(TABLE_COVER, built, TABLE_INPUTS) == (True, True)
+        verdicts = set()
+        for row, succ in sorted(built.trans.items()):
+            for dropped in sorted(succ):
+                trimmed = {**built.trans, row: succ - {dropped}}
+                shrunk = FiniteTransitionSystem(built.states, built.inputs, trimmed)
+                got = verify_both(TABLE_COVER, shrunk, TABLE_INPUTS)
+                assert got == reference_verify(TABLE_COVER, shrunk, TABLE_INPUTS)
+                # Dropping a row's only successor drops the row; any other
+                # drop breaks containment, and covering where the cell was
+                # needed.
+                assert got[0] == (len(succ) == 1)
+                verdicts.add(got)
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_escaping_rows_raise_the_reference_messages(self):
+        # Every law at every cell, every cell a successor: the first row
+        # that leaves the hull decides MCR, and ASR refutes it instead.
+        full = FiniteTransitionSystem(
+            TABLE_COVER.names, tuple(ai.name for ai in TABLE_INPUTS),
+            {(q, ai.name): frozenset(TABLE_COVER.names)
+             for q in TABLE_COVER.names for ai in TABLE_INPUTS},
+        )
+        got = verify_both(TABLE_COVER, full, TABLE_INPUTS)
+        assert got == reference_verify(TABLE_COVER, full, TABLE_INPUTS)
+        assert got[0][0] is OutOfDomainError and got[1] is False
+
+    def test_asr_sees_one_missing_point(self):
+        # The cover misses only the origin, and the image of the negatives
+        # spans it: the successors' keys leave out exactly one key.
+        cover = CellCover((
+            ("qa", IntervalCell(-L, Fraction(0), True, False)),
+            ("qb", IntervalCell(Fraction(0), L, False, True)),
+        ))
+        inputs = (AbstractInput("k", AffineMap(Fraction(0), Fraction(1, 2))),)
+        sys = build_abstraction(cover, inputs, {"qa": ["k"]})
+        assert sys.successors("qa", "k") == frozenset({"qa", "qb"})
+        got = verify_both(cover, sys, inputs)
+        assert got == reference_verify(cover, sys, inputs) == (True, False)
+
+    def test_asr_names_a_successor_off_the_cover(self):
+        inputs = fig8_affine_inputs()
+        sys = build_abstraction(fig8_cover(L), inputs, FIG8_AVAILABILITY)
+        trans = {**sys.trans, ("q1", "k1"): frozenset({"q2", "zz"})}
+        wider = FiniteTransitionSystem(sys.states + ("zz",), sys.inputs, trans)
+        got = verify_both(fig8_cover(L), wider, inputs)
+        assert got == reference_verify(fig8_cover(L), wider, inputs)
+        assert got == (True, (DomainError, "unknown cell 'zz'"))
 
 
 class TestCellCover:

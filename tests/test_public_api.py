@@ -13,14 +13,14 @@ PUBLIC = [
     "OutOfDomainError", "PropertyVerdict", "PropertyWitness", "ReachAvoidSpec",
     "Relation", "RelationCheckError", "RelationKind", "RelationVerdict",
     "RelationWitness", "SpecVerdict", "StrictnessError", "SymcretError",
-    "SynthesisResult", "Trajectory", "affine_image", "build_abstraction", "check_asr",
+    "SynthesisResult", "Trajectory", "build_abstraction", "check_asr",
     "check_controlled_simulability", "check_frr", "check_mcr",
     "check_memoryless_concretization",
     "check_memoryless_concretization_all_controllers", "check_relation", "check_spec",
-    "closed_loop_run", "compose", "controlled_system", "controller_count",
+    "closed_loop_run", "compose", "controller_count",
     "count_dynamic_runs", "default_horizon", "enumerate_controllers",
     "extended_relation", "fig5", "fig8_affine_inputs", "fig8_constant_inputs",
-    "fig8_cover", "fig8_target_spec", "interval_covered", "is_sub_controller",
+    "fig8_cover", "fig8_target_spec", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
     "prove_frr_infeasible_fig8", "quantize", "rank_decreasing_controller",
     "replay_memoryless_witness", "replay_witness", "run_crosscheck", "scripted",

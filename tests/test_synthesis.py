@@ -8,7 +8,6 @@ from symcret import (
     FiniteTransitionSystem,
     ReachAvoidSpec,
     check_spec,
-    controlled_system,
     controller_count,
     enumerate_controllers,
     is_sub_controller,
@@ -19,7 +18,7 @@ from symcret import (
 from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import random_system
 
-from conftest import chain, outcome, seeded_rng
+from conftest import chain, controlled_system, outcome, seeded_rng
 
 
 def brute_force_predecessor(sys, safe, target):
