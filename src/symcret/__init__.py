@@ -37,7 +37,6 @@ from .synthesis import (
     SynthesisResult,
     check_spec,
     controller_count,
-    default_horizon,
     enumerate_controllers,
     is_sub_controller,
     rank_decreasing_controller,

@@ -98,17 +98,19 @@ def _load_doc(ref: str, parsed: dict[Path, Any]) -> Any:
     if path not in parsed:
         parsed[path] = jsonio.load(path)
     doc = parsed[path]
+    if member is not None and isinstance(doc, dict):
+        if doc.get("kind") != "bundle":
+            raise UsageError(f"{path} is not a bundle, cannot select member {member!r}")
+        for section in ("systems", "relations", "controllers", "specs", "covers"):
+            members = doc.get(section)
+            if isinstance(members, dict) and member in members:
+                doc = members[member]
+                break
+        else:
+            raise UsageError(f"bundle {path} has no member named {member!r}")
     if not isinstance(doc, dict):
         raise FormatError("document is not a JSON object")
-    if member is None:
-        return doc
-    if doc.get("kind") != "bundle":
-        raise UsageError(f"{path} is not a bundle, cannot select member {member!r}")
-    for section in ("systems", "relations", "controllers", "specs", "covers"):
-        members = doc.get(section)
-        if isinstance(members, dict) and member in members:
-            return members[member]
-    raise UsageError(f"bundle {path} has no member named {member!r}")
+    return doc
 
 
 def _load_triplet(

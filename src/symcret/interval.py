@@ -78,18 +78,6 @@ class IntervalCell:
     def is_point(self) -> bool:
         return self.lo == self.hi
 
-    def contains(self, x: Rational) -> bool:
-        lo, hi = self._cuts
-        return lo <= (_frac(x), 0) <= hi
-
-    def intersects(self, other: "IntervalCell") -> bool:
-        (lo, hi), (other_lo, other_hi) = self._cuts, other._cuts
-        return max(lo, other_lo) <= min(hi, other_hi)
-
-    def is_subset_of(self, other: "IntervalCell") -> bool:
-        (lo, hi), (other_lo, other_hi) = self._cuts, other._cuts
-        return other_lo <= lo and hi <= other_hi
-
     def describe(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"

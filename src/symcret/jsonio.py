@@ -7,14 +7,16 @@ input arrays, rationals are written as ``"p/q"`` strings.  Serialization is
 canonical (sorted keys, sorted arrays), so save -> load -> save is
 bit-identical.  A malformed document (a missing field, a string or number
 where an array of names belongs, a relation pair without two names, a number
-where a rational string or a name belongs, an endpoint flag that is not a
-JSON boolean) makes its decoder raise :class:`FormatError` naming the
-document kind, a validation error (exit code 2) on the command line.
+where a rational string or a name belongs, a rational not spelled ``p/q``,
+an endpoint flag that is not a JSON boolean) makes its decoder raise
+:class:`FormatError` naming the document kind, a validation error (exit
+code 2) on the command line.
 """
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -144,7 +146,8 @@ def relation_to_obj(rel: Relation) -> dict[str, Any]:
 def relation_from_obj(
     obj: Mapping[str, Any], s1: FiniteTransitionSystem, s2: FiniteTransitionSystem
 ) -> Relation:
-    return Relation(s1.states, s2.states, map(_pair, obj["pairs"]))
+    pairs = _typed(obj["pairs"], list, "an array of pairs")
+    return Relation(s1.states, s2.states, map(_pair, pairs))
 
 
 # ------------------------------------------------------------ controllers
@@ -217,8 +220,20 @@ def _cell_to_obj(cell: IntervalCell) -> dict[str, Any]:
     }
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
 def _rational(value: Any) -> Fraction:
-    return fraction_from_str(_typed(value, str, 'a "p/q" string'))
+    """``value`` as a Fraction if it is a ``"p/q"`` string; anything else,
+    even a spelling that ``Fraction`` reads, is a TypeError, which the
+    decoder reports: nothing is coerced."""
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise TypeError(f'expected a "p/q" string, got {json.dumps(value)}')
+    numerator, denominator = int(match[1]), int(match[2])
+    if not denominator:
+        raise FormatError(f"zero denominator in {value!r}")
+    return Fraction(numerator, denominator)
 
 
 def _cell_from_obj(obj: Mapping[str, Any]) -> IntervalCell:
@@ -258,14 +273,15 @@ def cover_from_obj(
     obj: Mapping[str, Any],
 ) -> tuple[CellCover, tuple[AbstractInput, ...], dict[str, list[str]]]:
     cover = CellCover(tuple(
-        (_typed(c["state"], str, "a name"), _cell_from_obj(c)) for c in obj["cells"]
+        (_typed(c["state"], str, "a name"), _cell_from_obj(c))
+        for c in _typed(obj["cells"], list, "an array of cells")
     ))
     inputs = tuple(
         AbstractInput(
             _typed(i["input"], str, "a name"),
             AffineMap(_rational(i["gain"]), _rational(i["offset"])),
         )
-        for i in obj["inputs"]
+        for i in _typed(obj["inputs"], list, "an array of inputs")
     )
     availability = {name: _names(us) for name, us in obj["availability"].items()}
     return cover, inputs, availability
@@ -279,14 +295,6 @@ def trajectory_to_obj(traj: Trajectory) -> dict[str, Any]:
     for k, u in enumerate(traj.inputs):
         steps.append({"x": traj.states[k + 1], "u": u})
     return tagged("trace", {"steps": steps})
-
-
-@_decoder("trace")
-def trajectory_from_obj(obj: Mapping[str, Any]) -> Trajectory:
-    steps = obj["steps"]
-    states = _names([step["x"] for step in steps])
-    inputs = _names([step["u"] for step in steps[1:]])
-    return Trajectory(states, inputs)
 
 
 def dynamic_trace_to_obj(trace: list[tuple[str, str, str, str]]) -> dict[str, Any]:

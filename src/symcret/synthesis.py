@@ -123,67 +123,52 @@ class SpecVerdict:
     witness: Trajectory | None = None
 
 
-def default_horizon(sys: FiniteTransitionSystem) -> int:
-    """Bound sufficient for reach-avoid questions: one more than the state
-    count, so that any longer run must repeat a state."""
-    return len(sys.states) + 1
+def check_spec(sys: FiniteTransitionSystem, spec: ReachAvoidSpec) -> SpecVerdict:
+    """Decide the reach-avoid goal: every run from an initial state reaches the
+    target in finitely many steps and touches no obstacle before it.
 
-
-def check_spec(
-    sys: FiniteTransitionSystem, spec: ReachAvoidSpec, horizon: int | None = None
-) -> SpecVerdict:
-    """Decide the reach-avoid goal on every maximal run within the horizon.
-
-    A run is judged by its first decisive visit: touching the target before
-    any obstacle satisfies it, touching an obstacle first violates it, and a
-    run that ends (stuck, or out of horizon) before reaching the target
-    violates it as well.  The witness is the first violating run in
-    (initial state, input, successor) order.
+    A run violates the goal if it touches an obstacle first, stops at a dead
+    end (a state without moves) outside the target, or goes on forever; a
+    finite system shows the last as a lasso, a run that returns to a state
+    already on it.  The witness is the first violating run in (initial
+    state, input, successor) order.
 
     Runs do not depend on which input drives a move, so :func:`winning_region`
-    on a one-input copy, whose row at x is the union of x's rows, gives each
-    state's worst-case rank r(x): the most steps any run from x takes to the
-    target, which is tested first, so the copy's obstacles exclude it.  A
-    node (x, d), x as a run's d-th state, is clean (sure to satisfy the goal)
-    iff r(x) exists and d + r(x) <= horizon.  From the first initial node
-    that is not clean, the witness walk enters the first child that is not
-    clean until the run ends.  Every node that is not clean and does not end
-    the run has such a child, so the walk never backtracks.  Cost O(states +
-    rows + sum of successor-set sizes), plus O(horizon * moves) for the
-    witness.
+    on a one-input copy, whose row at x is the union of x's rows, ranks
+    exactly the states all of whose runs satisfy the goal; the target is
+    tested first, so the copy's obstacles exclude it.  The goal holds iff
+    every initial state is ranked.  Otherwise the witness walk starts at the
+    least unranked initial state and enters the first unranked child until
+    it reaches an obstacle, a dead end or a state already on the run.  Every
+    other unranked state has such a child, so the walk never backtracks.
+    Cost O(states + rows + sum of successor-set sizes), plus O(states *
+    moves) for the witness.
     """
     spec.validate_for(sys)
-    bound = default_horizon(sys) if horizon is None else horizon
-    if bound < 1:
-        raise ContractError("horizon must be at least 1")
     merged = FiniteTransitionSystem(sys.states, ("any",), {
         (x, "any"): frozenset().union(*(sys.trans[(x, u)] for u in sys.inputs))
         for x in sys.states
     })
     _, rank = winning_region(
         merged, ReachAvoidSpec(frozenset(), spec.target, spec.obstacle - spec.target))
-
-    def clean(x: str, depth: int) -> bool:
-        return x in rank and depth + rank[x] <= bound
-
-    for x0 in sorted(spec.initial):
-        if clean(x0, 1):
-            continue
-        states, inputs = [x0], []
-        while states[-1] not in spec.obstacle and len(states) < bound:
-            x, depth = states[-1], len(states)
-            step = next((
-                (u, xp)
-                for u in sys.available_inputs(x)
-                for xp in sorted(sys.successors(x, u))
-                if not clean(xp, depth + 1)
-            ), None)
-            if step is None:
-                break
-            inputs.append(step[0])
-            states.append(step[1])
-        return SpecVerdict(False, Trajectory(states, inputs))
-    return SpecVerdict(True, None)
+    x0 = next((x for x in sorted(spec.initial) if x not in rank), None)
+    if x0 is None:
+        return SpecVerdict(True, None)
+    states, inputs, seen = [x0], [], set()
+    while states[-1] not in spec.obstacle and states[-1] not in seen:
+        x = states[-1]
+        seen.add(x)
+        step = next((
+            (u, xp)
+            for u in sys.available_inputs(x)
+            for xp in sorted(sys.successors(x, u))
+            if xp not in rank
+        ), None)
+        if step is None:
+            break
+        inputs.append(step[0])
+        states.append(step[1])
+    return SpecVerdict(False, Trajectory(states, inputs))
 
 
 def is_sub_controller(candidate: Controller, reference: Controller) -> bool:

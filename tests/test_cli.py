@@ -1,14 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symcret import (
     ReachAvoidSpec,
     Relation,
     RelationKind,
-    Trajectory,
     controller_count,
     fig5,
     maximal_interface,
@@ -58,10 +62,6 @@ class TestRoundTrips:
             (
                 jsonio.interface_to_obj(iface),
                 lambda o: jsonio.interface_to_obj(jsonio.interface_from_obj(o)),
-            ),
-            (
-                jsonio.trajectory_to_obj(Trajectory(("1", "2", "5"), ("0", "0"))),
-                lambda o: jsonio.trajectory_to_obj(jsonio.trajectory_from_obj(o)),
             ),
         ]
         for obj, reload in cases:
@@ -561,11 +561,14 @@ class TestErrors:
             ("relation-pair-with-three-names", "validation",
              'malformed relation document (TypeError: expected a pair of names, '
              'got ["1", "a", "x"])'),
+            ("relation-pairs-as-a-string", "validation",
+             'malformed relation document (TypeError: expected an array of pairs, got "")'),
             ("relation-pair-off-the-domain", "validation", "pair (zz, a) leaves the domain"),
             ("relation-pair-off-the-codomain", "validation", "pair (1, zz) leaves the codomain"),
             ("interface-of-an-unknown-kind", "validation", "malformed interface document "
              '(TypeError: expected asr, mcr or frr, got "xyz")'),
             ("member-of-an-array", "validation", "document is not a JSON object"),
+            ("controller-member-that-is-null", "validation", "document is not a JSON object"),
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
             ("bound-with-a-zero-denominator", "validation", "zero denominator in '1/0'"),
@@ -587,6 +590,7 @@ class TestErrors:
             "relation-pair-with-a-number": {**relation, "pairs": [[1, "a"], *relation["pairs"]]},
             "relation-pair-with-three-names": {
                 **relation, "pairs": [["1", "a", "x"], *relation["pairs"]]},
+            "relation-pairs-as-a-string": {**relation, "pairs": ""},
             "relation-pair-off-the-domain": {**relation, "pairs": [["zz", "a"]]},
             "relation-pair-off-the-codomain": {**relation, "pairs": [["1", "zz"]]},
         }
@@ -599,6 +603,12 @@ class TestErrors:
             doc_file.write_text(json.dumps(docs[case]), encoding="utf-8")
             ref = f"{doc_file}:S1" if case == "member-of-an-array" else str(doc_file)
             argv = ["check", "asr", "--s1", ref, "--s2", ref, "--rel", ref]
+        elif case == "controller-member-that-is-null":
+            bundle = jsonio.bundle_to_obj(fig5_bundle())
+            bundle["controllers"]["c1_safe"] = None
+            doc_file.write_text(json.dumps(bundle), encoding="utf-8")
+            argv = ["simulate", "--sys", f"{doc_file}:S1", "--controller", f"{doc_file}:c1_safe",
+                    "--from", "1", "--horizon", "3"]
         elif case == "interface-of-an-unknown-kind":
             run(capsys, "concretize", "--mode", "dynamic", "--s1", f"{bundle_path}:S1",
                 "--s2", f"{bundle_path}:S2", "--rel", f"{bundle_path}:R",
@@ -630,3 +640,121 @@ class TestErrors:
             "--rel", f"{bundle_path}:R",
         )
         assert code == 2 and json.loads(err)["error"] == "usage"
+
+
+# Decoding fuzz: one value of the fig5 bundle is mutated, and every command
+# that reads the bundle must either ignore the mutation or reject it with one
+# named error line.
+
+FIG5_BUNDLE = jsonio.bundle_to_obj(fig5_bundle())
+FUZZ_COMMANDS = {
+    "check": ["check", "asr", "--s1", "S1", "--s2", "S2", "--rel", "R"],
+    "extend": ["extend", "--s1", "S1", "--s2", "S2", "--rel", "R"],
+    "synthesize": ["synthesize", "--sys", "S2", "--spec", "sigma2"],
+    "concretize": ["concretize", "--mode", "memoryless", "--kind", "asr", "--s1", "S1",
+                   "--s2", "S2", "--rel", "R", "--controller", "c2_via_b"],
+    "simulate": ["simulate", "--sys", "S1", "--controller", "c1_safe", "--from", "1",
+                 "--horizon", "3"],
+    "verify one": ["verify", "--property", "one", "--s1", "S1", "--s2", "S2", "--rel", "R",
+                   "--c1", "c1_safe", "--c2", "c2_via_b"],
+    "verify two": ["verify", "--property", "two", "--s1", "S1", "--s2", "S2", "--rel", "R",
+                   "--c2", "c2_via_b"],
+    "verify two-all": ["verify", "--property", "two-all", "--s1", "S1", "--s2", "S2",
+                       "--rel", "R"],
+}
+MEMBERS = {"S1", "S2", "R", "sigma2", "c1_safe", "c2_via_b"}
+
+
+def _nodes(obj, path=()):
+    """(path, value) for every value below ``obj``."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _nodes(value, path + (key,))
+
+
+NODES = list(_nodes(FIG5_BUNDLE))
+# The values each kind of mutation may hit, by their paths; the bundle
+# itself is the empty path.  A transition or a controller choice dropped or
+# added is another valid system or controller, so keys come and go only in
+# the other objects.
+FIELDS = [path for path, value in NODES if isinstance(value, dict)
+          and path[-1] not in ("trans", "choices")]
+TARGETS = {
+    "type": [path for path, _ in NODES],
+    "string for list": [path for path, value in NODES if isinstance(value, list)],
+    "int for name": [path for path, value in NODES if isinstance(value, str)],
+    "missing": [path for path, _ in NODES if path[:-1] in [(), *FIELDS]],
+    "extra": [(), *FIELDS],
+}
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(-2, 2), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+MUTATIONS = st.sampled_from(sorted(TARGETS)).flatmap(
+    lambda how: st.tuples(st.just(how), st.sampled_from(TARGETS[how])))
+
+
+@st.composite
+def mutated_bundles(draw):
+    """A copy of the fig5 bundle with one value swapped for another type, a
+    list swapped for a string, a name for an int, a key dropped or a key
+    added."""
+    how, path = draw(MUTATIONS)
+    doc = copy.deepcopy(FIG5_BUNDLE)
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    if how == "extra":
+        node[draw(st.text(min_size=1, max_size=3).filter(lambda k: k not in node))] = (
+            draw(JSON_VALUES))
+    elif how == "missing":
+        del parent[path[-1]]
+    elif how == "string for list":
+        parent[path[-1]] = (
+            "".join(node) if all(isinstance(x, str) for x in node) else json.dumps(node))
+    elif how == "int for name":
+        parent[path[-1]] = draw(st.integers(0, 9))
+    else:
+        parent[path[-1]] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(node)))
+    return doc
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(tmp_path_factory):
+    """Run every fuzz command on a bundle document; the unmutated runs come
+    first."""
+    path = tmp_path_factory.mktemp("fuzz") / "bundle.json"
+
+    def run_all(doc):
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return {
+            name: run_quietly([f"{path}:{a}" if a in MEMBERS else a for a in argv])
+            for name, argv in FUZZ_COMMANDS.items()
+        }
+
+    return run_all(FIG5_BUNDLE), run_all
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_bundles())
+def test_mutated_bundle_is_ignored_or_named(fuzz_runs, doc):
+    baseline, run_all = fuzz_runs
+    assert {code for code, _, _ in baseline.values()} == {0, 1}
+    for name, (code, out, err) in run_all(doc).items():
+        if code == 2:
+            assert out == "" and err.count("\n") == 1, name
+            assert json.loads(err)["error"] in ("usage", "validation"), name
+        else:
+            assert (code, out, err) == baseline[name], name

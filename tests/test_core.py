@@ -14,7 +14,6 @@ from symcret import (
     SpecVerdict,
     Trajectory,
     check_spec,
-    default_horizon,
     synthesize_reach_avoid,
 )
 from symcret.fixtures import ALPHA, BETA, GAMMA
@@ -51,18 +50,16 @@ def reference_bounded_behavior(sys, start, horizon):
     return frozenset(out)
 
 
-def reference_check_spec(sys, spec, horizon=None):
-    # The recursive, unmemoised search that `check_spec` replaced.
+def reference_check_spec(sys, spec):
+    # Depth-first search of the runs in (initial state, input, successor)
+    # order, stopping at the target; recursive and exponential.
     spec.validate_for(sys)
-    bound = default_horizon(sys) if horizon is None else horizon
-    if bound < 1:
-        raise ContractError("horizon must be at least 1")
 
     def explore(states, inputs):
         x = states[-1]
         if x in spec.target:
             return None
-        if x in spec.obstacle or len(states) == bound:
+        if x in spec.obstacle or x in states[:-1]:
             return Trajectory(states, inputs)
         moves = reference_moves(sys, x)
         if not moves:
@@ -80,40 +77,40 @@ def reference_check_spec(sys, spec, horizon=None):
     return SpecVerdict(True, None)
 
 
-def reference_memoised_check_spec(sys, spec, horizon=None):
-    # The depth-first search over (state, depth) nodes that `check_spec`
-    # replaced: iterative, so it also runs on long chains.
+def reference_memoised_check_spec(sys, spec):
+    # The same search on an explicit stack, so it also runs on long chains.
+    # A state explored without a violation is remembered: every run from it
+    # reaches the target without repeating a state, whatever run led to it.
     spec.validate_for(sys)
-    bound = default_horizon(sys) if horizon is None else horizon
-    if bound < 1:
-        raise ContractError("horizon must be at least 1")
 
-    def enter(x, depth):
-        # The moves still to try below a node, or None if the run ends here
-        # in a violation.
+    def enter(x, run):
+        # The moves still to try below x, or None if the run ends here in a
+        # violation.
         if x in spec.target:
             return iter(())
-        if x in spec.obstacle or depth == bound:
+        if x in spec.obstacle or x in run:
             return None
         moves = reference_moves(sys, x)
         return iter(moves) if moves else None
 
-    clean = set()  # (state, depth) nodes fully explored without a violation
+    clean = set()
     for x0 in sorted(spec.initial):
         states, inputs = [x0], []
-        stack = [enter(x0, 1)]
+        stack = [enter(x0, ())]
+        on_run = {x0}
         while stack:
             if stack[-1] is None:
                 return SpecVerdict(False, Trajectory(states, inputs))
-            depth = len(states)
             for u, xp in stack[-1]:
-                if (xp, depth + 1) not in clean:
+                if xp not in clean:
+                    stack.append(enter(xp, on_run))
                     states.append(xp)
                     inputs.append(u)
-                    stack.append(enter(xp, depth + 1))
+                    on_run.add(xp)
                     break
             else:
-                clean.add((states.pop(), depth))
+                on_run.discard(states[-1])
+                clean.add(states.pop())
                 stack.pop()
                 if inputs:
                     inputs.pop()
@@ -253,22 +250,22 @@ class TestBoundedBehavior:
 class TestCheckSpec:
     def test_leaky_concretized_controller_violates(self, fx):
         leaky = Controller({"1": {"0"}, "2": {"0", "1"}})
-        verdict = check_spec(controlled_system(fx.s1, leaky), fx.spec1, 6)
+        verdict = check_spec(controlled_system(fx.s1, leaky), fx.spec1)
         assert not verdict.holds
         assert verdict.witness.states == ("1", "2", "3")
 
     def test_detour_controller_satisfies(self, fx):
         detour = Controller({"1": {"1"}, "4": {"0"}})
-        assert check_spec(controlled_system(fx.s1, detour), fx.spec1, 6).holds
+        assert check_spec(controlled_system(fx.s1, detour), fx.spec1).holds
 
     def test_empty_initial_vacuous(self, fx):
         spec = ReachAvoidSpec(frozenset(), frozenset({"5"}), frozenset({"3"}))
-        assert check_spec(fx.s1, spec, 6).holds
+        assert check_spec(fx.s1, spec).holds
 
     def test_witness_is_valid_and_violating(self, fx):
         leaky = Controller({"1": {"0"}, "2": {"0", "1"}})
         closed = controlled_system(fx.s1, leaky)
-        verdict = check_spec(closed, fx.spec1, 6)
+        verdict = check_spec(closed, fx.spec1)
         w = verdict.witness
         assert reference_is_valid_for(w, closed)
         first_target = next(
@@ -282,75 +279,66 @@ class TestCheckSpec:
 
     def test_start_on_obstacle_violates_immediately(self, fx):
         spec = ReachAvoidSpec(frozenset({"3"}), frozenset({"5"}), frozenset({"3"}))
-        verdict = check_spec(fx.s1, spec, 6)
+        verdict = check_spec(fx.s1, spec)
         assert not verdict.holds and verdict.witness.states == ("3",)
 
     def test_start_on_target_satisfies_even_if_obstacle(self, fx):
         # The goal asks for an obstacle-free prefix strictly before the target.
         spec = ReachAvoidSpec(frozenset({"5"}), frozenset({"5"}), frozenset({"5"}))
-        assert check_spec(fx.s1, spec, 6).holds
+        assert check_spec(fx.s1, spec).holds
 
     def test_stuck_without_target_violates(self):
         sys = FiniteTransitionSystem(("p", "q"), ("u",), {("p", "u"): {"q"}})
         spec = ReachAvoidSpec(frozenset({"q"}), frozenset({"p"}), frozenset())
-        verdict = check_spec(sys, spec, 5)
+        verdict = check_spec(sys, spec)
         assert not verdict.holds and verdict.witness.states == ("q",)
 
+    def test_witness_ends_at_its_first_repeated_state(self):
+        # x0 may stay put forever, so the loop x0 x0 refutes the goal; the
+        # chain c1 c2 c3 behind it reaches the target and is no part of it.
+        sys = FiniteTransitionSystem(("c1", "c2", "c3", "t", "x0"), ("u",), {
+            ("x0", "u"): {"c1", "x0"}, ("c1", "u"): {"c2"}, ("c2", "u"): {"c3"},
+            ("c3", "u"): {"t"},
+        })
+        spec = ReachAvoidSpec(frozenset({"x0"}), frozenset({"t"}), frozenset())
+        assert check_spec(sys, spec).witness == Trajectory(("x0", "x0"), ("u",))
 
     @settings(max_examples=300, deadline=None)
     @given(sys=small_systems(max_states=6, max_inputs=3), data=st.data())
     def test_matches_recursive_reference(self, sys, data):
         some = st.frozensets(st.sampled_from(sys.states))
         spec = ReachAvoidSpec(data.draw(some), data.draw(some), data.draw(some))
-        horizon = data.draw(st.one_of(st.none(), st.integers(1, 7)))
         # Controlling some states away gives blocking states too.
         partial = controlled_system(
             sys, Controller({x: sys.available_inputs(x) for x in data.draw(some)}))
         for s in (sys, partial):
-            assert check_spec(s, spec, horizon) == reference_check_spec(s, spec, horizon)
-        # A synthesized closed loop holds at the full horizon, so a shorter
-        # one is violated only by runs that reach a state too late: the
-        # case where a node's depth decides whether it is clean.
-        target = spec.target or frozenset(sys.states[:1])
-        result = synthesize_reach_avoid(sys, ReachAvoidSpec(frozenset(), target, frozenset()))
-        closed = controlled_system(sys, result.controller)
-        loop_spec = ReachAvoidSpec(result.winning, target, frozenset())
-        short = data.draw(st.integers(1, max(result.rank.values()) + 1))
-        assert check_spec(closed, loop_spec, short) == (
-            reference_check_spec(closed, loop_spec, short))
-
-    def test_memo_keeps_depth(self):
-        # `b` is clean at depth 2 (via u0) but runs out of horizon at depth 3.
-        sys = FiniteTransitionSystem(
-            ("a", "b", "c", "t", "x"), ("u0", "u1"),
-            {("x", "u0"): {"b"}, ("x", "u1"): {"a"}, ("a", "u0"): {"b"},
-             ("b", "u0"): {"c"}, ("c", "u0"): {"t"}, ("t", "u0"): {"t"}},
-        )
-        spec = ReachAvoidSpec(frozenset({"x"}), frozenset({"t"}), frozenset())
-        assert check_spec(sys, spec, 5).holds
-        verdict = check_spec(sys, spec, 4)
-        assert verdict.witness == Trajectory(("x", "a", "b", "c"), ("u1", "u0", "u0"))
+            got = check_spec(s, spec)
+            assert got == reference_check_spec(s, spec) == reference_memoised_check_spec(s, spec)
 
     def test_matches_references_on_seeded_systems(self):
         ends = Counter()
         for seed in range(2000):
             sys, spec = spec_case(seed)
-            for horizon in (None, 1, 2, 3, 5):
-                got = outcome(check_spec, sys, spec, horizon)
-                assert got == outcome(reference_check_spec, sys, spec, horizon), (seed, horizon)
-                assert got == outcome(reference_memoised_check_spec, sys, spec, horizon)
-                if isinstance(got, tuple):
-                    ends[got[0].__name__] += 1
-                elif got.holds:
-                    ends["holds"] += 1
-                else:
-                    last, length = got.witness.states[-1], len(got.witness.states)
-                    bound = default_horizon(sys) if horizon is None else horizon
-                    ends["obstacle" if last in spec.obstacle else
-                         "horizon" if length == bound else "dead end"] += 1
+            got = outcome(check_spec, sys, spec)
+            assert got == outcome(reference_check_spec, sys, spec), seed
+            assert got == outcome(reference_memoised_check_spec, sys, spec), seed
+            if isinstance(got, tuple):
+                ends[got[0].__name__] += 1
+            elif got.holds:
+                ends["holds"] += 1
+            else:
+                w = got.witness
+                *run, last = w.states
+                assert reference_is_valid_for(w, sys), seed
+                assert spec.target.isdisjoint(w.states), seed
+                assert spec.obstacle.isdisjoint(run) and len(set(run)) == len(run), seed
+                ends["obstacle" if last in spec.obstacle else
+                     "lasso" if last in run else
+                     "dead end" if not reference_moves(sys, last) else "other"] += 1
         # Every way a verdict can come out: a witness that ends at an
-        # obstacle, at a dead end or at the horizon, and an unknown state.
-        assert set(ends) == {"holds", "obstacle", "dead end", "horizon", "DomainError"}
+        # obstacle, at a dead end or at its first repeated state, and an
+        # unknown state.
+        assert set(ends) == {"holds", "obstacle", "dead end", "lasso", "DomainError"}
 
     def test_long_chain_closed_loop_verifies(self):
         sys = chain(1500)
@@ -358,10 +346,12 @@ class TestCheckSpec:
         result = synthesize_reach_avoid(sys, spec)
         closed = controlled_system(sys, result.controller)
         assert check_spec(closed, spec).holds
-        short = check_spec(sys, spec, 1499)
-        assert short.witness.states == tuple(f"s{i}" for i in range(1499))
-        for s, horizon in ((closed, None), (sys, 1499), (sys, 1500)):
-            assert check_spec(s, spec, horizon) == reference_memoised_check_spec(s, spec, horizon)
+        # Without a target the run loops at its last state.
+        missing = ReachAvoidSpec(spec.initial, frozenset(), frozenset())
+        lasso = check_spec(sys, missing)
+        assert lasso.witness.states == tuple(f"s{i}" for i in range(1500)) + ("s1499",)
+        for s, goal in ((closed, spec), (sys, spec), (sys, missing)):
+            assert check_spec(s, goal) == reference_memoised_check_spec(s, goal)
 
     def test_large_synthesized_closed_loop_matches_memoised_reference(self):
         # `down` falls one to three states, `jump` lands anywhere; a few
@@ -379,13 +369,11 @@ class TestCheckSpec:
         assert len(result.winning) >= 1000
         closed = controlled_system(sys, result.controller)
         spec = ReachAvoidSpec(result.winning, target, obstacle)
-        top = max(result.rank.values())
-        verdicts = {}
-        for horizon in (None, top + 1, top, top // 2):
-            verdicts[horizon] = check_spec(closed, spec, horizon)
-            assert verdicts[horizon] == reference_memoised_check_spec(closed, spec, horizon)
-        assert verdicts[None].holds and verdicts[top + 1].holds
-        assert not verdicts[top].holds and len(verdicts[top].witness.states) == top
+        verdict = check_spec(closed, spec)
+        assert verdict.holds and verdict == reference_memoised_check_spec(closed, spec)
+        # The open system may jump anywhere, obstacles included.
+        verdict = check_spec(sys, spec)
+        assert not verdict.holds and verdict == reference_memoised_check_spec(sys, spec)
 
     def test_ladder_with_exponentially_many_runs(self):
         # 60 layers of two states, each wired to both of the next layer:

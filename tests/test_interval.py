@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -59,19 +60,6 @@ def affine_image(cell, law):
     return IntervalCell(hi, lo, cell.hi_closed, cell.lo_closed)
 
 
-def interval_covered(target, pieces):
-    """Exact test that ``target`` lies inside the union of ``pieces``: one
-    sweep over the pieces' cuts sorted by lower cut.  ``need`` is the least
-    target cut not yet covered; a piece reaching it moves it to just past
-    the piece's upper cut (v, s), which is (v, s + 1)."""
-    need, last = target._cuts
-    for start, (v, s) in sorted(piece._cuts for piece in pieces):
-        if start > need:
-            break
-        need = max(need, (v, s + 1))
-    return need > last
-
-
 class TestIntervalCell:
     def test_bad_bounds(self):
         with pytest.raises(ContractError):
@@ -80,22 +68,29 @@ class TestIntervalCell:
             IntervalCell(Fraction(0), Fraction(0), True, False)
 
     def test_membership_respects_flags(self):
-        cell = IntervalCell(Fraction(0), Fraction(1), False, True)
-        assert not cell.contains(0)
-        assert cell.contains(Fraction(1, 2)) and cell.contains(1)
+        cover = CellCover((
+            ("z", IntervalCell.point(0)),
+            ("c", IntervalCell(Fraction(0), Fraction(1), False, True)),
+        ))
+        assert quantize(cover, 0) == frozenset({"z"})
+        assert quantize(cover, Fraction(1, 2)) == quantize(cover, 1) == frozenset({"c"})
 
     def test_touching_intervals_intersection(self):
+        cover = CellCover((
+            ("m", IntervalCell(Fraction(-1), Fraction(0))),
+            ("r", IntervalCell(Fraction(0), Fraction(1))),
+        ))
         left_open = IntervalCell(Fraction(-1), Fraction(0), True, False)
-        right = IntervalCell(Fraction(0), Fraction(1))
-        assert not left_open.intersects(right)
+        assert quantize(cover, left_open) == frozenset({"m"})
         left_closed = IntervalCell(Fraction(-1), Fraction(0))
-        assert left_closed.intersects(right)
+        assert quantize(cover, left_closed) == frozenset({"m", "r"})
 
     def test_subset_with_flags(self):
         inner = IntervalCell(Fraction(0), Fraction(1), False, False)
         outer = IntervalCell(Fraction(0), Fraction(1), True, False)
-        assert inner.is_subset_of(outer)
-        assert not outer.is_subset_of(inner)
+        assert quantize(CellCover((("o", outer),)), inner) == frozenset({"o"})
+        with pytest.raises(OutOfDomainError):
+            quantize(CellCover((("i", inner),)), outer)
 
 
 class TestAffineImage:
@@ -128,9 +123,9 @@ class TestAffineImage:
             image = affine_image(cell, law)
             span = cell.hi - cell.lo
             x = cell.lo + span * Fraction(rng.randint(0, 9999), 10000)
-            if not cell.contains(x):
+            if not reference_contains(cell, x):
                 continue
-            assert image.contains(law.closed_loop(x))
+            assert reference_contains(image, law.closed_loop(x))
 
     def test_endpoints_attained_in_closure(self):
         law = AffineMap(Fraction(1, 3), Fraction(1, 8))
@@ -199,10 +194,10 @@ def reference_quantize(cover, target):
 
 
 def reference_interval_covered(target, pieces):
-    """The sampler the sweep replaced: membership in a union of intervals is
-    constant between consecutive endpoint values, so every endpoint inside
-    the target and one rational midpoint between each adjacent pair decide
-    it, in O(s^2) ``contains`` calls."""
+    """Sampled cover test: membership in a union of intervals is constant
+    between consecutive endpoint values, so every endpoint inside the target
+    and one rational midpoint between each adjacent pair decide it, in
+    O(s^2) ``reference_contains`` calls."""
     marks = {target.lo, target.hi}
     for piece in pieces:
         marks.add(piece.lo)
@@ -307,28 +302,6 @@ def covers_and_targets(draw):
     return cover, draw(values | intervals(values))
 
 
-def half_integer_cells():
-    """Every cell with endpoints on -3/2, -1, ..., 3/2: the seven points and
-    each pair of distinct endpoints under all four flag pairs."""
-    ends = [Fraction(k, 2) for k in range(-3, 4)]
-    cells = [IntervalCell.point(v) for v in ends]
-    cells += [IntervalCell(lo, hi, a, b) for lo in ends for hi in ends if lo < hi
-              for a in (True, False) for b in (True, False)]
-    return cells
-
-
-def test_cut_predicates_match_the_flag_cases():
-    cells = half_integer_cells()
-    assert len(cells) == 91
-    probes = [Fraction(k, 4) for k in range(-8, 9)]
-    for cell in cells:
-        for x in probes:
-            assert cell.contains(x) == reference_contains(cell, x), (cell, x)
-        for other in cells:
-            assert cell.intersects(other) == reference_intersects(cell, other), (cell, other)
-            assert cell.is_subset_of(other) == reference_is_subset_of(cell, other), (cell, other)
-
-
 class TestCoverIndexAgainstScan:
     @settings(max_examples=300, deadline=None)
     @given(case=covers_and_targets())
@@ -401,11 +374,6 @@ class TestCoverIndexAgainstScan:
                    for key, succ in built.trans.items()}
         shrunk = FiniteTransitionSystem(built.states, built.inputs, trimmed)
         assert verify_both(cover, shrunk, inputs) == reference_verify(cover, shrunk, inputs)
-
-    @settings(max_examples=500, deadline=None)
-    @given(target=intervals(ANY_ENDPOINTS), pieces=st.lists(intervals(ANY_ENDPOINTS), max_size=6))
-    def test_interval_covered_matches_the_sampler(self, target, pieces):
-        assert interval_covered(target, pieces) == reference_interval_covered(target, pieces)
 
 
 # A fixed table for the integer row keys: endpoints with denominators 2, 3,
@@ -526,6 +494,12 @@ class TestCellCover:
                      id="gain-as-a-boolean"),
         pytest.param("inputs", "input", 5, "expected a name, got 5",
                      id="input-named-by-a-number"),
+        # Spellings that Fraction reads, or fails on with a bare ValueError.
+        *(pytest.param(section, key, text, f'expected a "p/q" string, got {json.dumps(text)}',
+                       id=f"{key}-{text!r}")
+          for section, key in (("cells", "hi"), ("inputs", "offset"))
+          for text in ("abc", "1/2/3", "nan", "inf", "0x10", "1e3", "0.5", " 1/2 ", "-1_0/1",
+                       "1", "+1/2", "1/-2", "")),
     ])
     def test_cover_document_coerces_nothing(self, section, key, value, detail):
         obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
@@ -533,6 +507,21 @@ class TestCellCover:
         with pytest.raises(jsonio.FormatError) as err:
             jsonio.cover_from_obj(obj)
         assert str(err.value) == f"malformed cover document (TypeError: {detail})"
+
+    @pytest.mark.parametrize("section", ["cells", "inputs"])
+    def test_cover_sections_must_be_arrays(self, section):
+        obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+        obj[section] = ""
+        with pytest.raises(jsonio.FormatError) as err:
+            jsonio.cover_from_obj(obj)
+        detail = f'expected an array of {section}, got ""'
+        assert str(err.value) == f"malformed cover document (TypeError: {detail})"
+
+    def test_zero_denominator_in_a_document(self):
+        obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+        obj["inputs"][0]["gain"] = "1/0"
+        with pytest.raises(jsonio.FormatError, match="zero denominator in '1/0'"):
+            jsonio.cover_from_obj(obj)
 
 
 class TestQuantize:
@@ -599,7 +588,7 @@ class TestVerification:
 
     def test_cover_spans_its_hull(self):
         cover = fig8_cover(L)
-        assert interval_covered(cover.hull(), [cell for _, cell in cover.cells])
+        assert reference_interval_covered(cover.hull(), [cell for _, cell in cover.cells])
 
     def test_dropping_a_successor_breaks_containment(self):
         inputs = fig8_constant_inputs(Fraction(1, 2))
@@ -654,18 +643,20 @@ class TestVerification:
         assert verify_asr_interval(cover, sys, inputs)
         assert verify_mcr_interval(cover, sys, inputs)
 
-    def test_interval_covered_handles_split_pieces(self):
-        target = IntervalCell(Fraction(0), Fraction(1))
-        halves = [
-            IntervalCell(Fraction(0), Fraction(1, 2)),
-            IntervalCell(Fraction(1, 2), Fraction(1)),
-        ]
-        assert interval_covered(target, halves)
-        gap = [
-            IntervalCell(Fraction(0), Fraction(1, 2), True, False),
-            IntervalCell(Fraction(1, 2), Fraction(1), False, True),
-        ]
-        assert not interval_covered(target, gap)
+    def test_asr_handles_split_pieces(self):
+        # The image [0, 1] of the source cell falls on two halves: closed
+        # halves share 1/2 and cover it, open ends at 1/2 leave it out.
+        inputs = (AbstractInput("k", AffineMap(Fraction(0), Fraction(2))),)
+        for half_closed, asr in ((True, True), (False, False)):
+            cover = CellCover((
+                ("src", IntervalCell(Fraction(-2), Fraction(-1))),
+                ("a", IntervalCell(Fraction(0), Fraction(1, 2), True, half_closed)),
+                ("b", IntervalCell(Fraction(1, 2), Fraction(1), half_closed, True)),
+            ))
+            sys = build_abstraction(cover, inputs, {"src": ["k"]})
+            assert sys.successors("src", "k") == frozenset({"a", "b"})
+            got = verify_both(cover, sys, inputs)
+            assert got == reference_verify(cover, sys, inputs) == (True, asr)
 
 
 class TestFig8Separation:

@@ -3,6 +3,7 @@ removed one, changes this list, so the change shows in the diff."""
 import types
 
 import symcret
+from symcret import jsonio
 
 PUBLIC = [
     "AbstractInput", "AffineMap", "AllControllersVerdict", "BrokenCertificateError",
@@ -18,7 +19,7 @@ PUBLIC = [
     "check_memoryless_concretization",
     "check_memoryless_concretization_all_controllers", "check_relation", "check_spec",
     "closed_loop_run", "compose", "controller_count",
-    "count_dynamic_runs", "default_horizon", "enumerate_controllers",
+    "count_dynamic_runs", "enumerate_controllers",
     "extended_relation", "fig5", "fig8_affine_inputs", "fig8_constant_inputs",
     "fig8_cover", "fig8_target_spec", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
@@ -45,3 +46,6 @@ def test_test_only_methods_stay_out():
     assert not hasattr(symcret.Relation, "inverse")
     assert not hasattr(symcret.Trajectory, "is_valid_for")
     assert not hasattr(symcret.CellCover, "covers")
+    for method in ("contains", "intersects", "is_subset_of"):
+        assert not hasattr(symcret.IntervalCell, method)
+    assert not hasattr(jsonio, "trajectory_from_obj")

@@ -147,16 +147,14 @@ class TestSynthesis:
 
     def test_both_routes_actually_solve(self, fx):
         for c2 in (fx.c2_via_b, fx.c2_via_e):
-            assert check_spec(controlled_system(fx.s2, c2), fx.spec2, 7).holds
+            assert check_spec(controlled_system(fx.s2, c2), fx.spec2).holds
 
     def test_extension_collapses_to_one_route(self, fx):
         result = synthesize_reach_avoid(fx.s2_extended, fx.spec2)
         assert result is not None
         assert result.controller.choices["a"] == frozenset({BETA})
         # The discarded route genuinely fails on the extension.
-        assert not check_spec(
-            controlled_system(fx.s2_extended, fx.c2_via_b), fx.spec2, 7
-        ).holds
+        assert not check_spec(controlled_system(fx.s2_extended, fx.c2_via_b), fx.spec2).holds
 
     def test_unreachable_target(self, fx):
         spec = ReachAvoidSpec(frozenset({"a"}), frozenset({"d"}), frozenset())
@@ -189,7 +187,7 @@ class TestSynthesis:
         widened = dict(result.controller.choices)
         widened["a"] = widened["a"] | {ALPHA}
         bad = Controller(widened)
-        assert not check_spec(controlled_system(fx.s2_extended, bad), fx.spec2, 7).holds
+        assert not check_spec(controlled_system(fx.s2_extended, bad), fx.spec2).holds
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -225,7 +223,7 @@ class TestSynthesis:
             assert reference_losing_initial_states(sys, spec)
             return
         closed = controlled_system(sys, result.controller)
-        assert check_spec(closed, spec, len(sys.states) + 1).holds
+        assert check_spec(closed, spec).holds
 
 
 class TestAgainstKleeneReference:
