@@ -230,7 +230,10 @@ def _rational(value: Any) -> Fraction:
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise TypeError(f'expected a "p/q" string, got {json.dumps(value)}')
-    numerator, denominator = int(match[1]), int(match[2])
+    try:
+        numerator, denominator = int(match[1]), int(match[2])
+    except ValueError:  # more digits than int() converts
+        raise TypeError(f"a rational with {len(value)} characters is too long") from None
     if not denominator:
         raise FormatError(f"zero denominator in {value!r}")
     return Fraction(numerator, denominator)

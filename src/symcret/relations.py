@@ -14,10 +14,11 @@ an abstraction S2 through a state relation R:
   input itself played on the concrete side, so abstract and concrete input
   alphabets coincide where related.
 
-All three kinds come from one admissible-input pass: for each related pair
-(x1, x2) and abstract input u2 available at x2, the concrete inputs u1 whose
-tuple (x1, x2, u1, u2) satisfies the local condition.  The checks, interfaces,
-extended relations, witness replay and the extension are all read off it.
+All three kinds come from one walk over the related pairs in sorted order.
+Each time x1 changes it quantizes x1's rows once, mapping every successor x1'
+to its image R(x1'); each image must then meet (ASR) or lie inside (MCR,
+FRR) the abstract row.  The checks, interfaces, extended relations, witness
+replay and the extension all read this walk.
 
 Checkers return refutation witnesses that are minimal in lexicographic order
 of (x1, x2, u2) and can be replayed against the raw definitions.
@@ -102,10 +103,7 @@ class Relation:
             raise DomainError(f"unknown codomain state {b!r}") from None
 
     def image(self, group: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for a in group:
-            out |= self.forward(a)
-        return frozenset(out)
+        return frozenset().union(*map(self.forward, group))
 
     def is_strict(self) -> bool:
         """Every domain state is related to something (the cover is total)."""
@@ -209,44 +207,41 @@ def _require(
         raise StrictnessError(f"{kind.value} guarantees assume a strict relation")
 
 
-def _triples(s2: FiniteTransitionSystem, rel: Relation) -> Iterator[tuple[str, str, str]]:
-    """Every (x1, x2, u2) the local condition quantifies over, in witness order."""
-    for x1, x2 in sorted(rel.pairs):
-        for u2 in s2.available_inputs(x2):
-            yield x1, x2, u2
-
-
-def _candidates(
-    kind: RelationKind, s1: FiniteTransitionSystem, x1: str, u2: str
-) -> tuple[str, ...]:
-    """Concrete inputs that may implement ``u2`` at ``x1``: the available ones,
-    and for FRR only ``u2`` itself."""
-    avail = s1.available_inputs(x1)
-    if kind is RelationKind.FRR:
-        return (u2,) if u2 in avail else ()
-    return avail
-
-
-def _admissible(
+def _walk(
     kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
-    rel: Relation, x1: str, x2: str, u2: str,
-) -> Iterator[str]:
-    """Lazily yield, in sorted order, each u1 whose tuple (x1, x2, u1, u2)
-    satisfies the local condition of ``kind``: the related images of every
-    successor under u1 meet (ASR) or lie inside (MCR, FRR) the abstract row
-    of (x2, u2).  The one place that condition is evaluated; callers validate
-    the triplet, so the tables are read directly."""
-    row = s2.trans[(x2, u2)]
-    fwd = rel._fwd  # type: ignore[attr-defined]
-    trans = s1.trans
-    some = kind is RelationKind.ASR
-    for u1 in _candidates(kind, s1, x1, u2):
-        for x1p in trans[(x1, u1)]:
-            image = fwd[x1p]
-            if image.isdisjoint(row) if some else not image <= row:
-                break
-        else:
-            yield u1
+    rel: Relation, pairs: Iterable[tuple[str, str]], first: bool,
+) -> Iterator[tuple[str, str, str, list[str], dict[str, tuple[frozenset[str], ...]]]]:
+    """Yield (x1, x2, u2, us, post) for each (x1, x2) of ``pairs`` and u2
+    available at x2.  ``post``, built once per x1, maps each u1 available
+    there to the images of its successors.  Their union Q(x1, u1) is not
+    built: rows have few successors, and the union costs more than it saves.
+    ``us`` lists the u1 (only the least when ``first``; for FRR only u2) whose
+    every image meets (ASR) or lies inside (MCR, FRR) the row of (x2, u2).
+    Callers validate the triplet."""
+    quantize = rel._fwd.__getitem__  # type: ignore[attr-defined]
+    trans1, trans2 = s1.trans, s2.trans
+    avail1, avail2 = s1._avail, s2._avail  # type: ignore[attr-defined]
+    some, frr = kind is RelationKind.ASR, kind is RelationKind.FRR
+    last = post = None
+    for x1, x2 in pairs:
+        if x1 != last:
+            last, post = x1, {}
+            for u1 in avail1[x1]:
+                post[u1] = tuple(map(quantize, trans1[(x1, u1)]))
+        for u2 in avail2[x2]:
+            row = trans2[(x2, u2)]
+            us = []
+            for u1, images in post.items():
+                if frr and u1 != u2:
+                    continue
+                for image in images:
+                    if image.isdisjoint(row) if some else not image <= row:
+                        break
+                else:
+                    us.append(u1)
+                    if first:
+                        break
+            yield x1, x2, u2, us, post
 
 
 def _escape(
@@ -264,15 +259,16 @@ def _escape(
 def _refutation(
     kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
     rel: Relation, x1: str, x2: str, u2: str,
-) -> RelationWitness:
-    """Witness for a triple with no admissible input.  For MCR and FRR every
-    candidate input escapes, and the evidence is the least of their escapes;
-    there is none when no input is a candidate."""
-    if kind is RelationKind.ASR:
-        return RelationWitness(x1, x2, u2)
-    row = s2.successors(x2, u2)
-    escapes = [_escape(s1, rel, x1, u1, row) for u1 in _candidates(kind, s1, x1, u2)]
-    return RelationWitness(x1, x2, u2, min(escapes, default=None))
+) -> RelationVerdict:
+    """Verdict refuted at a triple with no admissible input.  For MCR and FRR
+    the evidence is the least escape of the candidate inputs (the available
+    ones, for FRR only u2); there is none when no input is a candidate."""
+    evidence = None
+    if kind is not RelationKind.ASR:
+        row = s2.successors(x2, u2)
+        evidence = min((_escape(s1, rel, x1, u1, row) for u1 in s1.available_inputs(x1)
+                        if kind is RelationKind.MCR or u1 == u2), default=None)
+    return RelationVerdict(False, RelationWitness(x1, x2, u2, evidence))
 
 
 def check_relation(
@@ -282,14 +278,14 @@ def check_relation(
     refuted at the first (x1, x2, u2) in sorted order with no admissible u1.
     For MCR and FRR a non-strict ``rel`` is a :class:`StrictnessError`.
 
-    Cost: O(P log P) for the P related pairs, plus at most O(T * m * d * r)
-    over T triples, m concrete inputs (tried up to the first admissible one),
-    d successors per row and r related abstract states per successor."""
+    Cost: O(P log P) for the P related pairs, O(m * d) per related x1 to
+    quantize its m rows of d successors, and O(d * r) for images of size r per
+    input tested on the T triples, up to the first admissible one."""
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
-    for x1, x2, u2 in _triples(s2, rel):
-        if next(_admissible(kind, s1, s2, rel, x1, x2, u2), None) is None:
-            return RelationVerdict(False, _refutation(kind, s1, s2, rel, x1, x2, u2))
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=True):
+        if not us:
+            return _refutation(kind, s1, s2, rel, x1, x2, u2)
     return RelationVerdict(True, None)
 
 
@@ -330,14 +326,13 @@ def replay_witness(
         return False
     if kind is RelationKind.FRR and u2 not in s1.available_inputs(x1):
         return True
-    if next(_admissible(kind, s1, s2, rel, x1, x2, u2), None) is not None:
-        return False
+    for _, _, v2, us, _ in _walk(kind, s1, s2, rel, ((x1, x2),), first=True):
+        if v2 == u2 and us:
+            return False
     if witness.evidence is not None:
         x1p, x2p = witness.evidence
-        in_some_successor = any(
-            x1p in s1.successors(x1, u1) for u1 in _candidates(kind, s1, x1, u2)
-        )
-        if not in_some_successor:
+        candidates = (u2,) if kind is RelationKind.FRR else s1.available_inputs(x1)
+        if not any(x1p in s1.successors(x1, u1) for u1 in candidates):
             return False
         if x2p not in rel.forward(x1p) or x2p in s2.successors(x2, u2):
             return False
@@ -355,8 +350,8 @@ def extended_relation(
     _validate_triplet(s1, s2, rel)
     tuples = frozenset(
         (x1, x2, u1, u2)
-        for x1, x2, u2 in _triples(s2, rel)
-        for u1 in _admissible(kind, s1, s2, rel, x1, x2, u2)
+        for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False)
+        for u1 in us
     )
     return ExtendedRelation(kind, tuples)
 
@@ -368,22 +363,21 @@ def maximal_interface(
     kind: RelationKind,
 ) -> Interface:
     """The largest interface for ``kind``: every concrete input whose
-    annotated tuple satisfies the local condition.  One pass over the triples
-    of :func:`check_relation` collects the entries; the first empty one raises
-    :class:`RelationCheckError` with the verdict that check returns.
+    annotated tuple satisfies the local condition.  The walk of
+    :func:`check_relation`, testing every input, collects the entries; the
+    first empty one raises :class:`RelationCheckError` with the verdict that
+    check returns.
 
-    Cost: that of the check with every concrete input tried,
+    Cost: that of the check with every concrete input tested,
     O(P log P + T * m * d * r).
     """
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
     table: dict[tuple[str, str, str], frozenset[str]] = {}
-    for x1, x2, u2 in _triples(s2, rel):
-        entry = frozenset(_admissible(kind, s1, s2, rel, x1, x2, u2))
-        if not entry:
-            witness = _refutation(kind, s1, s2, rel, x1, x2, u2)
-            raise RelationCheckError(kind, RelationVerdict(False, witness))
-        table[(x1, x2, u2)] = entry
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+        if not us:
+            raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
+        table[(x1, x2, u2)] = frozenset(us)
     return Interface(kind, table)
 
 
@@ -400,10 +394,10 @@ def validate_interface(
     input of the first bad entry."""
     _validate_triplet(s1, s2, rel)
     kind = interface.kind
-    for x1, x2, u2 in _triples(s2, rel):
-        entry = interface.inputs_for(x1, x2, u2)
-        # Reports the least offending input only: the loop body always raises.
-        for u1 in sorted(entry.difference(_admissible(kind, s1, s2, rel, x1, x2, u2))):
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+        bad = interface.inputs_for(x1, x2, u2).difference(us)
+        if bad:
+            u1 = min(bad)
             if u1 not in s1.available_inputs(x1):
                 raise ContractError(
                     f"interface offers unavailable input {u1} at ({x1}, {x2}, {u2})"
@@ -423,19 +417,22 @@ def mcr_extension(
     Input availability is preserved row for row; only successor sets grow.
     The returned system is checked to stand in the memoryless concretization
     relation both with ``s1`` along ``rel`` and with ``s2`` along identity.
-    Cost: one maximal ASR interface, the union of its entries' images, and
-    the two MCR checks of that postcondition.
+    Cost: one ASR walk, adding the successor images of each admissible u1 to
+    the row of (x2, u2), then the two MCR checks of that postcondition.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
         raise StrictnessError("extension needs a strict relation")
-    interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
+    kind = RelationKind.ASR
     table: dict[tuple[str, str], set[str]] = {
         key: set(succ) for key, succ in s2.trans.items()
     }
-    for (x1, x2, u2), entry in interface.table.items():
-        for u1 in entry:
-            table[(x2, u2)] |= rel.image(s1.successors(x1, u1))
+    for x1, x2, u2, us, post in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+        if not us:
+            raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
+        row = table[(x2, u2)]
+        for u1 in us:
+            row.update(*post[u1])
     extended = FiniteTransitionSystem(
         s2.states, s2.inputs, {k: frozenset(v) for k, v in table.items()}
     )

@@ -16,6 +16,7 @@ from symcret import (
     fig5,
     verify_fig5_consistency,
 )
+from symcret.oracle import induced_abstraction
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -96,6 +97,45 @@ def cycle_product(lengths=(2, 3, 5, 7), start=None, hole=None):
     c1 = Controller({x: {"u"} for x in s1.states})
     c2 = Controller({q: {"v"} for q in s2.states})
     return s1, s2, rel, c1, c2
+
+
+def overlapping_line(n_cells, seed):
+    """A line of five states per cell, in the shape of the paper's repair
+    problem: alternating simulation holds, the memoryless condition fails.
+
+    About half of the cells also own the first state of their right
+    neighbour.  ``dn`` and ``up`` move six states (one more than a cell), and
+    to a seventh half the time; ``hop`` jumps 9 to 11 states up with width 1
+    to 3; moves stop at the ends.  The abstraction is the induced one with
+    some cells dropped from each row: a cell goes, with probability 1/2,
+    only when every concrete successor that quantizes to it keeps another
+    cell of the row, so u1 = u2 still meets it (ASR), while the dropped
+    quantization breaks containment (MCR)."""
+    rng = seeded_rng(seed)
+    n = 5 * n_cells
+    states = [f"x{i:04d}" for i in range(n)]
+    cells = [f"c{j:03d}" for j in range(n_cells)]
+    pairs = {(states[i], cells[i // 5]) for i in range(n)}
+    pairs |= {(states[5 * j], cells[j - 1]) for j in range(1, n_cells) if rng.random() < 0.5}
+    trans = {}
+    for i, x in enumerate(states):
+        for u, step in (("dn", -6), ("up", 6)):
+            hops = {i + step, i + step + step // 6} if rng.random() < 0.5 else {i + step}
+            trans[(x, u)] = {states[min(n - 1, max(0, t))] for t in hops}
+        start, width = i + rng.randint(9, 11), rng.randint(1, 3)
+        trans[(x, "hop")] = {states[min(n - 1, t)] for t in range(start, start + width)}
+    s1 = FiniteTransitionSystem(tuple(states), ("dn", "hop", "up"), trans)
+    rel = Relation(s1.states, tuple(cells), frozenset(pairs))
+    induced = induced_abstraction(s1, rel)
+    rows = {}
+    for (q, u), row in induced.trans.items():
+        row = set(row)
+        images = [rel.forward(t) for x in rel.inverse_map(q) for t in s1.successors(x, u)]
+        for c in sorted(row):
+            if rng.random() < 0.5 and all(img & (row - {c}) for img in images if c in img):
+                row.discard(c)
+        rows[(q, u)] = row
+    return s1, FiniteTransitionSystem(induced.states, induced.inputs, rows), rel
 
 
 def outcome(fn, *args, **kwargs):

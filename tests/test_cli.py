@@ -572,6 +572,8 @@ class TestErrors:
             ("directory-as-a-system", "usage", "Is a directory"),
             ("export-into-a-missing-directory", "usage", "No such file or directory"),
             ("bound-with-a-zero-denominator", "validation", "zero denominator in '1/0'"),
+            ("bound-with-a-long-numerator", "validation", "integer string conversion"),
+            ("bound-with-a-long-denominator", "validation", "integer string conversion"),
             ("concretize-over-a-failed-check", "validation",
              f"mcr check failed at (1, a, {ALPHA}), successor pair (2, c) escapes"),
         ]
@@ -622,6 +624,10 @@ class TestErrors:
             argv = ["synthesize", "--sys", str(tmp_path), "--spec", str(tmp_path)]
         elif case == "bound-with-a-zero-denominator":
             argv = ["demo", "fig8", "--bound", "1/0"]
+        elif case == "bound-with-a-long-numerator":
+            argv = ["demo", "fig8", "--bound", "1" * 5000 + "/1"]
+        elif case == "bound-with-a-long-denominator":
+            argv = ["demo", "fig8", "--bound", "1/" + "1" * 5000]
         elif case == "concretize-over-a-failed-check":
             argv = ["concretize", "--mode", "memoryless", "--kind", "mcr",
                     "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",

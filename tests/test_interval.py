@@ -500,6 +500,12 @@ class TestCellCover:
           for section, key in (("cells", "hi"), ("inputs", "offset"))
           for text in ("abc", "1/2/3", "nan", "inf", "0x10", "1e3", "0.5", " 1/2 ", "-1_0/1",
                        "1", "+1/2", "1/-2", "")),
+        # More digits than int() converts: a named error, not a bare ValueError.
+        *(pytest.param(section, key, text, "a rational with 5002 characters is too long",
+                       id=f"{key}-long-{part}")
+          for section, key in (("cells", "hi"), ("inputs", "offset"))
+          for part, text in (("numerator", "1" * 5000 + "/1"),
+                             ("denominator", "1/" + "1" * 5000))),
     ])
     def test_cover_document_coerces_nothing(self, section, key, value, detail):
         obj = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)

@@ -19,6 +19,7 @@ from symcret import (
     RelationVerdict,
     RelationWitness,
     StrictnessError,
+    SymcretError,
     check_asr,
     check_frr,
     check_mcr,
@@ -35,7 +36,7 @@ import symcret
 from symcret.fixtures import ALPHA, BETA
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import seeded_rng, small_systems, strict_relations
+from conftest import overlapping_line, seeded_rng, small_systems, strict_relations
 
 
 # Reference implementations: the per-tuple evaluation every relation operation
@@ -60,7 +61,7 @@ def reference_check(kind, s1, s2, rel):
     if set(rel.domain) != set(s1.states) or set(rel.codomain) != set(s2.states):
         raise DomainError("relation carriers must match the systems")
     if kind is not RelationKind.ASR and not rel.is_strict():
-        raise StrictnessError(kind.value)
+        raise StrictnessError(f"{kind.value} guarantees assume a strict relation")
     for x1, x2 in sorted(rel.pairs):
         avail1 = s1.available_inputs(x1)
         for u2 in s2.available_inputs(x2):
@@ -85,7 +86,9 @@ def reference_check(kind, s1, s2, rel):
                     break
                 violations.append(failure)
             else:
-                return RelationVerdict(False, RelationWitness(x1, x2, u2, min(violations)))
+                # A blocking x1 has no candidate, and so no evidence.
+                evidence = min(violations, default=None)
+                return RelationVerdict(False, RelationWitness(x1, x2, u2, evidence))
     return RelationVerdict(True, None)
 
 
@@ -146,14 +149,115 @@ def reference_mcr_extension(s1, s2, rel):
     return FiniteTransitionSystem(s2.states, s2.inputs, table)
 
 
-def outcome(fn, *args, **kwargs):
-    """A call's value, or the error it raised, in a comparable form."""
+def reference_validate_interface(s1, s2, rel, interface):
+    """Raise the library's ContractError for the first bad entry, in sorted
+    (x1, x2, u2) order, naming its least offending input."""
+    kind = interface.kind
+    for x1, x2 in sorted(rel.pairs):
+        for u2 in s2.available_inputs(x2):
+            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+                if u1 not in s1.available_inputs(x1):
+                    raise ContractError(
+                        f"interface offers unavailable input {u1} at ({x1}, {x2}, {u2})")
+                if not reference_tuple_ok(kind, s1, s2, rel, x1, x2, u1, u2):
+                    raise ContractError(f"interface entry ({x1}, {x2}, {u2}) -> {u1} "
+                                        f"violates the {kind.value} condition")
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of the library error it
+    raised, with the verdict of a failed check."""
     try:
-        return ("value", fn(*args, **kwargs))
-    except RelationCheckError as err:
-        return ("check", err.kind, err.verdict)
-    except StrictnessError:
-        return ("strict",)
+        return ("value", fn(*args))
+    except SymcretError as err:
+        return ("error", type(err), str(err), getattr(err, "verdict", None))
+
+
+def walk_instance(seed):
+    """A concrete system, a relation and an abstraction drawn from ``seed``.
+    The seed picks the relation's shape (a cover that puts each state in one
+    to three cells, a partition, or a non-strict relation) and the
+    abstraction (random over the concrete input names, induced, or induced
+    and thinned); a fifth of the systems get a blocking state."""
+    rng = seeded_rng(seed)
+    s1 = random_system(rng, rng.randint(2, 6), rng.randint(1, 3))
+    if rng.random() < 0.2:
+        blocked = rng.choice(s1.states)
+        s1 = FiniteTransitionSystem(s1.states, s1.inputs, {
+            key: succ for key, succ in s1.trans.items() if key[0] != blocked})
+    cells = [f"q{i}" for i in range(rng.randint(1, 4))]
+    shape, abstraction = seed % 3, seed // 3 % 3
+    if shape == 0:
+        pairs = {(x, q) for x in s1.states
+                 for q in rng.sample(cells, rng.randint(1, min(3, len(cells))))}
+    elif shape == 1:
+        pairs = random_strict_relation(rng, s1.states, cells, overlap=0.0).pairs
+    else:
+        pairs = {(x, q) for x in s1.states for q in cells if rng.random() < 0.3}
+    rel = Relation(s1.states, cells, frozenset(pairs))
+    if abstraction == 0:
+        return s1, random_system(rng, len(cells), rng.randint(1, 3), state_prefix="q"), rel
+    s2 = induced_abstraction(s1, rel)
+    if abstraction == 2:
+        s2 = FiniteTransitionSystem(s2.states, s2.inputs, {
+            key: rng.sample(sorted(succ), rng.randint(1, len(succ)))
+            for key, succ in s2.trans.items() if succ})
+    return s1, s2, rel
+
+
+def walk_classes(seed):
+    """The cases of ``walk_instance(seed)`` that the walk must get right."""
+    s1, s2, rel = walk_instance(seed)
+
+    def live(x1):
+        return [x2 for x2 in rel.forward(x1) if s2.available_inputs(x2)]
+
+    frr = check_frr(s1, s2, rel) if rel.is_strict() else None
+    mcr = check_mcr(s1, s2, rel) if rel.is_strict() else None
+    return {
+        "images reused across cells": any(len(live(x1)) >= 2 for x1 in s1.states),
+        "non-strict": not rel.is_strict(),
+        "frr input unavailable at x1": frr is not None and not frr.holds
+        and frr.witness.u2 not in s1.available_inputs(frr.witness.x1),
+        "blocking related state": any(
+            live(x1) and not s1.available_inputs(x1) for x1 in s1.states),
+        "thinned, mcr refuted with evidence": seed // 3 % 3 == 2 and mcr is not None
+        and not mcr.holds and mcr.witness.evidence is not None,
+    }
+
+
+def assert_walk_matches_references(s1, s2, rel, rng):
+    """Every operation read off the walk equals its reference: values,
+    witnesses with evidence, tables, tuples, and error type and message."""
+    assert outcome(mcr_extension, s1, s2, rel) == outcome(
+        reference_mcr_extension, s1, s2, rel)
+    evidences = [None] + [(a, b) for a in s1.states for b in s2.states]
+    for kind in RelationKind:
+        checked = outcome(check_relation, kind, s1, s2, rel)
+        assert checked == outcome(reference_check, kind, s1, s2, rel)
+        if checked[0] == "value" and not checked[1].holds:
+            assert replay_witness(kind, s1, s2, rel, checked[1].witness)
+        iface = outcome(maximal_interface, s1, s2, rel, kind)
+        assert iface == outcome(reference_maximal_interface, s1, s2, rel, kind)
+        assert extended_relation(kind, s1, s2, rel).tuples == (
+            reference_extended_relation(kind, s1, s2, rel))
+        for _ in range(12):
+            w = RelationWitness(rng.choice(s1.states), rng.choice(s2.states),
+                                rng.choice(s2.inputs), rng.choice(evidences))
+            assert replay_witness(kind, s1, s2, rel, w) == (
+                reference_replay_witness(kind, s1, s2, rel, w))
+        # The maximal interface where there is one, then random entries over
+        # the concrete inputs and one unknown name; some entries go missing.
+        keys = [(x1, x2, u2) for x1, x2 in sorted(rel.pairs) for u2 in s2.available_inputs(x2)]
+        names = [*s1.inputs, "u9"]
+        tables = [iface[1].table] if iface[0] == "value" else []
+        for _ in range(4):
+            tables.append({key: rng.sample(names, rng.randint(1, 2)) for key in keys
+                           if rng.random() < 0.95})
+        for table in tables:
+            candidate = Interface(kind, table)
+            assert outcome(validate_interface, s1, s2, rel, candidate) == outcome(
+                reference_validate_interface, s1, s2, rel, candidate)
 
 
 @st.composite
@@ -527,22 +631,13 @@ class TestKernelAgainstReference:
     @given(inst=relation_instances())
     def test_every_operation_matches(self, inst):
         s1, s2, rel = inst
-        assert outcome(mcr_extension, s1, s2, rel) == outcome(
-            reference_mcr_extension, s1, s2, rel)
+        assert_walk_matches_references(s1, s2, rel, seeded_rng(0))
         for kind, checker in (
             (RelationKind.ASR, check_asr),
             (RelationKind.MCR, check_mcr),
             (RelationKind.FRR, check_frr),
         ):
-            checked = outcome(checker, s1, s2, rel)
-            assert checked == outcome(reference_check, kind, s1, s2, rel)
-            assert outcome(check_relation, kind, s1, s2, rel) == checked
-            assert outcome(maximal_interface, s1, s2, rel, kind) == outcome(
-                reference_maximal_interface, s1, s2, rel, kind)
-            assert extended_relation(kind, s1, s2, rel).tuples == (
-                reference_extended_relation(kind, s1, s2, rel))
-            if checked[0] == "value" and not checked[1].holds:
-                assert replay_witness(kind, s1, s2, rel, checked[1].witness)
+            assert outcome(checker, s1, s2, rel) == outcome(check_relation, kind, s1, s2, rel)
             # Perturbed witnesses: every triple (related or not, any input)
             # with no evidence and with every shifted evidence pair, which
             # includes FRR witnesses whose u2 is unavailable at x1.
@@ -554,6 +649,62 @@ class TestKernelAgainstReference:
                             w = RelationWitness(x1, x2, u2, evidence)
                             assert replay_witness(kind, s1, s2, rel, w) == (
                                 reference_replay_witness(kind, s1, s2, rel, w))
+
+
+class TestWalkAgainstReference:
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_instances_match(self, block):
+        seen = dict.fromkeys(walk_classes(0), 0)
+        for seed in range(150 * block, 150 * (block + 1)):
+            assert_walk_matches_references(*walk_instance(seed), seeded_rng(-seed))
+            for name, hit in walk_classes(seed).items():
+                seen[name] += hit
+        assert all(seen.values()), seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_drawn_seeds_match(self, seed):
+        assert_walk_matches_references(*walk_instance(seed), seeded_rng(seed))
+
+    def test_overlapping_line_matches(self):
+        # A few hundred cells in the shape of the paper's repair problem.
+        s1, s2, rel = overlapping_line(300, 1)
+        assert check_asr(s1, s2, rel).holds
+        verdict = check_mcr(s1, s2, rel)
+        assert not verdict.holds and verdict.witness.evidence is not None
+        assert verdict == reference_check(RelationKind.MCR, s1, s2, rel)
+        assert replay_witness(RelationKind.MCR, s1, s2, rel, verdict.witness)
+        assert maximal_interface(s1, s2, rel, RelationKind.ASR) == (
+            reference_maximal_interface(s1, s2, rel, RelationKind.ASR))
+        extended = mcr_extension(s1, s2, rel)
+        assert extended == reference_mcr_extension(s1, s2, rel)
+        assert maximal_interface(s1, extended, rel, RelationKind.MCR) == (
+            reference_maximal_interface(s1, extended, rel, RelationKind.MCR))
+
+    def test_check_stops_at_the_first_admissible_input(self):
+        # Inputs a and b both implement v at x.  The check tests the image of
+        # a's successor y only; the interface tests b's successor z as well.
+        tested = []
+
+        class Image(frozenset):
+            def isdisjoint(self, row):
+                tested.append(self.state)
+                return super().isdisjoint(row)
+
+        s1 = FiniteTransitionSystem(
+            ("x", "y", "z"), ("a", "b"), {("x", "a"): {"y"}, ("x", "b"): {"z"}})
+        s2 = FiniteTransitionSystem(("p", "q", "r"), ("v",), {("q", "v"): {"p", "r"}})
+        rel = Relation(s1.states, s2.states, frozenset({("x", "q"), ("y", "p"), ("z", "r")}))
+        images = {x: Image(cells) for x, cells in rel._fwd.items()}
+        for x, image in images.items():
+            image.state = x
+        object.__setattr__(rel, "_fwd", images)
+        assert check_asr(s1, s2, rel).holds
+        assert tested == ["y"]
+        tested.clear()
+        assert maximal_interface(s1, s2, rel, RelationKind.ASR).table == {
+            ("x", "q", "v"): frozenset({"a", "b"})}
+        assert tested == ["y", "z"]
 
 
 class TestRelationLaws:
