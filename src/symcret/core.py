@@ -39,9 +39,11 @@ class FiniteTransitionSystem:
     ``states`` and ``inputs`` are kept sorted so that every iteration in the
     library is reproducible and witnesses come out lexicographically minimal.
     ``trans`` is normalised to a total map: rows missing at construction are
-    filled in as empty (input unavailable).  Blocking systems (some state with
-    no available input) can be represented, so that predicates about them can
-    be evaluated; loaders and fixtures reject them where required.
+    filled in as empty (input unavailable).  One pass over ``trans`` checks
+    each name once against the sorted carrier and keeps the carrier's own
+    object: one object per name.  Blocking systems (some state with no
+    available input) can be represented, so that predicates about them can be
+    evaluated; loaders and fixtures reject them where required.
     """
 
     states: tuple[str, ...]
@@ -49,33 +51,31 @@ class FiniteTransitionSystem:
     trans: Mapping[tuple[str, str], frozenset[str]]
 
     def __post_init__(self) -> None:
-        states = tuple(sorted(dict.fromkeys(self.states)))
-        inputs = tuple(sorted(dict.fromkeys(self.inputs)))
-        state_set = frozenset(states)
-        input_set = frozenset(inputs)
+        names = {x: x for x in sorted(dict.fromkeys(self.states))}
+        labels = {u: u for u in sorted(dict.fromkeys(self.inputs))}
+        name = names.__getitem__
         table: dict[tuple[str, str], frozenset[str]] = {}
-        for (x, u), succ in dict(self.trans).items():
-            if x not in state_set:
-                raise DomainError(f"transition key uses unknown state {x!r}")
-            if u not in input_set:
-                raise DomainError(f"transition key uses unknown input {u!r}")
-            succ = frozenset(succ)
-            stray = succ - state_set
-            if stray:
-                raise DomainError(f"successors {sorted(stray)!r} of ({x!r}, {u!r}) are not states")
-            table[(x, u)] = succ
-        for x in states:
-            for u in inputs:
-                table.setdefault((x, u), frozenset())
-        avail = {x: tuple(u for u in inputs if table[(x, u)]) for x in states}
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
+        for (x, u), succ in self.trans.items():
+            try:
+                key = names[x], labels[u]
+                table[key] = frozenset(map(name, succ))
+            except KeyError:
+                if x not in names:
+                    raise DomainError(f"transition key uses unknown state {x!r}") from None
+                if u not in labels:
+                    raise DomainError(f"transition key uses unknown input {u!r}") from None
+                stray = sorted(frozenset(succ).difference(names))
+                raise DomainError(f"successors {stray!r} of ({x!r}, {u!r}) are not states") from None
+        # The missing rows are filled in as empty while availability is read.
+        fill, empty = table.setdefault, frozenset()
+        avail = {x: tuple([u for u in labels if fill((x, u), empty)]) for x in names}
+        object.__setattr__(self, "states", tuple(names))
+        object.__setattr__(self, "inputs", tuple(labels))
         object.__setattr__(self, "trans", table)
-        object.__setattr__(self, "_state_set", state_set)
         object.__setattr__(self, "_avail", avail)
 
     def has_state(self, x: str) -> bool:
-        return x in self._state_set  # type: ignore[attr-defined]
+        return x in self._avail  # type: ignore[attr-defined]
 
     def require_state(self, x: str) -> None:
         if not self.has_state(x):

@@ -293,7 +293,7 @@ def build_abstraction(
             raise OutOfDomainError(
                 f"image of cell {name!r} under {input_name!r} leaves the domain: {err}"
             ) from None
-    return FiniteTransitionSystem(cover.names, tuple(sorted({ai.name for ai in inputs})), trans)
+    return FiniteTransitionSystem(cover.names, [ai.name for ai in inputs], trans)
 
 
 def verify_mcr_interval(

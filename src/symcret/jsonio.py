@@ -336,9 +336,9 @@ class ProjectBundle:
             for ref in (s1_name, s2_name):
                 if ref not in self.systems:
                     raise FormatError(f"relation {name!r} references unknown system {ref!r}")
-            if set(rel.domain) != set(self.systems[s1_name].states):
+            if rel.domain != self.systems[s1_name].states:
                 raise FormatError(f"relation {name!r} does not match system {s1_name!r}")
-            if set(rel.codomain) != set(self.systems[s2_name].states):
+            if rel.codomain != self.systems[s2_name].states:
                 raise FormatError(f"relation {name!r} does not match system {s2_name!r}")
         for name, (sys_name, ctrl) in self.controllers.items():
             if sys_name not in self.systems:
@@ -379,8 +379,8 @@ def bundle_from_obj(obj: Mapping[str, Any]) -> ProjectBundle:
         bundle.systems[name] = system_from_obj(sys_obj)
     for name, rel_obj in obj.get("relations", {}).items():
         s1, s2 = rel_obj["s1"], rel_obj["s2"]
-        if s1 not in bundle.systems or s2 not in bundle.systems:
-            raise FormatError(f"relation {name!r} references an unknown system")
+        if unknown := {s1, s2}.difference(bundle.systems):
+            raise FormatError(f"relation {name!r} references unknown system {min(unknown)!r}")
         bundle.relations[name] = (
             s1, s2, relation_from_obj(rel_obj, bundle.systems[s1], bundle.systems[s2])
         )

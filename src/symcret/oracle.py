@@ -101,6 +101,8 @@ def check_controlled_simulability(
     successors and r related abstract states per concrete state and p states
     per abstract controlled post, plus sorting each node's moves.
     """
+    if horizon is not None and horizon < 1:
+        raise ContractError("horizon must be at least 1")
     _validate_triplet(s1, s2, rel)
     c1.validate_for(s1)
     c2.validate_for(s2)
@@ -312,8 +314,8 @@ class CrosscheckReport:
     failures: list[dict[str, Any]] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + amount
+    def bump(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     def to_obj(self) -> dict[str, Any]:
         return {

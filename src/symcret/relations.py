@@ -55,7 +55,9 @@ class Relation:
 
     ``domain`` and ``codomain`` are the full state tuples of the two systems
     the relation connects; strictness and the quantizer view depend on them,
-    not only on the pairs.
+    not only on the pairs.  One pass over ``pairs`` checks each name once
+    against its sorted carrier and keeps the carrier's own object: one object
+    per name.
     """
 
     domain: tuple[str, ...]
@@ -63,23 +65,23 @@ class Relation:
     pairs: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        domain = tuple(sorted(dict.fromkeys(self.domain)))
-        codomain = tuple(sorted(dict.fromkeys(self.codomain)))
-        pairs = frozenset((a, b) for a, b in self.pairs)
-        fwd: dict[str, set[str]] = {a: set() for a in domain}
-        inv: dict[str, set[str]] = {b: set() for b in codomain}
-        for a, b in pairs:
-            if a not in fwd or b not in inv:
-                # The least stray pair by text, not hash order (names may be ints).
-                a, b = min((p for p in pairs if p[0] not in fwd or p[1] not in inv),
-                           key=lambda p: (str(p[0]), str(p[1]), repr(p)))
-                side = "domain" if a not in fwd else "codomain"
-                raise DomainError(f"pair ({a}, {b}) leaves the {side}")
+        left = {a: a for a in sorted(dict.fromkeys(self.domain))}
+        right = {b: b for b in sorted(dict.fromkeys(self.codomain))}
+        fwd, inv = {a: set() for a in left}, {b: set() for b in right}
+        for a, b in (rest := iter(self.pairs)):
+            try:
+                a, b = left[a], right[b]
+            except KeyError:
+                # The least stray pair by text (names may be ints); earlier ones are inside.
+                strays = [(a, b), *((c, d) for c, d in rest if c not in left or d not in right)]
+                a, b = min(strays, key=lambda p: (str(p[0]), str(p[1]), repr(p)))
+                side = "domain" if a not in left else "codomain"
+                raise DomainError(f"pair ({a}, {b}) leaves the {side}") from None
             fwd[a].add(b)
             inv[b].add(a)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "domain", tuple(left))
+        object.__setattr__(self, "codomain", tuple(right))
+        object.__setattr__(self, "pairs", frozenset([(a, b) for a, bs in fwd.items() for b in bs]))
         object.__setattr__(self, "_fwd", {a: frozenset(bs) for a, bs in fwd.items()})
         object.__setattr__(self, "_inv", {b: frozenset(as_) for b, as_ in inv.items()})
 
@@ -116,14 +118,10 @@ class Relation:
 
 def compose(first: Relation, second: Relation) -> Relation:
     """Relational composition: (a, c) related iff some b links a to c."""
-    if set(first.codomain) != set(second.domain):
+    if first.codomain != second.domain:
         raise DomainError("composition needs matching middle state sets")
-    pairs = {
-        (a, c)
-        for a, b in first.pairs
-        for c in second.forward(b)
-    }
-    return Relation(first.domain, second.codomain, frozenset(pairs))
+    pairs = {(a, c) for a, b in first.pairs for c in second.forward(b)}
+    return Relation(first.domain, second.codomain, pairs)
 
 
 @dataclass(frozen=True)
@@ -173,10 +171,10 @@ class Interface:
     table: Mapping[tuple[str, str, str], frozenset[str]]
 
     def __post_init__(self) -> None:
-        table = {k: frozenset(v) for k, v in dict(self.table).items()}
-        for key, us in table.items():
-            if not us:
-                raise ContractError(f"interface entry ({', '.join(key)}) is empty")
+        table = {key: frozenset(us) for key, us in self.table.items()}
+        if not all(table.values()):
+            key = next(key for key, us in table.items() if not us)
+            raise ContractError(f"interface entry ({', '.join(key)}) is empty")
         object.__setattr__(self, "table", table)
 
     def inputs_for(self, x1: str, x2: str, u2: str) -> frozenset[str]:
@@ -187,13 +185,13 @@ class Interface:
 
 
 def _validate_triplet(s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation) -> None:
-    if set(rel.domain) != set(s1.states):
+    if rel.domain != s1.states:
         raise DomainError("relation domain must be the concrete state set")
     _validate_codomain(s2, rel)
 
 
 def _validate_codomain(s2: FiniteTransitionSystem, rel: Relation) -> None:
-    if set(rel.codomain) != set(s2.states):
+    if rel.codomain != s2.states:
         raise DomainError("relation codomain must be the abstract state set")
 
 
@@ -424,18 +422,14 @@ def mcr_extension(
     if not rel.is_strict():
         raise StrictnessError("extension needs a strict relation")
     kind = RelationKind.ASR
-    table: dict[tuple[str, str], set[str]] = {
-        key: set(succ) for key, succ in s2.trans.items()
-    }
+    table = {key: set(succ) for key, succ in s2.trans.items()}
     for x1, x2, u2, us, post in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
         if not us:
             raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
         row = table[(x2, u2)]
         for u1 in us:
             row.update(*post[u1])
-    extended = FiniteTransitionSystem(
-        s2.states, s2.inputs, {k: frozenset(v) for k, v in table.items()}
-    )
+    extended = FiniteTransitionSystem(s2.states, s2.inputs, table)
     if not check_mcr(s1, extended, rel).holds:
         raise SymcretError("extension postcondition failed against the concrete system")
     if not check_mcr(s2, extended, Relation.identity(s2.states)).holds:

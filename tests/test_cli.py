@@ -19,6 +19,7 @@ from symcret import (
 )
 from symcret import cli
 from symcret.cli import fig5_bundle, main
+from symcret.core import ContractError
 from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 from symcret.oracle import random_system
@@ -99,6 +100,36 @@ class TestRoundTrips:
     def test_packaged_data_file_matches_fixture(self):
         text = resources.files("symcret").joinpath("data/fig5.json").read_text("utf-8")
         assert text == jsonio.dumps(jsonio.bundle_to_obj(fig5_bundle()))
+
+
+class TestBundleDecoding:
+    """Every reference and system check of a decoded bundle, with its message."""
+
+    @pytest.mark.parametrize("edit, error, message", [
+        pytest.param(lambda b: b["relations"]["R"].update(s1="zz", s2="nope"),
+                     jsonio.FormatError, "relation 'R' references unknown system 'nope'",
+                     id="relation-with-two-unknown-systems"),
+        pytest.param(lambda b: b["relations"]["Rx"].update(s2="S3"),
+                     jsonio.FormatError, "relation 'Rx' references unknown system 'S3'",
+                     id="relation-with-an-unknown-abstraction"),
+        pytest.param(lambda b: b["controllers"]["c1_safe"].update(system="nope"),
+                     jsonio.FormatError, "controller 'c1_safe' references unknown system 'nope'",
+                     id="controller-of-an-unknown-system"),
+        pytest.param(lambda b: b["specs"]["sigma1"].update(system="nope"),
+                     jsonio.FormatError, "spec 'sigma1' references unknown system 'nope'",
+                     id="spec-of-an-unknown-system"),
+        pytest.param(lambda b: b["systems"]["S1"]["trans"].pop("3|0"),
+                     ContractError, "system blocks at states ['3']", id="blocking-system"),
+        pytest.param(lambda b: b["controllers"]["c1_safe"]["choices"].update({"3": ["1"]}),
+                     ContractError, "controller enables unavailable inputs ['1'] at state '3'",
+                     id="controller-enabling-an-unavailable-input"),
+    ])
+    def test_bad_bundle_is_a_named_error(self, edit, error, message):
+        obj = copy.deepcopy(FIG5_BUNDLE)
+        edit(obj)
+        with pytest.raises(error) as caught:
+            jsonio.bundle_from_obj(obj)
+        assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestCommands:
@@ -638,6 +669,16 @@ class TestErrors:
         assert code == 2 and out == "" and err.count("\n") == 1
         doc = json.loads(err)
         assert doc["error"] == error and detail in doc["detail"]
+
+    def test_zero_simulability_horizon_is_a_validation_error(self, capsys, bundle_path):
+        code, out, err = run(
+            capsys, "verify", "--property", "one", "--horizon", "0",
+            "--s1", f"{bundle_path}:S1", "--s2", f"{bundle_path}:S2",
+            "--rel", f"{bundle_path}:R", "--c1", f"{bundle_path}:c1_safe",
+            "--c2", f"{bundle_path}:c2_via_b",
+        )
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": "validation", "detail": "horizon must be at least 1"}
 
     def test_validation_error_surfaces(self, capsys, bundle_path):
         code, _, err = run(

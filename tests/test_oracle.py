@@ -41,6 +41,7 @@ from symcret.relations import RelationCheckError, StrictnessError, _validate_tri
 from conftest import (
     chain,
     cycle_product,
+    outcome,
     random_partial_controller,
     reference_enumerate_dynamic_runs,
     seeded_rng,
@@ -83,7 +84,9 @@ def brute_force_memoryless_check(s1, s2, rel, interface, c2, horizon):
 def reference_controlled_simulability(s1, s2, rel, c1, c2, horizon):
     """The former path enumeration, kept as the reference for the product
     search: every concrete path up to the horizon, the least failure by
-    (length, states) among all of them.  It needs a horizon."""
+    (length, states) among all of them.  It needs a horizon of at least 1."""
+    if horizon < 1:
+        raise ContractError("horizon must be at least 1")
     c1.validate_for(s1)
     c2.validate_for(s2)
     post = {}
@@ -318,6 +321,11 @@ class TestControlledSimulability:
         )
         assert not verdict.holds and verdict.witness.concrete == ("3",)
 
+    def test_zero_horizon_is_a_contract_error(self, fx):
+        # No run has at most 0 states, so there is nothing to refute.
+        with pytest.raises(ContractError, match="^horizon must be at least 1$"):
+            check_controlled_simulability(fx.s1, fx.s2, fx.relation, fx.c1_safe, fx.c2_via_b, 0)
+
     def test_monotone_in_horizon(self, fx, asr_interface):
         c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)
         verdicts = [
@@ -331,7 +339,8 @@ class TestControlledSimulability:
     @given(seed=st.integers(0, 10**6))
     def test_product_search_matches_path_enumeration(self, seed):
         case = simulability_case(seed)
-        assert check_controlled_simulability(*case) == reference_controlled_simulability(*case)
+        assert (outcome(check_controlled_simulability, *case)
+                == outcome(reference_controlled_simulability, *case))
 
     def test_no_horizon_refutes_a_failure_longer_than_the_state_pairs(self):
         s1, s2, rel, c1, c2 = cycle_product()
