@@ -3,26 +3,41 @@
 A system is ``{"states": [...], "inputs": [...], "trans": {"x|u": [...]}}``
 with ``|`` separating the composite transition key, so identifiers may not
 contain ``|``.  Relations are arrays of pairs, controllers map states to
-input arrays, rationals are written as ``"p/q"`` strings.  Serialization is
-canonical (sorted keys, sorted arrays), so save -> load -> save is
-bit-identical.  A malformed document (a missing field, a string or number
-where an array of names belongs, a relation pair without two names, a number
-where a rational string or a name belongs, a rational not spelled ``p/q``,
-an endpoint flag that is not a JSON boolean) makes its decoder raise
-:class:`FormatError` naming the document kind, a validation error (exit
-code 2) on the command line.
+input arrays, rationals are written as ``"p/q"`` strings.
+
+Serialization is canonical, so save -> load -> save is bit-identical: arrays
+of names are sorted, and :func:`dumps` writes the text of ``json.dumps(obj,
+indent=2, sort_keys=True, ensure_ascii=False)`` plus a final newline, that
+is a 2-space indent, sorted keys, unescaped UTF-8 and ``\n`` at the end.
+Below Python 3.13 the stdlib writes indented JSON with a pure-Python
+generator per token, so ``dumps`` uses its own iterative writer there, which
+gives the same text several times faster; from 3.13 on, the stdlib's C
+encoder does it faster still.  The writer goes when support for 3.12 ends.
+
+A malformed document (a missing field, a string or number where an array of
+names belongs, a relation pair without two names, a number where a rational
+string or a name belongs, a rational not spelled ``p/q``, an endpoint flag
+that is not a JSON boolean) makes its decoder raise :class:`FormatError`
+naming the document kind, a validation error (exit code 2) on the command
+line.  In a bundle, the error also names the member it comes from.
 """
 from __future__ import annotations
 
 import functools
 import json
 import re
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from sys import version_info
+from typing import Any
 
-from .core import Controller, DomainError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
+from .core import (
+    Controller, DomainError, FiniteTransitionSystem, ReachAvoidSpec, SymcretError, Trajectory,
+)
 from .interval import AbstractInput, AffineMap, CellCover, IntervalCell
 from .relations import Interface, Relation, RelationKind
 
@@ -328,10 +343,12 @@ class ProjectBundle:
 
     def validate(self) -> None:
         for name, sys in self.systems.items():
-            try:
-                sys.require_non_blocking()
-            except Exception as err:
-                raise FormatError(f"system {name!r}: {err}") from None
+            _member("system", name, sys.require_non_blocking)
+        self._check_references()
+
+    def _check_references(self) -> None:
+        """Every relation, controller and spec names a system of the bundle
+        and fits it."""
         for name, (s1_name, s2_name, rel) in self.relations.items():
             for ref in (s1_name, s2_name):
                 if ref not in self.systems:
@@ -340,14 +357,21 @@ class ProjectBundle:
                 raise FormatError(f"relation {name!r} does not match system {s1_name!r}")
             if rel.codomain != self.systems[s2_name].states:
                 raise FormatError(f"relation {name!r} does not match system {s2_name!r}")
-        for name, (sys_name, ctrl) in self.controllers.items():
-            if sys_name not in self.systems:
-                raise FormatError(f"controller {name!r} references unknown system {sys_name!r}")
-            ctrl.validate_for(self.systems[sys_name])
-        for name, (sys_name, spec) in self.specs.items():
-            if sys_name not in self.systems:
-                raise FormatError(f"spec {name!r} references unknown system {sys_name!r}")
-            spec.validate_for(self.systems[sys_name])
+        for kind, members in (("controller", self.controllers), ("spec", self.specs)):
+            for name, (sys_name, obj) in members.items():
+                if sys_name not in self.systems:
+                    raise FormatError(f"{kind} {name!r} references unknown system {sys_name!r}")
+                _member(kind, name, obj.validate_for, self.systems[sys_name])
+
+
+def _member(kind: str, name: str, build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)``, with a library error (a malformed document, a
+    blocking system, a controller or spec that does not fit its system)
+    raised as a FormatError that names the bundle member."""
+    try:
+        return build(*args)
+    except SymcretError as err:
+        raise FormatError(f"{kind} {name!r}: {err}") from None
 
 
 def bundle_to_obj(bundle: ProjectBundle) -> dict[str, Any]:
@@ -374,31 +398,167 @@ def bundle_to_obj(bundle: ProjectBundle) -> dict[str, Any]:
 
 @_decoder("bundle")
 def bundle_from_obj(obj: Mapping[str, Any]) -> ProjectBundle:
+    """The bundle ``obj`` encodes.  An error names the member it comes from;
+    each system is checked to be non-blocking once, as it is decoded."""
     bundle = ProjectBundle()
     for name, sys_obj in obj.get("systems", {}).items():
-        bundle.systems[name] = system_from_obj(sys_obj)
+        bundle.systems[name] = _member("system", name, system_from_obj, sys_obj)
     for name, rel_obj in obj.get("relations", {}).items():
         s1, s2 = rel_obj["s1"], rel_obj["s2"]
         if unknown := {s1, s2}.difference(bundle.systems):
             raise FormatError(f"relation {name!r} references unknown system {min(unknown)!r}")
-        bundle.relations[name] = (
-            s1, s2, relation_from_obj(rel_obj, bundle.systems[s1], bundle.systems[s2])
-        )
+        bundle.relations[name] = (s1, s2, _member(
+            "relation", name, relation_from_obj, rel_obj, bundle.systems[s1], bundle.systems[s2]
+        ))
     for name, ctrl_obj in obj.get("controllers", {}).items():
-        bundle.controllers[name] = (ctrl_obj["system"], controller_from_obj(ctrl_obj))
+        bundle.controllers[name] = (
+            ctrl_obj["system"], _member("controller", name, controller_from_obj, ctrl_obj)
+        )
     for name, spec_obj in obj.get("specs", {}).items():
-        bundle.specs[name] = (spec_obj["system"], spec_from_obj(spec_obj))
+        bundle.specs[name] = (spec_obj["system"], _member("spec", name, spec_from_obj, spec_obj))
     for name, cover_obj in obj.get("covers", {}).items():
-        bundle.covers[name] = cover_from_obj(cover_obj)
-    bundle.validate()
+        bundle.covers[name] = _member("cover", name, cover_from_obj, cover_obj)
+    bundle._check_references()
     return bundle
 
 
 # ------------------------------------------------------------------- I/O
 
 
+_encode = json.encoder.encode_basestring
+_INFINITY = float("inf")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of each scalar type as ``json.dumps`` writes it.
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    str: _encode,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    float: _float,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _leaf(value: Any, nl: str) -> str | None:
+    """The text of ``value`` at line prefix ``nl`` if it is a scalar (of a
+    subclass too), an empty container or an array of strings (one C-level
+    join); None for anything else."""
+    write = _SCALAR_TEXT.get(type(value))
+    if write is not None:
+        return write(value)
+    if isinstance(value, (list, tuple)):
+        texts = _leaves((value,), nl) if value else ["[]"]
+        return None if texts is None else texts[0]
+    if isinstance(value, dict):
+        return None if value else "{}"
+    for kind, write in _SCALAR_TEXT.items():
+        if isinstance(value, kind):
+            return write(value)
+    return None
+
+
+def _key(key: Any) -> str:
+    """A dict key as ``json.dumps`` converts it before quoting it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return _leaf(key, "")
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _leaves(members: Sequence[Any], nl: str) -> list[str] | None:
+    """``_leaf`` of every member at C speed, when they are all of one scalar
+    type or all non-empty arrays of strings; None otherwise."""
+    kinds = set(map(type, members))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _SCALAR_TEXT:
+        return list(map(_SCALAR_TEXT[kind], members))
+    if (kind is list or kind is tuple) and all(members):
+        try:
+            arrays = map(("," + nl + "  ").join, map(map, repeat(_encode), members))
+            return list(map(add, map(("[" + nl + "  ").__add__, arrays), repeat(nl + "]")))
+        except TypeError:  # an item that is not a string
+            return None
+    return None
+
+
+def _indented(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, the
+    same text and the same exception classes, written from an explicit stack.
+
+    The stack holds text, ``(line prefix, value)`` items still to write, and
+    the ids of the containers whose members are all written.  A container's
+    members that are leaves become text at once, in one C-level pass when
+    they are all alike; the others become items.  Expanding a container that
+    is still being written is a cycle."""
+    out: list[str] = []
+    open_ids: set[int] = set()
+    stack: list[Any] = [("\n", obj)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        if type(item) is int:
+            open_ids.remove(item)
+            continue
+        nl, value = item
+        text = _leaf(value, nl)
+        if text is not None:
+            out.append(text)
+            continue
+        if not isinstance(value, (dict, list, tuple)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        marker = id(value)
+        if marker in open_ids:
+            raise ValueError("Circular reference detected")
+        if isinstance(value, dict):
+            opening, close = "{", "}"
+            keys, members = zip(*sorted(value.items()))
+            try:
+                heads = list(map(add, map(_encode, keys), repeat(": ")))
+            except TypeError:  # a key that is not a string
+                heads = [_encode(_key(key)) + ": " for key in keys]
+        else:
+            opening, close, heads, members = "[", "]", None, value
+        inner = nl + "  "
+        texts = _leaves(members, inner) or [_leaf(member, inner) for member in members]
+        if None not in texts:
+            if heads:
+                texts = map(add, heads, texts)
+            out.append(opening + inner + ("," + inner).join(texts) + nl + close)
+            continue
+        sep = opening + inner
+        pieces: list[Any] = []
+        for head, member, text in zip(heads or repeat(""), members, texts):
+            pieces += (sep + head, (inner, member)) if text is None else (sep + head + text,)
+            sep = "," + inner
+        open_ids.add(marker)
+        pieces += (marker, nl + close)
+        stack.extend(reversed(pieces))
+    return "".join(out)
+
+
+# The C encoder writes indented documents from Python 3.13 on; before, the
+# stdlib falls back to a generator per token, several times slower.
+_canonical = (
+    functools.partial(json.dumps, indent=2, sort_keys=True, ensure_ascii=False)
+    if version_info >= (3, 13) else _indented
+)
+
+
 def dumps(obj: Mapping[str, Any]) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return _canonical(obj) + "\n"
 
 
 def save(path: str | Path, obj: Mapping[str, Any]) -> None:

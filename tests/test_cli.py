@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcret import (
+    FiniteTransitionSystem,
     ReachAvoidSpec,
     Relation,
     RelationKind,
@@ -19,7 +20,6 @@ from symcret import (
 )
 from symcret import cli
 from symcret.cli import fig5_bundle, main
-from symcret.core import ContractError
 from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 from symcret.oracle import random_system
@@ -119,10 +119,18 @@ class TestBundleDecoding:
                      jsonio.FormatError, "spec 'sigma1' references unknown system 'nope'",
                      id="spec-of-an-unknown-system"),
         pytest.param(lambda b: b["systems"]["S1"]["trans"].pop("3|0"),
-                     ContractError, "system blocks at states ['3']", id="blocking-system"),
+                     jsonio.FormatError, "system 'S1': system blocks at states ['3']",
+                     id="blocking-system"),
         pytest.param(lambda b: b["controllers"]["c1_safe"]["choices"].update({"3": ["1"]}),
-                     ContractError, "controller enables unavailable inputs ['1'] at state '3'",
+                     jsonio.FormatError,
+                     "controller 'c1_safe': controller enables unavailable inputs ['1'] at state '3'",
                      id="controller-enabling-an-unavailable-input"),
+        pytest.param(lambda b: b["specs"]["sigma1"].update(target=["9"]),
+                     jsonio.FormatError, "spec 'sigma1': target set contains unknown states ['9']",
+                     id="spec-naming-an-unknown-state"),
+        pytest.param(lambda b: b["systems"]["S2"].pop("trans"),
+                     jsonio.FormatError, "system 'S2': malformed system document (KeyError: 'trans')",
+                     id="malformed-system"),
     ])
     def test_bad_bundle_is_a_named_error(self, edit, error, message):
         obj = copy.deepcopy(FIG5_BUNDLE)
@@ -130,6 +138,14 @@ class TestBundleDecoding:
         with pytest.raises(error) as caught:
             jsonio.bundle_from_obj(obj)
         assert type(caught.value) is error and str(caught.value) == message
+
+    def test_each_system_is_checked_once(self, monkeypatch):
+        checked = []
+        check = FiniteTransitionSystem.require_non_blocking
+        monkeypatch.setattr(FiniteTransitionSystem, "require_non_blocking",
+                            lambda sys: checked.append(sys) or check(sys))
+        bundle = jsonio.bundle_from_obj(copy.deepcopy(FIG5_BUNDLE))
+        assert sorted(map(id, checked)) == sorted(map(id, bundle.systems.values()))
 
 
 class TestCommands:

@@ -1,0 +1,133 @@
+"""The canonical writer against ``json.dumps``.
+
+``jsonio.dumps`` writes ``json.dumps(obj, indent=2, sort_keys=True,
+ensure_ascii=False) + "\\n"``.  Below Python 3.13 it uses its own writer,
+``jsonio._indented``; the tests call that writer directly, so that every
+Python version tests it, with the stdlib as the reference."""
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symcret import ReachAvoidSpec, mcr_extension, synthesize_reach_avoid
+from symcret import jsonio
+from symcret.jsonio import ProjectBundle
+
+from conftest import overlapping_line
+
+
+def reference(obj):
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+
+
+def outcome(write, obj):
+    try:
+        return write(obj)
+    except Exception as err:  # the class is what both writers must share
+        return type(err)
+
+
+TRICKY = '"\\/\n\r\t\b\f\x00\x01\x1f\x7f\x80\xe9\u2028\u2029\ufeff\u6f22\U0001f600'
+texts = st.text(st.sampled_from(TRICKY) | st.characters(), max_size=6)
+floats = st.floats() | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324])
+integers = st.integers() | st.integers(min_value=-(10 ** 40), max_value=10 ** 40)
+scalars = st.none() | st.booleans() | integers | floats | texts
+# One key family per dict: strings, or numbers and booleans (which compare
+# with each other), or the single key None.
+keyed = [texts, integers | floats | st.booleans(), st.none()]
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(texts, max_size=4),
+        st.lists(integers, max_size=4),
+        *(st.dictionaries(keys, children, max_size=4) for keys in keyed),
+        st.dictionaries(texts, st.lists(texts, min_size=1, max_size=3), max_size=4),
+    )
+
+
+documents = st.recursive(scalars, containers, max_leaves=25)
+
+
+class TestAgainstTheStdlib:
+    @settings(max_examples=300, deadline=None)
+    @given(documents)
+    def test_same_text(self, obj):
+        assert outcome(jsonio._indented, obj) == outcome(reference, obj)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), "", 0, -0.0, math.nan, math.inf, -math.inf, True, False, None,
+        {"": [], "a": {}, "b": [[]], "c": [{}]},
+        {1: "int", 2.5: "float", True: "bool"}, {None: [None]}, {-0.0: 0, math.nan: 1},
+        {"s": ("x", "y"), "t": [("x",), ["y", 1]], "u": [[1, 2], [3.5]]},
+        [10 ** 40, -(10 ** 40), 1e300, 5e-324],
+    ], ids=repr)
+    def test_corner_cases(self, obj):
+        assert jsonio._indented(obj) == reference(obj)
+
+    def test_shared_members_are_not_cycles(self):
+        shared, inner = ["x"], [1, [2]]
+        obj = {"a": shared, "b": [shared, {"c": shared}], "d": [inner, inner]}
+        assert jsonio._indented(obj) == reference(obj)
+
+
+def cyclic_list():
+    obj = [1, []]
+    obj[1].append(obj)
+    return obj
+
+
+def cyclic_dict():
+    obj = {"a": [{}]}
+    obj["a"][0]["b"] = obj
+    return obj
+
+
+class TestErrors:
+    @pytest.mark.parametrize("obj, error", [
+        ({"a": {1, 2}}, TypeError),
+        ([b"bytes"], TypeError),
+        ({"a": [object()]}, TypeError),
+        ({"a": 1, 2: "b"}, TypeError),
+        ({None: 1, "a": 2}, TypeError),
+        ({(1, 2): "tuple key"}, TypeError),
+        (cyclic_list(), ValueError),
+        (cyclic_dict(), ValueError),
+    ], ids=["set", "bytes", "object", "mixed-keys", "none-and-str-keys", "tuple-key",
+            "cyclic-list", "cyclic-dict"])
+    def test_same_exception_class(self, obj, error):
+        with pytest.raises(error):
+            reference(obj)
+        with pytest.raises(error):
+            jsonio._indented(obj)
+
+    def test_deep_nesting_needs_no_recursion(self):
+        depth = 5000
+        obj = ["x"]
+        for _ in range(depth):
+            obj = [obj]
+        text = jsonio._indented(obj)
+        assert text.count("\n") == 2 * depth + 2 and '"x"' in text
+
+
+def test_a_generated_line_plant_bundle_is_byte_equal():
+    s1, s2, rel = overlapping_line(120, 7)
+    s2x = mcr_extension(s1, s2, rel)
+    spec = ReachAvoidSpec(frozenset(s1.states), frozenset(s1.states[:5]), frozenset())
+    abstract = ReachAvoidSpec(frozenset(s2x.states), frozenset(s2x.states[:1]), frozenset())
+    result = synthesize_reach_avoid(s2x, abstract)
+    assert result is not None
+    bundle = ProjectBundle(
+        systems={"S1": s1, "S2": s2, "S2x": s2x},
+        relations={"R": ("S1", "S2", rel), "Rx": ("S1", "S2x", rel)},
+        controllers={"c2": ("S2x", result.controller)},
+        specs={"sigma1": ("S1", spec), "sigma2x": ("S2x", abstract)},
+    )
+    obj = jsonio.bundle_to_obj(bundle)
+    assert jsonio._indented(obj) == reference(obj)
+    assert jsonio.dumps(obj) == reference(obj) + "\n"
+    assert jsonio.bundle_to_obj(jsonio.bundle_from_obj(json.loads(jsonio.dumps(obj)))) == obj
