@@ -2,9 +2,10 @@
 
 The concrete plant moves by plain translation, x' = x + u, on a bounded
 segment of the rational line.  All arithmetic is exact, on integers scaled
-by the cover's common denominator d (``Fraction`` images are built only for
-error messages): the separating examples hinge on whether images touch the
-single point 0, which floating point cannot be trusted with.
+by the cover's common denominator d: a cover is its integer rows, and its
+``Fraction`` cells, like the ``Fraction`` images of error messages, are built
+only where something reads them.  The separating examples hinge on whether
+images touch the single point 0, which floating point cannot be trusted with.
 
 Cells carry open/closed endpoint flags, and every decision reads them as
 cuts.  A cut (v, s) compares as a tuple: s = 0 is the point v itself, s = +1
@@ -28,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import ContractError, DomainError, FiniteTransitionSystem, ReachAvoidSpec
@@ -40,7 +41,6 @@ class OutOfDomainError(ContractError):
 
 
 Rational = Fraction | int
-Cut = tuple[Fraction, int]
 
 
 def _frac(value: Rational) -> Fraction:
@@ -70,10 +70,6 @@ class IntervalCell:
     def point(value: Rational) -> "IntervalCell":
         v = _frac(value)
         return IntervalCell(v, v, True, True)
-
-    @property
-    def _cuts(self) -> tuple[Cut, Cut]:
-        return (self.lo, 0 if self.lo_closed else 1), (self.hi, 0 if self.hi_closed else -1)
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -122,72 +118,99 @@ class AbstractInput:
     law: AffineMap
 
 
-@dataclass(frozen=True)
+Row = tuple[str, int, int, bool, int, int, bool]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CellCover:
     """Ordered list of named cells; may overlap, may leave gaps, must not be
     empty.
 
-    Construction keeps, per name, the integer cuts (k_lo, s_lo, k_hi, s_hi),
+    A cover is its integer rows: per name, the cuts (k_lo, s_lo, k_hi, s_hi),
     k = v·d exact over the common denominator d of the endpoints.  A cut's
     key is 2k + s, so a cell is exactly the integers between its keys and an
     odd key is the open gap between two multiples of 1/d.  The cells are
     sorted by lower key once, in O(n log n), beside the running maximum of
-    their upper keys, the hull (read off the extreme keys) and a name -> cell
-    dict.  Keys grow with the number of distinct denominators, not of cells.
+    their upper keys; the extreme keys are the hull.  Keys grow with the
+    number of distinct denominators, not of cells.  ``cells``, ``cell()``
+    and ``hull()`` are ``Fraction`` views, built when they are read.
     """
 
-    cells: tuple[tuple[str, IntervalCell], ...]
-    _scale: int = field(init=False, repr=False, compare=False)
-    _int_cuts: dict[str, tuple[int, int, int, int]] = field(init=False, repr=False, compare=False)
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _los: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _his: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _max_hi: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _hull: IntervalCell = field(init=False, repr=False, compare=False)
-    _by_name: dict[str, IntervalCell] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...]
+    _scale: int = field(repr=False)
+    _int_cuts: dict[str, tuple[int, int, int, int]] = field(hash=False, repr=False)
+    _names: tuple[str, ...] = field(compare=False, repr=False)
+    _los: tuple[int, ...] = field(compare=False, repr=False)
+    _his: tuple[int, ...] = field(compare=False, repr=False)
+    _max_hi: tuple[int, ...] = field(compare=False, repr=False)
+    _cells: tuple[tuple[str, IntervalCell], ...] | None = field(compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        cells = tuple((str(name), cell) for name, cell in self.cells)
-        if not cells:
+    def __init__(self, cells: Iterable[tuple[str, IntervalCell]]) -> None:
+        self._index((str(name), *cell.lo.as_integer_ratio(), cell.lo_closed,
+                     *cell.hi.as_integer_ratio(), cell.hi_closed) for name, cell in cells)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[Row]) -> CellCover:
+        """The decoder's entry: (name, lo_n, lo_d, lo_closed, hi_n, hi_d,
+        hi_closed) rows, endpoints in lowest terms with positive
+        denominators."""
+        cover = cls.__new__(cls)
+        cover._index(rows)
+        return cover
+
+    def _index(self, rows: Iterable[Row]) -> None:
+        """Check each row before the next is read, then the cover; index it."""
+        checked = []
+        for row in rows:
+            _, lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed = row
+            if lo_n * hi_d > hi_n * lo_d or row[1:3] == row[4:6] and not (lo_closed and hi_closed):
+                # An empty cell or an open point: IntervalCell raises its error.
+                IntervalCell(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), lo_closed, hi_closed)
+            checked.append(row)
+        if not checked:
             raise ContractError("a cover needs at least one cell")
-        by_name = dict(cells)
-        if len(by_name) != len(cells):
+        d = lcm(*{den for row in checked for den in (row[2], row[5])})
+        int_cuts = {name: (lo_n * (d // lo_d), 0 if lo_closed else 1,
+                           hi_n * (d // hi_d), 0 if hi_closed else -1)
+                    for name, lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed in checked}
+        if len(int_cuts) != len(checked):
             raise ContractError("cell names must be unique")
-        d = lcm(*(v.denominator for _, cell in cells for v in (cell.lo, cell.hi)))
-        int_cuts = {}
-        for name, cell in cells:
-            (lo, lo_side), (hi, hi_side) = cell._cuts
-            int_cuts[name] = (lo.numerator * (d // lo.denominator), lo_side,
-                              hi.numerator * (d // hi.denominator), hi_side)
         los, his, names = zip(*sorted(
             (2 * k_lo + s_lo, 2 * k_hi + s_hi, name)
             for name, (k_lo, s_lo, k_hi, s_hi) in int_cuts.items()
         ))
-        max_hi = tuple(accumulate(his, max))
-        first, last = by_name[names[0]], by_name[names[his.index(max_hi[-1])]]
-        hull = IntervalCell(first.lo, last.hi, first.lo_closed, last.hi_closed)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_scale", d)
-        object.__setattr__(self, "_int_cuts", int_cuts)
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_los", los)
-        object.__setattr__(self, "_his", his)
-        object.__setattr__(self, "_max_hi", max_hi)
-        object.__setattr__(self, "_hull", hull)
-        object.__setattr__(self, "_by_name", by_name)
+        for attr, value in (("names", tuple(int_cuts)), ("_scale", d), ("_int_cuts", int_cuts),
+                            ("_names", names), ("_los", los), ("_his", his),
+                            ("_max_hi", tuple(accumulate(his, max))), ("_cells", None)):
+            object.__setattr__(self, attr, value)
+
+    def _to_rows(self) -> Iterator[Row]:
+        """The rows in cover order, endpoints in lowest terms: the encoder's."""
+        d = self._scale
+        for name, (k_lo, s_lo, k_hi, s_hi) in self._int_cuts.items():
+            lo, hi = gcd(k_lo, d), gcd(k_hi, d)
+            yield name, k_lo // lo, d // lo, not s_lo, k_hi // hi, d // hi, not s_hi
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.cells)
+    def cells(self) -> tuple[tuple[str, IntervalCell], ...]:
+        if self._cells is None:
+            d = self._scale
+            object.__setattr__(self, "_cells", tuple(
+                (name, IntervalCell(Fraction(k_lo, d), Fraction(k_hi, d), not s_lo, not s_hi))
+                for name, (k_lo, s_lo, k_hi, s_hi) in self._int_cuts.items()
+            ))
+        return self._cells
 
     def cell(self, name: str) -> IntervalCell:
         try:
-            return self._by_name[name]
+            return dict(self.cells)[name]
         except KeyError:
             raise DomainError(f"unknown cell {name!r}") from None
 
     def hull(self) -> IntervalCell:
-        return self._hull
+        lo, hi, d = self._los[0], self._max_hi[-1], self._scale
+        return IntervalCell(Fraction(lo >> 1, d), Fraction((hi + 1) >> 1, d),
+                            not lo & 1, not hi & 1)
 
 
 def _quantize_keys(cover: CellCover, lo_key: int, hi_key: int) -> frozenset[str] | None:
@@ -218,9 +241,9 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
     """
     d = cover._scale
     if isinstance(target, IntervalCell):
-        (lo, lo_side), (hi, hi_side) = target._cuts
-        lo_key = _key(lo.numerator * d, lo.denominator, lo_side)
-        hi_key = _key(hi.numerator * d, hi.denominator, hi_side)
+        lo, hi = target.lo, target.hi
+        lo_key = _key(lo.numerator * d, lo.denominator, 0 if target.lo_closed else 1)
+        hi_key = _key(hi.numerator * d, hi.denominator, 0 if target.hi_closed else -1)
     else:
         lo_key = hi_key = _key(target.numerator * d, target.denominator, 0)
     found = _quantize_keys(cover, lo_key, hi_key)
@@ -252,17 +275,15 @@ def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
             yield (name, input_name, lo, hi) if a >= 0 else (name, input_name, hi, lo)
 
 
-def _row_cells(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
-               input_name: str, lo_key: int, hi_key: int) -> frozenset[str]:
-    """``quantize`` of a row's image from its keys.  A row about to raise
-    builds its image over ``Fraction``, and ``quantize`` raises its error."""
-    found = _quantize_keys(cover, lo_key, hi_key)
-    if found is None:
-        law, cell = {ai.name: ai.law for ai in inputs}[input_name], cover.cell(name)
-        lo, hi = law.closed_loop(cell.lo), law.closed_loop(cell.hi)
-        flags = (cell.lo_closed, cell.hi_closed) if lo < hi else (cell.hi_closed, cell.lo_closed)
-        quantize(cover, IntervalCell(min(lo, hi), max(lo, hi), *flags) if lo != hi else lo)
-    return found
+def _image(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
+           input_name: str) -> IntervalCell:
+    """The closed-loop image of a row over ``Fraction``, for its errors."""
+    law, cell = {ai.name: ai.law for ai in inputs}[input_name], cover.cell(name)
+    lo, hi = law.closed_loop(cell.lo), law.closed_loop(cell.hi)
+    if lo == hi:
+        return IntervalCell.point(lo)
+    flags = (cell.lo_closed, cell.hi_closed) if lo < hi else (cell.hi_closed, cell.lo_closed)
+    return IntervalCell(min(lo, hi), max(lo, hi), *flags)
 
 
 def build_abstraction(
@@ -280,6 +301,8 @@ def build_abstraction(
     Each row is keyed by ``_rows`` and quantized from its keys: O(r log n + v)
     for r rows over n cells, where v counts the cells visited.  Availability
     for a cell the cover lacks is a DomainError naming the least such cell.
+    An image that leaves the hull, or that lies in a gap between cells and so
+    would leave its input unavailable, is an OutOfDomainError naming the row.
     """
     if unknown := set(availability).difference(cover.names):
         raise DomainError(f"availability names unknown cell {min(unknown)!r}")
@@ -287,12 +310,13 @@ def build_abstraction(
     for name, input_name, lo_key, hi_key in _rows(
         cover, inputs, lambda name: sorted(set(availability.get(name, ())))
     ):
-        try:
-            trans[(name, input_name)] = _row_cells(cover, inputs, name, input_name, lo_key, hi_key)
-        except OutOfDomainError as err:
-            raise OutOfDomainError(
-                f"image of cell {name!r} under {input_name!r} leaves the domain: {err}"
-            ) from None
+        found = _quantize_keys(cover, lo_key, hi_key)
+        if not found:
+            image = _image(cover, inputs, name, input_name).describe()
+            raise OutOfDomainError(f"image of cell {name!r} under {input_name!r} " + (
+                f"leaves the domain: {image} escapes the domain {cover.hull().describe()}"
+                if found is None else f"meets no cell: {image} lies in a gap of the cover"))
+        trans[(name, input_name)] = found
     return FiniteTransitionSystem(cover.names, [ai.name for ai in inputs], trans)
 
 
@@ -307,11 +331,13 @@ def verify_mcr_interval(
 
     Rows are keyed and quantized as in ``build_abstraction``: O(r log n + v).
     """
-    return all(
-        _row_cells(cover, inputs, name, input_name, lo_key, hi_key)
-        <= abstraction.successors(name, input_name)
-        for name, input_name, lo_key, hi_key in _rows(cover, inputs, abstraction.available_inputs)
-    )
+    for name, input_name, lo_key, hi_key in _rows(cover, inputs, abstraction.available_inputs):
+        found = _quantize_keys(cover, lo_key, hi_key)
+        if found is None:
+            quantize(cover, _image(cover, inputs, name, input_name))  # raises its error
+        if not found <= abstraction.successors(name, input_name):
+            return False
+    return True
 
 
 def verify_asr_interval(

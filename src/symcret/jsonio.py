@@ -14,6 +14,10 @@ generator per token, so ``dumps`` uses its own iterative writer there, which
 gives the same text several times faster; from 3.13 on, the stdlib's C
 encoder does it faster still.  The writer goes when support for 3.12 ends.
 
+A cover is read and written as the integer rows that ``CellCover`` indexes:
+each ``"p/q"`` is parsed with a regex and ``int`` and reduced with ``gcd``,
+and written back from the reduced row, with no ``Fraction`` in between.
+
 A malformed document (a missing field, a string or number where an array of
 names belongs, a relation pair without two names, a number where a rational
 string or a name belongs, a rational not spelled ``p/q``, an endpoint flag
@@ -30,6 +34,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import add
 from pathlib import Path
 from sys import version_info
@@ -38,7 +43,7 @@ from typing import Any
 from .core import (
     Controller, DomainError, FiniteTransitionSystem, ReachAvoidSpec, SymcretError, Trajectory,
 )
-from .interval import AbstractInput, AffineMap, CellCover, IntervalCell
+from .interval import AbstractInput, AffineMap, CellCover, Row
 from .relations import Interface, Relation, RelationKind
 
 FORMAT = "symcret/1"
@@ -226,22 +231,14 @@ def interface_from_obj(obj: Mapping[str, Any]) -> Interface:
 # ----------------------------------------------------------------- covers
 
 
-def _cell_to_obj(cell: IntervalCell) -> dict[str, Any]:
-    return {
-        "lo": fraction_to_str(cell.lo),
-        "hi": fraction_to_str(cell.hi),
-        "lo_closed": cell.lo_closed,
-        "hi_closed": cell.hi_closed,
-    }
-
-
 _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
-def _rational(value: Any) -> Fraction:
-    """``value`` as a Fraction if it is a ``"p/q"`` string; anything else,
-    even a spelling that ``Fraction`` reads, is a TypeError, which the
-    decoder reports: nothing is coerced."""
+def _ratio(value: Any) -> tuple[int, int]:
+    """``value`` as a numerator and a positive denominator in lowest terms if
+    it is a ``"p/q"`` string; anything else, even a spelling that
+    ``Fraction`` reads, is a TypeError, which the decoder reports: nothing is
+    coerced."""
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is None:
         raise TypeError(f'expected a "p/q" string, got {json.dumps(value)}')
@@ -251,16 +248,17 @@ def _rational(value: Any) -> Fraction:
         raise TypeError(f"a rational with {len(value)} characters is too long") from None
     if not denominator:
         raise FormatError(f"zero denominator in {value!r}")
-    return Fraction(numerator, denominator)
+    common = gcd(numerator, denominator)
+    return numerator // common, denominator // common
 
 
-def _cell_from_obj(obj: Mapping[str, Any]) -> IntervalCell:
-    return IntervalCell(
-        _rational(obj["lo"]),
-        _rational(obj["hi"]),
-        _typed(obj["lo_closed"], bool, "true or false"),
-        _typed(obj["hi_closed"], bool, "true or false"),
-    )
+def _cell_row(obj: Mapping[str, Any]) -> Row:
+    """A cell as the integer row ``CellCover`` indexes, its fields checked in
+    the order their errors are reported: name, endpoints, flags."""
+    name = _typed(obj["state"], str, "a name")
+    lo, hi = _ratio(obj["lo"]), _ratio(obj["hi"])
+    return (name, *lo, _typed(obj["lo_closed"], bool, "true or false"),
+            *hi, _typed(obj["hi_closed"], bool, "true or false"))
 
 
 def cover_to_obj(
@@ -270,7 +268,9 @@ def cover_to_obj(
 ) -> dict[str, Any]:
     return tagged("cover", {
         "cells": [
-            {"state": _check_id(name), **_cell_to_obj(cell)} for name, cell in cover.cells
+            {"state": _check_id(name), "lo": f"{lo_n}/{lo_d}", "hi": f"{hi_n}/{hi_d}",
+             "lo_closed": lo_closed, "hi_closed": hi_closed}
+            for name, lo_n, lo_d, lo_closed, hi_n, hi_d, hi_closed in cover._to_rows()
         ],
         "inputs": [
             {
@@ -290,14 +290,11 @@ def cover_to_obj(
 def cover_from_obj(
     obj: Mapping[str, Any],
 ) -> tuple[CellCover, tuple[AbstractInput, ...], dict[str, list[str]]]:
-    cover = CellCover(tuple(
-        (_typed(c["state"], str, "a name"), _cell_from_obj(c))
-        for c in _typed(obj["cells"], list, "an array of cells")
-    ))
+    cover = CellCover._from_rows(map(_cell_row, _typed(obj["cells"], list, "an array of cells")))
     inputs = tuple(
         AbstractInput(
             _typed(i["input"], str, "a name"),
-            AffineMap(_rational(i["gain"]), _rational(i["offset"])),
+            AffineMap(Fraction(*_ratio(i["gain"])), Fraction(*_ratio(i["offset"]))),
         )
         for i in _typed(obj["inputs"], list, "an array of inputs")
     )

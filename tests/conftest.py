@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import dataclass
 
@@ -256,3 +257,45 @@ def reference_enumerate_dynamic_runs(s1, s2, c2, rel, interface, x1_0, horizon):
     for x2_0 in sorted(rel.forward(x1_0)):
         walk((x1_0,), (x2_0,), (), ())
     return tuple(runs)
+
+
+# Decoding fuzz: one value of a JSON document mutated at a time.
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 9), st.floats(-2, 2), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+def json_nodes(obj, path=()):
+    """(path, value) for every value below ``obj``."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from json_nodes(value, path + (key,))
+
+
+def mutate(draw, doc, how, path):
+    """Mutate the value at ``path`` in ``doc``, the document itself at the
+    empty path: add a key to it ("extra"), drop it ("missing"), swap a list
+    for a string, a name for an int, or a value for one of another type
+    ("type")."""
+    node = doc
+    for key in path:
+        parent, node = node, node[key]
+    if how == "extra":
+        node[draw(st.text(min_size=1, max_size=3).filter(lambda k: k not in node))] = (
+            draw(JSON_VALUES))
+    elif how == "missing":
+        del parent[path[-1]]
+    elif how == "string for list":
+        parent[path[-1]] = (
+            "".join(node) if all(isinstance(x, str) for x in node) else json.dumps(node))
+    elif how == "int for name":
+        parent[path[-1]] = draw(st.integers(0, 9))
+    else:
+        parent[path[-1]] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(node)))

@@ -24,7 +24,7 @@ from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 from symcret.oracle import random_system
 
-from conftest import cycle_product
+from conftest import cycle_product, json_nodes, mutate
 
 
 @pytest.fixture(scope="module")
@@ -728,18 +728,7 @@ FUZZ_COMMANDS = {
 MEMBERS = {"S1", "S2", "R", "sigma2", "c1_safe", "c2_via_b"}
 
 
-def _nodes(obj, path=()):
-    """(path, value) for every value below ``obj``."""
-    if isinstance(obj, dict):
-        items = obj.items()
-    else:
-        items = enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
-        yield path + (key,), value
-        yield from _nodes(value, path + (key,))
-
-
-NODES = list(_nodes(FIG5_BUNDLE))
+NODES = list(json_nodes(FIG5_BUNDLE))
 # The values each kind of mutation may hit, by their paths; the bundle
 # itself is the empty path.  A transition or a controller choice dropped or
 # added is another valid system or controller, so keys come and go only in
@@ -753,11 +742,6 @@ TARGETS = {
     "missing": [path for path, _ in NODES if path[:-1] in [(), *FIELDS]],
     "extra": [(), *FIELDS],
 }
-JSON_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 9), st.floats(-2, 2), st.text(max_size=3),
-    st.lists(st.integers(0, 3), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
-)
 MUTATIONS = st.sampled_from(sorted(TARGETS)).flatmap(
     lambda how: st.tuples(st.just(how), st.sampled_from(TARGETS[how])))
 
@@ -769,21 +753,7 @@ def mutated_bundles(draw):
     added."""
     how, path = draw(MUTATIONS)
     doc = copy.deepcopy(FIG5_BUNDLE)
-    node = doc
-    for key in path:
-        parent, node = node, node[key]
-    if how == "extra":
-        node[draw(st.text(min_size=1, max_size=3).filter(lambda k: k not in node))] = (
-            draw(JSON_VALUES))
-    elif how == "missing":
-        del parent[path[-1]]
-    elif how == "string for list":
-        parent[path[-1]] = (
-            "".join(node) if all(isinstance(x, str) for x in node) else json.dumps(node))
-    elif how == "int for name":
-        parent[path[-1]] = draw(st.integers(0, 9))
-    else:
-        parent[path[-1]] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(node)))
+    mutate(draw, doc, how, path)
     return doc
 
 

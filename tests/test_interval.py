@@ -1,4 +1,7 @@
+import copy
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -34,7 +37,7 @@ from symcret import (
 from symcret import jsonio
 from symcret.interval import FIG8_AVAILABILITY
 
-from conftest import outcome
+from conftest import json_nodes, mutate, outcome
 
 L = Fraction(1)
 NEGATIVES = IntervalCell(-L, Fraction(0), True, False)
@@ -243,12 +246,16 @@ def reference_build(cover, inputs, availability):
     trans = {}
     for name, cell in cover.cells:
         for u in sorted(set(availability.get(name, ()))):
+            image = affine_image(cell, laws[u])
             try:
-                trans[(name, u)] = reference_quantize(cover, affine_image(cell, laws[u]))
+                trans[(name, u)] = reference_quantize(cover, image)
             except OutOfDomainError as err:
                 raise OutOfDomainError(
                     f"image of cell {name!r} under {u!r} leaves the domain: {err}"
                 ) from None
+            if not trans[(name, u)]:
+                raise OutOfDomainError(f"image of cell {name!r} under {u!r} meets no cell: "
+                                       f"{image.describe()} lies in a gap of the cover")
     return FiniteTransitionSystem(cover.names, tuple(sorted(laws)), trans)
 
 
@@ -359,11 +366,14 @@ class TestCoverIndexAgainstScan:
         self, cover, laws, data
     ):
         inputs = tuple(AbstractInput(f"k{j}", AffineMap(g, o)) for j, (g, o) in enumerate(laws))
-        # Every law whose image of the cell stays in the hull.
+        # Every law whose image of the cell stays in the hull and meets a cell.
+        def lands(cell, law):
+            image = affine_image(cell, law)
+            return (reference_is_subset_of(image, reference_hull(cover))
+                    and bool(reference_quantize(cover, image)))
+
         availability = {
-            q: [ai.name for ai in inputs
-                if reference_is_subset_of(affine_image(cell, ai.law), reference_hull(cover))]
-            for q, cell in cover.cells
+            q: [ai.name for ai in inputs if lands(cell, ai.law)] for q, cell in cover.cells
         }
         built = build_abstraction(cover, inputs, availability)
         rows = sorted(key for key, succ in built.trans.items() if succ)
@@ -480,6 +490,17 @@ class TestCellCover:
         with pytest.raises(ContractError):
             jsonio.cover_from_obj(obj)
 
+    def test_equality_follows_the_cells_in_order(self):
+        a, b = IntervalCell(Fraction(0), L), IntervalCell(Fraction(0), L / 2)
+        cover = CellCover((("p", a), ("q", b)))
+        assert cover == CellCover([("p", a), ("q", b)])
+        assert hash(cover) == hash(CellCover([("p", a), ("q", b)]))
+        # The same names in another order, and the same integer cuts over
+        # another common denominator, are other covers.
+        assert cover != CellCover((("q", b), ("p", a)))
+        assert CellCover((("p", a),)) != CellCover((("p", b),))
+        assert CellCover((("p", a),))._int_cuts == CellCover((("p", b),))._int_cuts
+
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
             CellCover((("q", IntervalCell.point(0)), ("q", IntervalCell.point(1))))
@@ -530,6 +551,227 @@ class TestCellCover:
             jsonio.cover_from_obj(obj)
 
 
+# The Fraction decoder that decoding to integer rows replaced, and the
+# Fraction index that CellCover built from its cells, kept as references.
+
+
+def reference_rational(value):
+    match = jsonio._RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
+        raise TypeError(f'expected a "p/q" string, got {json.dumps(value)}')
+    try:
+        numerator, denominator = int(match[1]), int(match[2])
+    except ValueError:
+        raise TypeError(f"a rational with {len(value)} characters is too long") from None
+    if not denominator:
+        raise jsonio.FormatError(f"zero denominator in {value!r}")
+    return Fraction(numerator, denominator)
+
+
+def reference_interval(lo, hi, lo_closed, hi_closed):
+    if lo > hi:
+        raise ContractError(f"empty interval: lo {lo} > hi {hi}")
+    if lo == hi and not (lo_closed and hi_closed):
+        raise ContractError("a point cell must be closed on both sides")
+    return IntervalCell(lo, hi, lo_closed, hi_closed)
+
+
+@jsonio._decoder("cover")
+def reference_cover_from_obj(obj):
+    """(cells, inputs, availability) of a cover document, the cells as the
+    (name, IntervalCell) pairs a cover is built from."""
+    flag = "true or false"
+    cells = tuple(
+        (jsonio._typed(c["state"], str, "a name"),
+         reference_interval(reference_rational(c["lo"]), reference_rational(c["hi"]),
+                            jsonio._typed(c["lo_closed"], bool, flag),
+                            jsonio._typed(c["hi_closed"], bool, flag)))
+        for c in jsonio._typed(obj["cells"], list, "an array of cells")
+    )
+    if not cells:
+        raise ContractError("a cover needs at least one cell")
+    if len(dict(cells)) != len(cells):
+        raise ContractError("cell names must be unique")
+    inputs = tuple(
+        AbstractInput(jsonio._typed(i["input"], str, "a name"),
+                      AffineMap(reference_rational(i["gain"]), reference_rational(i["offset"])))
+        for i in jsonio._typed(obj["inputs"], list, "an array of inputs")
+    )
+    availability = {name: jsonio._names(us) for name, us in obj["availability"].items()}
+    return cells, inputs, availability
+
+
+def reference_index(cells):
+    """The integer index of a cover, from the cells' Fractions."""
+    d = math.lcm(*(v.denominator for _, cell in cells for v in (cell.lo, cell.hi)))
+    int_cuts = {
+        name: (cell.lo.numerator * (d // cell.lo.denominator), 0 if cell.lo_closed else 1,
+               cell.hi.numerator * (d // cell.hi.denominator), 0 if cell.hi_closed else -1)
+        for name, cell in cells
+    }
+    los, his, names = zip(*sorted((2 * a + b, 2 * c + e, name)
+                                  for name, (a, b, c, e) in int_cuts.items()))
+    return {"_scale": d, "_int_cuts": int_cuts, "_names": names, "_los": los, "_his": his,
+            "_max_hi": tuple(itertools.accumulate(his, max))}
+
+
+@st.composite
+def spelled(draw, value):
+    """``value`` as a ``"p/q"`` string, not always in lowest terms."""
+    times = draw(st.integers(1, 3))
+    return f"{value.numerator * times}/{value.denominator * times}"
+
+
+@st.composite
+def cover_documents(draw):
+    """Valid cover documents: negative and unreduced endpoints, point cells
+    whose two ends may be spelled differently, overlaps, gaps and every flag
+    pair, in any order."""
+    cells = draw(st.lists(intervals(ANY_ENDPOINTS), min_size=1, max_size=6))
+    objs = [{"state": f"c{i}", "lo": draw(spelled(cell.lo)), "hi": draw(spelled(cell.hi)),
+             "lo_closed": cell.lo_closed, "hi_closed": cell.hi_closed}
+            for i, cell in enumerate(cells)]
+    inputs = [{"input": f"k{j}", "gain": draw(spelled(g)), "offset": draw(spelled(o))}
+              for j, (g, o) in enumerate(draw(LAWS))]
+    return jsonio.tagged("cover", {
+        "cells": draw(st.permutations(objs)), "inputs": inputs,
+        "availability": {obj["state"]: ["k0"] for obj in objs[::2]},
+    })
+
+
+def decodings(decode, doc):
+    """What ``decode`` makes of ``doc``, alone and as the bundle member
+    'grid': its result or the type and message of its error."""
+    return outcome(decode, doc), outcome(jsonio._member, "cover", "grid", decode, doc)
+
+
+def is_error(result):
+    return isinstance(result, tuple) and isinstance(result[0], type)
+
+
+def same_decoding(doc):
+    """Assert that the decoder and the reference agree on ``doc``, alone and
+    inside a bundle: the same error class and message, or equal results.
+    Returns the error, or None."""
+    got, ref = decodings(jsonio.cover_from_obj, doc), decodings(reference_cover_from_obj, doc)
+    in_bundle = outcome(jsonio.bundle_from_obj,
+                        jsonio.tagged("bundle", {"covers": {"grid": doc}}))
+    if is_error(ref[0]):
+        assert got == ref and in_bundle == ref[1]
+        return ref[0]
+    assert not is_error(got[0]), got
+    (cover, inputs, availability), (cells, *rest) = got[0], ref[0]
+    assert cover._cells is None  # decoding built no Fraction cell
+    assert cover.cells == cells and [inputs, availability] == rest
+    assert cover == CellCover(cells) and hash(cover) == hash(CellCover(cells))
+    assert in_bundle.covers == {"grid": got[0]}
+    return None
+
+
+SMALL_COVER_DOC = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+
+
+SPELLINGS = st.sampled_from(
+    ["-2/2", "2/4", "-0/3", "0/0", "1/2/3", "1", "+1/2", "1" * 5000 + "/1", "1/" + "1" * 5000]
+) | st.builds("{}/{}".format, st.integers(-4, 4), st.integers(0, 4))
+# For each kind of mutation, whether it may hit a value, by its path and
+# value; the document itself is the empty path.
+MUTABLE = {
+    "type": lambda path, value: bool(path),
+    "string for list": lambda path, value: isinstance(value, list),
+    "int for name": lambda path, value: isinstance(value, str),
+    "missing": lambda path, value: bool(path),
+    "extra": lambda path, value: isinstance(value, dict),
+    "rational": lambda path, value: path[-1:] in [("lo",), ("hi",), ("gain",), ("offset",)],
+    "flag": lambda path, value: path[-1:] in [("lo_closed",), ("hi_closed",)],
+    "rename": lambda path, value: path[-1:] == ("state",),
+}
+# The mutations of cover values: the strategy for the new value, from the old.
+COVER_EDITS = {
+    "rational": lambda value: SPELLINGS,
+    "flag": lambda value: st.just(not value),
+    "rename": lambda value: st.sampled_from(["q1", "q2", "q3"]),
+}
+
+
+@st.composite
+def mutated_covers(draw):
+    """The small cover document after one to three mutations in turn: those
+    of the bundle fuzz, a rational respelled, a flag flipped or a cell
+    renamed after another."""
+    doc = copy.deepcopy(SMALL_COVER_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(sorted(MUTABLE)))
+        targets = [path for path, value in json_nodes({"": doc}) if MUTABLE[how](path[1:], value)]
+        if not targets:
+            continue
+        path = draw(st.sampled_from(targets))[1:]
+        if how in COVER_EDITS:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(COVER_EDITS[how](parent[path[-1]]))
+        else:
+            mutate(draw, doc, how, path)
+    return doc
+
+
+class TestCoverDecoding:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=cover_documents())
+    def test_integer_rows_match_the_fraction_reference(self, doc):
+        cover, _, _ = jsonio.cover_from_obj(doc)
+        cells, _, _ = reference_cover_from_obj(doc)
+        built = CellCover(cells)
+        assert cover.names == built.names == tuple(name for name, _ in cells)
+        index = reference_index(cells)
+        assert {attr: getattr(cover, attr) for attr in index} == index
+        for target in probe_points(built):
+            assert (outcome(quantize, cover, target) == outcome(quantize, built, target)
+                    == outcome(reference_quantize, built, target))
+        assert cover.cells == built.cells == cells
+        assert cover.hull() == built.hull() == reference_hull(built)
+        assert cover == built and hash(cover) == hash(built)
+        # The encoder writes the reduced rows as the Fraction cells read.
+        assert jsonio.cover_to_obj(cover)["cells"] == [
+            {"state": name, "lo": jsonio.fraction_to_str(cell.lo),
+             "hi": jsonio.fraction_to_str(cell.hi), "lo_closed": cell.lo_closed,
+             "hi_closed": cell.hi_closed} for name, cell in cells]
+
+    @pytest.mark.parametrize("edits, error, message", [
+        pytest.param({(0, "lo"): "1/1", (1, "lo_closed"): "no"}, ContractError,
+                     "empty interval: lo 1 > hi 0", id="empty-cell-before-a-later-flag"),
+        pytest.param({(0, "lo_closed"): "no", (1, "lo"): "2/1"}, jsonio.FormatError,
+                     'malformed cover document (TypeError: expected true or false, got "no")',
+                     id="flag-before-a-later-empty-cell"),
+        pytest.param({(0, "hi"): "-2/2", (1, "hi"): "1/0"}, ContractError,
+                     "a point cell must be closed on both sides", id="open-point-unreduced"),
+        pytest.param({(1, "state"): "q1", (2, "hi"): "1/0"}, jsonio.FormatError,
+                     "zero denominator in '1/0'", id="later-zero-denominator-before-a-duplicate"),
+        pytest.param({(0, "lo_closed"): 0, (0, "hi"): "1/2/3"}, jsonio.FormatError,
+                     'malformed cover document (TypeError: expected a "p/q" string, got "1/2/3")',
+                     id="end-before-a-flag-of-the-same-cell"),
+        pytest.param({(2, "state"): "q1"}, ContractError, "cell names must be unique",
+                     id="duplicate-name"),
+        pytest.param({(1, "hi"): "3/1"}, None, None, id="valid-overlap"),
+    ])
+    def test_errors_come_cell_by_cell(self, edits, error, message):
+        doc = copy.deepcopy(SMALL_COVER_DOC)
+        for (i, key), value in edits.items():
+            doc["cells"][i][key] = value
+        expected = (error, message) if error else None
+        assert same_decoding(doc) == expected
+        if error:
+            in_bundle = outcome(jsonio.bundle_from_obj,
+                                jsonio.tagged("bundle", {"covers": {"grid": doc}}))
+            assert in_bundle == (jsonio.FormatError, f"cover 'grid': {message}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=mutated_covers())
+    def test_mutated_cover_fails_like_the_reference(self, doc):
+        same_decoding(doc)
+
+
 class TestQuantize:
     def test_origin_is_its_own_cell(self):
         assert quantize(fig8_cover(L), 0) == frozenset({"q2"})
@@ -571,6 +813,20 @@ class TestBuildAbstraction:
         with pytest.raises(OutOfDomainError) as err:
             build_abstraction(fig8_cover(L), inputs, {"q1": ["far"]})
         assert "q1" in str(err.value) and "far" in str(err.value)
+
+    @pytest.mark.parametrize("gain, offset, image", [
+        ("0", "3/2", "[3/2, 5/2]"), ("-1", "2", "{2}"), ("-2", "5/2", "[3/2, 5/2]"),
+    ])
+    def test_image_in_a_gap_is_named(self, gain, offset, image):
+        # Between the cells [0, 1] and [3, 4]: the row would be empty, and the
+        # declared input would read as unavailable.
+        cover = CellCover((("a", IntervalCell(Fraction(0), L)),
+                           ("b", IntervalCell(Fraction(3), Fraction(4)))))
+        inputs = (AbstractInput("k", AffineMap(Fraction(gain), Fraction(offset))),)
+        got = outcome(build_abstraction, cover, inputs, {"a": ["k"]})
+        assert got == outcome(reference_build, cover, inputs, {"a": ["k"]}) == (
+            OutOfDomainError, f"image of cell 'a' under 'k' meets no cell: {image} lies in a gap "
+                              "of the cover")
 
     def test_unknown_availability_cell_is_named(self):
         availability = {**FIG8_AVAILABILITY, "q9": ["k1"], "Q1": ["k1"]}
