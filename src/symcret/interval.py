@@ -286,6 +286,15 @@ def _image(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
     return IntervalCell(min(lo, hi), max(lo, hi), *flags)
 
 
+def _row_error(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
+               input_name: str, found: frozenset[str] | None) -> OutOfDomainError:
+    """The error of a row whose image leaves the hull (None) or meets no cell."""
+    image = _image(cover, inputs, name, input_name).describe()
+    return OutOfDomainError(f"image of cell {name!r} under {input_name!r} " + (
+        f"leaves the domain: {image} escapes the domain {cover.hull().describe()}"
+        if found is None else f"meets no cell: {image} lies in a gap of the cover"))
+
+
 def build_abstraction(
     cover: CellCover,
     inputs: Sequence[AbstractInput],
@@ -312,10 +321,7 @@ def build_abstraction(
     ):
         found = _quantize_keys(cover, lo_key, hi_key)
         if not found:
-            image = _image(cover, inputs, name, input_name).describe()
-            raise OutOfDomainError(f"image of cell {name!r} under {input_name!r} " + (
-                f"leaves the domain: {image} escapes the domain {cover.hull().describe()}"
-                if found is None else f"meets no cell: {image} lies in a gap of the cover"))
+            raise _row_error(cover, inputs, name, input_name, found)
         trans[(name, input_name)] = found
     return FiniteTransitionSystem(cover.names, [ai.name for ai in inputs], trans)
 
@@ -330,11 +336,15 @@ def verify_mcr_interval(
     declared successor.  Availability is read off the abstraction's rows.
 
     Rows are keyed and quantized as in ``build_abstraction``: O(r log n + v).
+    An image off the hull raises ``quantize``'s error; one in a gap, which
+    fails ASR, raises ``build_abstraction``'s.
     """
     for name, input_name, lo_key, hi_key in _rows(cover, inputs, abstraction.available_inputs):
         found = _quantize_keys(cover, lo_key, hi_key)
         if found is None:
             quantize(cover, _image(cover, inputs, name, input_name))  # raises its error
+        if not found:
+            raise _row_error(cover, inputs, name, input_name, found)
         if not found <= abstraction.successors(name, input_name):
             return False
     return True

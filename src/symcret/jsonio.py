@@ -10,9 +10,12 @@ of names are sorted, and :func:`dumps` writes the text of ``json.dumps(obj,
 indent=2, sort_keys=True, ensure_ascii=False)`` plus a final newline, that
 is a 2-space indent, sorted keys, unescaped UTF-8 and ``\n`` at the end.
 Below Python 3.13 the stdlib writes indented JSON with a pure-Python
-generator per token, so ``dumps`` uses its own iterative writer there, which
-gives the same text several times faster; from 3.13 on, the stdlib's C
-encoder does it faster still.  The writer goes when support for 3.12 ends.
+generator per token, so ``dumps`` uses its own iterative writer there,
+several times faster, for the types the library writes: dicts with string
+keys, lists, tuples, strings, ints, booleans and None.  Any other value (a
+float, an ``IntEnum``) sends the whole document to ``json.dumps``, whose C
+encoder writes every document from 3.13 on.  The writer goes when support
+for 3.12 ends.
 
 A cover is read and written as the integer rows that ``CellCover`` indexes:
 each ``"p/q"`` is parsed with a regex and ``int`` and reduced with ``gcd``,
@@ -423,54 +426,31 @@ def bundle_from_obj(obj: Mapping[str, Any]) -> ProjectBundle:
 
 
 _encode = json.encoder.encode_basestring
-_INFINITY = float("inf")
 
-
-def _float(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# The text of each scalar type as ``json.dumps`` writes it.
+# The text of each scalar type the writer writes, as ``json.dumps`` writes it.
 _SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
     str: _encode,
     bool: {True: "true", False: "false"}.__getitem__,
     int: int.__repr__,
-    float: _float,
     type(None): {None: "null"}.__getitem__,
 }
 
 
+def _stdlib(obj: Any) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def _leaf(value: Any, nl: str) -> str | None:
-    """The text of ``value`` at line prefix ``nl`` if it is a scalar (of a
-    subclass too), an empty container or an array of strings (one C-level
-    join); None for anything else."""
+    """The text of ``value`` at line prefix ``nl`` if it is a scalar the writer
+    writes, an empty container or an array of strings (one C-level join)."""
     write = _SCALAR_TEXT.get(type(value))
     if write is not None:
         return write(value)
-    if isinstance(value, (list, tuple)):
+    kind = type(value)
+    if kind is list or kind is tuple:
         texts = _leaves((value,), nl) if value else ["[]"]
         return None if texts is None else texts[0]
-    if isinstance(value, dict):
-        return None if value else "{}"
-    for kind, write in _SCALAR_TEXT.items():
-        if isinstance(value, kind):
-            return write(value)
-    return None
-
-
-def _key(key: Any) -> str:
-    """A dict key as ``json.dumps`` converts it before quoting it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return _leaf(key, "")
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return "{}" if kind is dict and not value else None
 
 
 def _leaves(members: Sequence[Any], nl: str) -> list[str] | None:
@@ -490,8 +470,10 @@ def _leaves(members: Sequence[Any], nl: str) -> list[str] | None:
 
 
 def _indented(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, the
-    same text and the same exception classes, written from an explicit stack.
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``,
+    written from an explicit stack if ``obj`` holds only the types the
+    writer writes; any other value or a cycle hands the whole document to
+    ``json.dumps``, so the text or the exception is the stdlib's.
 
     The stack holds text, ``(line prefix, value)`` items still to write, and
     the ids of the containers whose members are all written.  A container's
@@ -514,18 +496,16 @@ def _indented(obj: Any) -> str:
         if text is not None:
             out.append(text)
             continue
-        if not isinstance(value, (dict, list, tuple)):
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
         marker = id(value)
-        if marker in open_ids:
-            raise ValueError("Circular reference detected")
-        if isinstance(value, dict):
+        if type(value) not in (dict, list, tuple) or marker in open_ids:
+            return _stdlib(obj)
+        if type(value) is dict:
             opening, close = "{", "}"
-            keys, members = zip(*sorted(value.items()))
             try:
+                keys, members = zip(*sorted(value.items()))
                 heads = list(map(add, map(_encode, keys), repeat(": ")))
             except TypeError:  # a key that is not a string
-                heads = [_encode(_key(key)) + ": " for key in keys]
+                return _stdlib(obj)
         else:
             opening, close, heads, members = "[", "]", None, value
         inner = nl + "  "
@@ -548,10 +528,7 @@ def _indented(obj: Any) -> str:
 
 # The C encoder writes indented documents from Python 3.13 on; before, the
 # stdlib falls back to a generator per token, several times slower.
-_canonical = (
-    functools.partial(json.dumps, indent=2, sort_keys=True, ensure_ascii=False)
-    if version_info >= (3, 13) else _indented
-)
+_canonical = _stdlib if version_info >= (3, 13) else _indented
 
 
 def dumps(obj: Mapping[str, Any]) -> str:

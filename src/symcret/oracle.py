@@ -436,17 +436,10 @@ def availability_quotient(
 def _bundle(**parts: Any) -> dict[str, Any]:
     from . import jsonio
 
-    out: dict[str, Any] = {}
-    for name, value in parts.items():
-        if isinstance(value, FiniteTransitionSystem):
-            out[name] = jsonio.system_to_obj(value)
-        elif isinstance(value, Relation):
-            out[name] = jsonio.relation_to_obj(value)
-        elif isinstance(value, Controller):
-            out[name] = jsonio.controller_to_obj(value)
-        else:
-            out[name] = value
-    return out
+    encoders = {FiniteTransitionSystem: jsonio.system_to_obj, Relation: jsonio.relation_to_obj,
+                Controller: jsonio.controller_to_obj}
+    return {name: encoders[type(value)](value) if type(value) in encoders else value
+            for name, value in parts.items()}
 
 
 def _law(name: str, holds: bool, **parts: Any) -> None:

@@ -17,8 +17,8 @@ an abstraction S2 through a state relation R:
 All three kinds come from one walk over the related pairs in sorted order.
 Each time x1 changes it quantizes x1's rows once, mapping every successor x1'
 to its image R(x1'); each image must then meet (ASR) or lie inside (MCR,
-FRR) the abstract row.  The checks, interfaces, extended relations, witness
-replay and the extension all read this walk.
+FRR) the abstract row.  The checks, interfaces, extended relations and the
+extension all read this walk; a witness is replayed without it.
 
 Checkers return refutation witnesses that are minimal in lexicographic order
 of (x1, x2, u2) and can be replayed against the raw definitions.
@@ -207,11 +207,11 @@ def _require(
 
 def _walk(
     kind: RelationKind, s1: FiniteTransitionSystem, s2: FiniteTransitionSystem,
-    rel: Relation, pairs: Iterable[tuple[str, str]], first: bool,
+    rel: Relation, first: bool,
 ) -> Iterator[tuple[str, str, str, list[str], dict[str, tuple[frozenset[str], ...]]]]:
-    """Yield (x1, x2, u2, us, post) for each (x1, x2) of ``pairs`` and u2
-    available at x2.  ``post``, built once per x1, maps each u1 available
-    there to the images of its successors.  Their union Q(x1, u1) is not
+    """Yield (x1, x2, u2, us, post) for each related pair (x1, x2), in sorted
+    order, and u2 available at x2.  ``post``, built once per x1, maps each u1
+    available there to the images of its successors.  Their union Q(x1, u1) is not
     built: rows have few successors, and the union costs more than it saves.
     ``us`` lists the u1 (only the least when ``first``; for FRR only u2) whose
     every image meets (ASR) or lies inside (MCR, FRR) the row of (x2, u2).
@@ -221,7 +221,7 @@ def _walk(
     avail1, avail2 = s1._avail, s2._avail  # type: ignore[attr-defined]
     some, frr = kind is RelationKind.ASR, kind is RelationKind.FRR
     last = post = None
-    for x1, x2 in pairs:
+    for x1, x2 in sorted(rel.pairs):
         if x1 != last:
             last, post = x1, {}
             for u1 in avail1[x1]:
@@ -281,7 +281,7 @@ def check_relation(
     input tested on the T triples, up to the first admissible one."""
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
-    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=True):
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, first=True):
         if not us:
             return _refutation(kind, s1, s2, rel, x1, x2, u2)
     return RelationVerdict(True, None)
@@ -315,8 +315,8 @@ def replay_witness(
     rel: Relation,
     witness: RelationWitness,
 ) -> bool:
-    """Re-evaluate a refutation against the raw definition.  True means the
-    witness still refutes."""
+    """Re-evaluate a refutation against the raw definition, not the walk
+    that found it.  True means the witness still refutes."""
     kind = RelationKind(kind)
     _validate_triplet(s1, s2, rel)
     x1, x2, u2 = witness.x1, witness.x2, witness.u2
@@ -324,12 +324,15 @@ def replay_witness(
         return False
     if kind is RelationKind.FRR and u2 not in s1.available_inputs(x1):
         return True
-    for _, _, v2, us, _ in _walk(kind, s1, s2, rel, ((x1, x2),), first=True):
-        if v2 == u2 and us:
+    row = s2.successors(x2, u2)
+    candidates = (u2,) if kind is RelationKind.FRR else s1.available_inputs(x1)
+    # u1 is admissible if each successor's image meets (ASR) or lies in (MCR, FRR) the row.
+    for u1 in candidates:
+        images = map(rel.forward, s1.successors(x1, u1))
+        if all(not q.isdisjoint(row) if kind is RelationKind.ASR else q <= row for q in images):
             return False
     if witness.evidence is not None:
         x1p, x2p = witness.evidence
-        candidates = (u2,) if kind is RelationKind.FRR else s1.available_inputs(x1)
         if not any(x1p in s1.successors(x1, u1) for u1 in candidates):
             return False
         if x2p not in rel.forward(x1p) or x2p in s2.successors(x2, u2):
@@ -348,7 +351,7 @@ def extended_relation(
     _validate_triplet(s1, s2, rel)
     tuples = frozenset(
         (x1, x2, u1, u2)
-        for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False)
+        for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, first=False)
         for u1 in us
     )
     return ExtendedRelation(kind, tuples)
@@ -372,7 +375,7 @@ def maximal_interface(
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
     table: dict[tuple[str, str, str], frozenset[str]] = {}
-    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, first=False):
         if not us:
             raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
         table[(x1, x2, u2)] = frozenset(us)
@@ -392,7 +395,7 @@ def validate_interface(
     input of the first bad entry."""
     _validate_triplet(s1, s2, rel)
     kind = interface.kind
-    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+    for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, first=False):
         bad = interface.inputs_for(x1, x2, u2).difference(us)
         if bad:
             u1 = min(bad)
@@ -423,7 +426,7 @@ def mcr_extension(
         raise StrictnessError("extension needs a strict relation")
     kind = RelationKind.ASR
     table = {key: set(succ) for key, succ in s2.trans.items()}
-    for x1, x2, u2, us, post in _walk(kind, s1, s2, rel, sorted(rel.pairs), first=False):
+    for x1, x2, u2, us, post in _walk(kind, s1, s2, rel, first=False):
         if not us:
             raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
         row = table[(x2, u2)]

@@ -14,11 +14,12 @@ from symcret import (
     ReachAvoidSpec,
     Relation,
     RelationKind,
+    RelationVerdict,
     controller_count,
     fig5,
     maximal_interface,
 )
-from symcret import cli
+from symcret import cli, oracle
 from symcret.cli import fig5_bundle, main
 from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
@@ -536,6 +537,15 @@ class TestDemos:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] and doc["counters"]["trials"] == 30
+
+    def test_crosscheck_failure(self, capsys, monkeypatch):
+        # A check_mcr that refutes everything breaks reflexivity on trial 0.
+        monkeypatch.setattr(oracle, "check_mcr", lambda *args: RelationVerdict(False, None))
+        code, out, _ = run(capsys, "demo", "crosscheck", "--trials", "5", "--seed", "3", "--json")
+        doc = json.loads(out)
+        assert code == 1 and doc["failed_law"] == "reflexivity" and doc["passed"] is False
+        assert doc["bundle"]["trial"] == 0 and doc["bundle"]["master_seed"] == 3
+        assert out == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 class TestErrors:

@@ -218,20 +218,27 @@ def reference_rows(cover, abstraction, inputs):
     laws = {ai.name: ai.law for ai in inputs}
     for name, cell in cover.cells:
         for u in abstraction.available_inputs(name):
-            yield affine_image(cell, laws[u]), abstraction.successors(name, u)
+            yield name, u, affine_image(cell, laws[u]), abstraction.successors(name, u)
 
 
 def reference_verify(cover, abstraction, inputs):
     """(mcr, asr) outcomes from the scans, each a verdict or the type and
     message of the error raised: every quantization of a row's image is a
-    successor, and the successors' union covers the image."""
+    successor, an image in a gap raises the error of ``reference_build``,
+    and the successors' union covers the image."""
     def mcr():
-        return all(reference_quantize(cover, image) <= succ
-                   for image, succ in reference_rows(cover, abstraction, inputs))
+        for name, u, image, succ in reference_rows(cover, abstraction, inputs):
+            found = reference_quantize(cover, image)
+            if not found:
+                raise OutOfDomainError(f"image of cell {name!r} under {u!r} meets no cell: "
+                                       f"{image.describe()} lies in a gap of the cover")
+            if not found <= succ:
+                return False
+        return True
 
     def asr():
         return all(reference_interval_covered(image, [reference_cell(cover, q) for q in succ])
-                   for image, succ in reference_rows(cover, abstraction, inputs))
+                   for _, _, image, succ in reference_rows(cover, abstraction, inputs))
 
     return outcome(mcr), outcome(asr)
 
@@ -827,6 +834,11 @@ class TestBuildAbstraction:
         assert got == outcome(reference_build, cover, inputs, {"a": ["k"]}) == (
             OutOfDomainError, f"image of cell 'a' under 'k' meets no cell: {image} lies in a gap "
                               "of the cover")
+        # A hand-built row (a, k) -> {a} fails ASR, as no cell meets the
+        # image, so MCR, which implies ASR, must not pass it either.
+        hand_built = FiniteTransitionSystem(("a", "b"), ("k",), {("a", "k"): frozenset({"a"})})
+        assert verify_both(cover, hand_built, inputs) == (got, False)
+        assert reference_verify(cover, hand_built, inputs) == (got, False)
 
     def test_unknown_availability_cell_is_named(self):
         availability = {**FIG8_AVAILABILITY, "q9": ["k1"], "Q1": ["k1"]}

@@ -6,13 +6,19 @@ ensure_ascii=False) + "\\n"``.  Below Python 3.13 it uses its own writer,
 Python version tests it, with the stdlib as the reference."""
 import json
 import math
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symcret import ReachAvoidSpec, mcr_extension, synthesize_reach_avoid
+from symcret import (
+    AbstractInput, AffineMap, CellCover, IntervalCell, ReachAvoidSpec, mcr_extension,
+    synthesize_reach_avoid,
+)
 from symcret import jsonio
+from symcret.cli import fig5_bundle, main
 from symcret.jsonio import ProjectBundle
 
 from conftest import overlapping_line
@@ -131,3 +137,102 @@ def test_a_generated_line_plant_bundle_is_byte_equal():
     assert jsonio._indented(obj) == reference(obj)
     assert jsonio.dumps(obj) == reference(obj) + "\n"
     assert jsonio.bundle_to_obj(jsonio.bundle_from_obj(json.loads(jsonio.dumps(obj)))) == obj
+
+
+def no_stdlib(*args, **kwargs):
+    raise AssertionError("the document left the writer's fast path")
+
+
+def grid_cover_document(k=100, width=Fraction(3, 7)):
+    """The 2k+1-cell grid of the benchmark, with its four laws and the
+    availability of each cell: a cover document of dicts of strings and
+    booleans."""
+    cells = [("z", IntervalCell.point(0))]
+    availability = {"z": ["halve"]}
+    for i in range(1, k + 1):
+        neg, pos = f"n{i:04d}", f"p{i:04d}"
+        cells.append((neg, IntervalCell(-i * width, -(i - 1) * width, True, False)))
+        cells.append((pos, IntervalCell((i - 1) * width, i * width, False, True)))
+        availability[neg] = ["halve", "right"] + (["zero"] if i == 1 else [])
+        availability[pos] = ["halve", "left"] + (["zero"] if i == 1 else [])
+    laws = (
+        AbstractInput("halve", AffineMap(Fraction(-1, 2), 0)),
+        AbstractInput("left", AffineMap(0, -width)),
+        AbstractInput("right", AffineMap(0, width)),
+        AbstractInput("zero", AffineMap(-1, 0)),
+    )
+    return jsonio.cover_to_obj(CellCover(cells), laws, availability)
+
+
+def spy_on_stdlib(monkeypatch):
+    """The list of the documents passed to ``json.dumps`` from now on."""
+    calls, real = [], json.dumps
+
+    def spy(doc, **kwargs):
+        calls.append(doc)
+        return real(doc, **kwargs)
+
+    monkeypatch.setattr(jsonio.json, "dumps", spy)
+    return calls
+
+
+class Level(IntEnum):
+    LOW = 1
+
+
+class TestHandOff:
+    """The documents the library writes never reach ``json.dumps``; any
+    other value hands the whole document to it."""
+
+    def test_a_generated_line_bundle_stays_on_the_fast_path(self, monkeypatch):
+        s1, s2, rel = overlapping_line(120, 7)
+        s2x = mcr_extension(s1, s2, rel)
+        abstract = ReachAvoidSpec(frozenset(s2x.states), frozenset(s2x.states[:1]), frozenset())
+        result = synthesize_reach_avoid(s2x, abstract)
+        obj = jsonio.bundle_to_obj(ProjectBundle(
+            systems={"S1": s1, "S2": s2, "S2x": s2x},
+            relations={"R": ("S1", "S2", rel)},
+            controllers={"c2": ("S2x", result.controller)},
+            specs={"sigma2x": ("S2x", abstract)},
+        ))
+        want = reference(obj)
+        monkeypatch.setattr(jsonio.json, "dumps", no_stdlib)
+        assert jsonio._indented(obj) == want
+
+    def test_the_grid_cover_stays_on_the_fast_path(self, monkeypatch):
+        obj = grid_cover_document()
+        assert len(obj["cells"]) == 201 and obj["inputs"] and obj["availability"]
+        want = reference(obj)
+        monkeypatch.setattr(jsonio.json, "dumps", no_stdlib)
+        assert jsonio._indented(obj) == want
+
+    def test_a_synthesis_result_stays_on_the_fast_path(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "fig5.json"
+        jsonio.save(path, jsonio.bundle_to_obj(fig5_bundle()))
+        monkeypatch.setattr(jsonio, "_canonical", jsonio._indented)
+        monkeypatch.setattr(jsonio.json, "dumps", no_stdlib)
+        code = main(["synthesize", "--sys", f"{path}:S2", "--spec", f"{path}:sigma2", "--json"])
+        out = capsys.readouterr().out
+        monkeypatch.undo()
+        doc = json.loads(out)
+        assert code == 0 and doc["kind"] == "synthesis-result" and doc["rank"]
+        assert out == reference(doc) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {"elapsed_seconds": 0.125, "trials": 50},
+        {"a": ["x", Level.LOW]},
+        {"a": {1: "int key"}},
+        [["x"], {"b": [1.5, float("nan")]}],
+    ], ids=["float", "int-enum", "int-key", "nested-floats"])
+    def test_other_values_get_the_stdlib_text(self, monkeypatch, obj):
+        want = reference(obj)
+        calls = spy_on_stdlib(monkeypatch)
+        assert jsonio._indented(obj) == want
+        assert len(calls) == 1 and calls[0] is obj
+
+    def test_a_cycle_gets_the_stdlib_exception(self, monkeypatch):
+        obj = cyclic_dict()
+        calls = spy_on_stdlib(monkeypatch)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            jsonio._indented(obj)
+        assert len(calls) == 1 and calls[0] is obj

@@ -10,12 +10,14 @@ from symcret import (
     AllControllersVerdict,
     BudgetExceededError,
     Controller,
+    CrosscheckFailure,
     FiniteTransitionSystem,
     Interface,
     PropertyVerdict,
     PropertyWitness,
     Relation,
     RelationKind,
+    RelationVerdict,
     check_controlled_simulability,
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
@@ -28,6 +30,7 @@ from symcret import (
     replay_memoryless_witness,
     run_crosscheck,
 )
+from symcret import jsonio, oracle
 from symcret.core import ContractError, DomainError, SymcretError
 from symcret.fixtures import ALPHA
 from symcret.oracle import (
@@ -701,6 +704,17 @@ class TestCrosscheck:
         first = run_crosscheck(trials=30, seed=9)
         second = run_crosscheck(trials=30, seed=9)
         assert first.counters == second.counters
+
+    def test_a_failed_law_raises_a_replayable_bundle(self, fx, monkeypatch):
+        # A check_mcr that refutes everything breaks reflexivity on trial 0,
+        # which is fig5; the bundle holds that instance and the run's seed.
+        monkeypatch.setattr(oracle, "check_mcr", lambda *args: RelationVerdict(False, None))
+        with pytest.raises(CrosscheckFailure) as caught:
+            run_crosscheck(trials=5, seed=7)
+        failure = caught.value
+        assert failure.law == "reflexivity"
+        assert failure.bundle["trial"] == 0 and failure.bundle["master_seed"] == 7
+        assert jsonio.system_from_obj(failure.bundle["s1"]) == fx.s1
 
     def test_report_serializes(self):
         report = run_crosscheck(trials=10, seed=1)

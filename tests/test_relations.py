@@ -447,6 +447,21 @@ class TestWitnessReplay:
         verdict = check_frr(fx.s1, fx.s2, fx.relation)
         assert replay_witness(RelationKind.FRR, fx.s1, fx.s2, fx.relation, verdict.witness)
 
+    def test_replay_does_not_trust_the_walk(self, fx, monkeypatch):
+        # A walk that finds no admissible input anywhere makes ASR refute
+        # fig5, which does stand in ASR; the replay reads the definition and
+        # finds the input the walk missed.
+        real_walk = symcret.relations._walk
+
+        def blind_walk(*args, **kwargs):
+            for x1, x2, u2, _, post in real_walk(*args, **kwargs):
+                yield x1, x2, u2, [], post
+
+        monkeypatch.setattr(symcret.relations, "_walk", blind_walk)
+        verdict = check_asr(fx.s1, fx.s2, fx.relation)
+        assert not verdict.holds
+        assert not replay_witness(RelationKind.ASR, fx.s1, fx.s2, fx.relation, verdict.witness)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_random_refutations_replay(self, seed):
