@@ -161,7 +161,7 @@ def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
 
 def relation_to_obj(rel: Relation) -> dict[str, Any]:
     return tagged("relation", {
-        "pairs": [list(p) for p in sorted(rel.pairs)],
+        "pairs": [list(p) for p in rel._order],  # type: ignore[attr-defined]
     })
 
 

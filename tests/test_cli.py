@@ -537,6 +537,7 @@ class TestDemos:
         assert code == 0
         doc = json.loads(out)
         assert doc["passed"] and doc["counters"]["trials"] == 30
+        assert "failures" not in doc
 
     def test_crosscheck_failure(self, capsys, monkeypatch):
         # A check_mcr that refutes everything breaks reflexivity on trial 0.

@@ -688,7 +688,6 @@ class TestCrosscheck:
 
     def test_small_run_covers_every_branch(self):
         report = run_crosscheck(trials=80, seed=5)
-        assert not report.failures
         for key in (
             "mcr_implies_asr",
             "mcr_sufficiency_trials",
@@ -720,3 +719,19 @@ class TestCrosscheck:
         report = run_crosscheck(trials=10, seed=1)
         obj = report.to_obj()
         assert obj["trials"] == 10 and "counters" in obj
+        # A failed law raises, so a report has no failures to list.
+        assert set(obj) == {"trials", "seed", "counters", "elapsed_seconds"}
+
+    def test_the_extension_is_re_walked(self, fx, monkeypatch):
+        # The extension checks only its own certificate; the crosscheck walks
+        # both memoryless relations again.  On fig5 (trial 0), handing back
+        # S2 itself breaks the one with S1; moving the row (b, α) to {d}
+        # keeps that one and breaks the one with S2 along identity.
+        moved = FiniteTransitionSystem(fx.s2.states, fx.s2.inputs,
+                                       {**fx.s2_extended.trans, ("b", ALPHA): {"d"}})
+        assert check_mcr(fx.s1, moved, fx.relation).holds
+        for extended, law in ((fx.s2, "extension_mcr"), (moved, "extension_identity_mcr")):
+            monkeypatch.setattr(oracle, "mcr_extension", lambda *args, ext=extended: ext)
+            with pytest.raises(CrosscheckFailure) as caught:
+                run_crosscheck(trials=1, seed=0)
+            assert caught.value.law == law

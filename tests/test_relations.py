@@ -33,7 +33,8 @@ from symcret import (
     validate_interface,
 )
 import symcret
-from symcret.fixtures import ALPHA, BETA
+from symcret import relations
+from symcret.fixtures import ALPHA, BETA, GAMMA
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
 from conftest import overlapping_line, seeded_rng, small_systems, strict_relations
@@ -301,6 +302,18 @@ class TestRelationBasics:
         rel = Relation(("a", "b"), ("q",), frozenset())
         assert not rel.is_strict()
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_pairs_kept_in_walk_order(self, seed):
+        # Pairs drawn with repeats over carriers named with repeats; the
+        # draw often leaves a domain state unrelated.
+        rng = seeded_rng(seed)
+        domain = [f"x{i}" for i in range(rng.randint(1, 6))]
+        codomain = [f"q{i}" for i in range(rng.randint(1, 4))]
+        drawn = [(rng.choice(domain), rng.choice(codomain)) for _ in range(rng.randint(0, 8))]
+        rel = Relation(domain + domain[:2], codomain[::-1], iter(drawn + drawn[:3]))
+        assert rel._order == tuple(sorted(rel.pairs)) == tuple(sorted(set(drawn)))
+        assert rel.is_strict() == all(rel.forward(a) for a in rel.domain)
+
     def test_pairs_outside_carriers_rejected(self):
         with pytest.raises(DomainError):
             Relation(("a",), ("q",), frozenset({("b", "q")}))
@@ -552,6 +565,43 @@ class TestExtension:
     def test_fig5_extension_postconditions(self, fx):
         assert check_mcr(fx.s1, fx.s2_extended, fx.relation).holds
         assert check_mcr(fx.s2, fx.s2_extended, Relation.identity(fx.s2.states)).holds
+
+    @pytest.mark.parametrize("fault, message", [
+        ("drop a grown successor", "extension postcondition failed against the concrete system"),
+        ("make an input available",
+         "extension postcondition failed against the original abstraction"),
+    ])
+    def test_postconditions_read_the_constructed_system(self, fx, monkeypatch, fault, message):
+        # The certificate is checked against the system the constructor
+        # hands back, not against the rows the walk grew.  (a, α) grows by c;
+        # γ is unavailable at a in S2.
+        def faulty(states, inputs, table):
+            if fault == "drop a grown successor":
+                table = {**table, ("a", ALPHA): table[("a", ALPHA)] - {"c"}}
+            else:
+                table = {**table, ("a", GAMMA): {"a"}}
+            return FiniteTransitionSystem(states, inputs, table)
+
+        assert fx.s2_extended.successors("a", ALPHA) - fx.s2.successors("a", ALPHA) == {"c"}
+        assert GAMMA not in fx.s2.available_inputs("a")
+        monkeypatch.setattr(relations, "FiniteTransitionSystem", faulty)
+        with pytest.raises(SymcretError) as caught:
+            mcr_extension(fx.s1, fx.s2, fx.relation)
+        assert type(caught.value) is SymcretError and str(caught.value) == message
+
+    def test_extension_holds_both_relations_on_seeded_instances(self):
+        # Both memoryless relations, walked in full, on every strict
+        # instance of the walk seeds where alternating simulation holds.
+        held = 0
+        for seed in range(600):
+            s1, s2, rel = walk_instance(seed)
+            if not rel.is_strict() or not check_asr(s1, s2, rel).holds:
+                continue
+            extended = mcr_extension(s1, s2, rel)
+            assert check_mcr(s1, extended, rel).holds
+            assert check_mcr(s2, extended, Relation.identity(s2.states)).holds
+            held += 1
+        assert held >= 100, held
 
     def test_extension_requires_asr(self):
         s1 = FiniteTransitionSystem(("x",), ("u",), {("x", "u"): {"x"}})
