@@ -8,8 +8,10 @@ value; every operation is a pure function of its arguments.
 """
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Any, Callable, Mapping
 
 
 class SymcretError(Exception):
@@ -30,6 +32,21 @@ class ControllerUndefinedError(ContractError):
     def __init__(self, state: str, who: str = "controller") -> None:
         super().__init__(f"{who} is undefined at state {state!r}")
         self.state = state
+
+
+def _nogc(build: Callable[..., Any]) -> Callable[..., Any]:
+    """``build`` with the cyclic collector paused, unless off already: its tables hold no
+    cycles.  Process-wide: another thread's ``gc.disable()`` during the call is undone."""
+    @functools.wraps(build)
+    def paused(*args: Any, **kwargs: Any) -> Any:
+        if not gc.isenabled():
+            return build(*args, **kwargs)
+        gc.disable()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ several times faster, for the types the library writes: dicts with string
 keys, lists, tuples, strings, ints, booleans and None.  Any other value (a
 float, an ``IntEnum``) sends the whole document to ``json.dumps``, whose C
 encoder writes every document from 3.13 on.  The writer goes when support
-for 3.12 ends.
+for 3.12 ends.  ``load``, the writer and every decoder pause the cyclic
+collector while they run: what they build holds no reference cycles.
 
 A cover is read and written as the integer rows that ``CellCover`` indexes:
 each ``"p/q"`` is parsed with a regex and ``int`` and reduced with ``gcd``,
@@ -45,6 +46,7 @@ from typing import Any
 
 from .core import (
     Controller, DomainError, FiniteTransitionSystem, ReachAvoidSpec, SymcretError, Trajectory,
+    _nogc,
 )
 from .interval import AbstractInput, AffineMap, CellCover, Row
 from .relations import Interface, Relation, RelationKind
@@ -112,7 +114,7 @@ def _decoder(kind: str) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
             except (AttributeError, KeyError, TypeError) as err:
                 message = f"malformed {kind} document ({type(err).__name__}: {err})"
                 raise FormatError(message) from None
-        return checked
+        return _nogc(checked)
     return wrap
 
 
@@ -528,7 +530,7 @@ def _indented(obj: Any) -> str:
 
 # The C encoder writes indented documents from Python 3.13 on; before, the
 # stdlib falls back to a generator per token, several times slower.
-_canonical = _stdlib if version_info >= (3, 13) else _indented
+_canonical = _stdlib if version_info >= (3, 13) else _nogc(_indented)
 
 
 def dumps(obj: Mapping[str, Any]) -> str:
@@ -539,5 +541,6 @@ def save(path: str | Path, obj: Mapping[str, Any]) -> None:
     Path(path).write_text(dumps(obj), encoding="utf-8")
 
 
+@_nogc
 def load(path: str | Path) -> Any:
     return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -464,8 +464,8 @@ def run_crosscheck(trials: int = 500, seed: int = 0) -> CrosscheckReport:
       abstract controller (enumeration capped at 256 controllers);
     * alternating simulation without the memoryless relation admits a
       violating controller;
-    * the extension stands in both memoryless relations (walked again, not
-      read off its certificate), only grows rows, adds nothing on partitions;
+    * the extension stands in both memoryless relations (walked again, not read off its
+      certificate), keeps availability, only grows rows, adds nothing on partitions;
     * reflexivity along identity and transitivity along composition.
 
     Raises :class:`CrosscheckFailure` with a replayable bundle on the first
@@ -570,6 +570,8 @@ def _run_trial(report: CrosscheckReport, rng: random.Random, index: int) -> None
              check_mcr(s2, extended, Relation.identity(s2.states)).holds, s1=s1, s2=s2, rel=rel)
         _law("extension_inclusion", all(s2.trans[key] <= extended.trans[key] for key in s2.trans),
              s1=s1, s2=s2, rel=rel)
+        _law("extension_availability", all(extended.available_inputs(x) == s2.available_inputs(x)
+                                           for x in s2.states), s1=s1, s2=s2, rel=rel)
         if rel.is_single_valued():
             _law("partition_extension_identity", extended.trans == s2.trans,
                  s1=s1, s2=s2, rel=rel)

@@ -36,6 +36,7 @@ from .core import (
     FiniteTransitionSystem,
     ReachAvoidSpec,
     SymcretError,
+    _nogc,
 )
 
 
@@ -360,6 +361,7 @@ def extended_relation(
     return ExtendedRelation(kind, tuples)
 
 
+@_nogc
 def maximal_interface(
     s1: FiniteTransitionSystem,
     s2: FiniteTransitionSystem,
@@ -373,7 +375,7 @@ def maximal_interface(
     check returns.
 
     Cost: that of the check with every concrete input tested,
-    O(P log P + T * m * d * r).
+    O(P log P + T * m * d * r).  The collector is paused: the table holds no cycles.
     """
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
@@ -411,6 +413,7 @@ def validate_interface(
             )
 
 
+@_nogc
 def mcr_extension(
     s1: FiniteTransitionSystem, s2: FiniteTransitionSystem, rel: Relation
 ) -> FiniteTransitionSystem:
@@ -425,7 +428,7 @@ def mcr_extension(
     ``rel`` (each kept image inside its row) and with ``s2`` along identity
     (the same available inputs, each original row inside its row).
     Cost: one ASR walk, then an O(T * d) check of the kept images for the T
-    triples of d successors; no MCR walk.
+    triples of d successors, no MCR walk; collector paused, as the table holds no cycles.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 
@@ -11,11 +12,18 @@ from symcret import (
     DomainError,
     FiniteTransitionSystem,
     ReachAvoidSpec,
+    Relation,
+    RelationCheckError,
+    RelationKind,
     SpecVerdict,
     Trajectory,
     check_spec,
+    maximal_interface,
+    mcr_extension,
     synthesize_reach_avoid,
 )
+from symcret import jsonio
+from symcret.cli import fig5_bundle
 from symcret.fixtures import ALPHA, BETA, GAMMA
 from symcret.oracle import random_system
 
@@ -404,3 +412,77 @@ class TestTrajectory:
     def test_validity(self, fx):
         assert reference_is_valid_for(Trajectory(("1", "2", "5"), ("0", "0")), fx.s1)
         assert not reference_is_valid_for(Trajectory(("1", "5"), ("0",)), fx.s1)
+
+
+class TestCollectorPause:
+    """The library's table builders run with the cyclic collector paused and
+    leave it as they found it: on again after a result or an error, off
+    throughout when the caller turned it off."""
+
+    @pytest.fixture
+    def collector_on(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    def test_enabled_again_after_a_decode(self, collector_on):
+        doc = jsonio.bundle_to_obj(fig5_bundle())
+        assert jsonio.bundle_from_obj(doc).systems.keys() == {"S1", "S2", "S2x"}
+        assert gc.isenabled()
+
+    def test_enabled_again_after_an_error(self, collector_on):
+        doc = jsonio.bundle_to_obj(fig5_bundle())
+        doc["systems"]["S2"]["trans"] = 7
+        with pytest.raises(jsonio.FormatError, match="system 'S2': malformed system document"):
+            jsonio.bundle_from_obj(doc)
+        assert gc.isenabled()
+        # ASR fails at (x, a, v): the successor y is related only to b.
+        s1 = FiniteTransitionSystem(("x", "y"), ("u",), {("x", "u"): {"y"}, ("y", "u"): {"y"}})
+        s2 = FiniteTransitionSystem(("a", "b"), ("v",), {("a", "v"): {"a"}, ("b", "v"): {"b"}})
+        rel = Relation(s1.states, s2.states, {("x", "a"), ("y", "b")})
+        with pytest.raises(RelationCheckError, match=r"asr check failed at \(x, a, v\)"):
+            mcr_extension(s1, s2, rel)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, fx, tmp_path, collector_on):
+        doc = jsonio.bundle_to_obj(fig5_bundle())
+        path = tmp_path / "fig5.json"
+        jsonio.save(path, doc)
+        calls = [
+            lambda: jsonio.load(path),
+            lambda: jsonio.bundle_from_obj(doc),
+            lambda: jsonio.dumps(doc),
+            lambda: mcr_extension(fx.s1, fx.s2, fx.relation),
+            lambda: maximal_interface(fx.s1, fx.s2_extended, fx.relation, RelationKind.MCR),
+        ]
+        gc.disable()
+        for call in calls:
+            call()
+            assert not gc.isenabled()
+
+    def test_nested_decoders_keep_the_collector_paused(self, collector_on, monkeypatch):
+        # bundle_from_obj runs system_from_obj and relation_from_obj, each
+        # paused on its own; returning from one must not resume collection
+        # before the bundle is done.
+        seen = []
+
+        def recording(name, build):
+            def call(*args):
+                seen.append((name, gc.isenabled()))
+                return build(*args)
+            return call
+
+        system_from_obj = jsonio.system_from_obj
+
+        def decode_system(obj):
+            system = system_from_obj(obj)
+            seen.append(("after", gc.isenabled()))
+            return system
+
+        monkeypatch.setattr(jsonio, "FiniteTransitionSystem",
+                            recording("constructor", FiniteTransitionSystem))
+        monkeypatch.setattr(jsonio, "system_from_obj", decode_system)
+        monkeypatch.setattr(jsonio, "Relation", recording("relation", Relation))
+        jsonio.bundle_from_obj(jsonio.bundle_to_obj(fig5_bundle()))
+        assert seen == [("constructor", False), ("after", False)] * 3 + [("relation", False)] * 2
+        assert gc.isenabled()

@@ -26,13 +26,15 @@ from symcret import (
     count_dynamic_runs,
     enumerate_controllers,
     maximal_interface,
+    mcr_extension,
     memoryless_controller,
     replay_memoryless_witness,
     run_crosscheck,
 )
 from symcret import jsonio, oracle
+from symcret.cli import fig5_bundle
 from symcret.core import ContractError, DomainError, SymcretError
-from symcret.fixtures import ALPHA
+from symcret.fixtures import ALPHA, GAMMA
 from symcret.oracle import (
     _perturb_abstraction,
     induced_abstraction,
@@ -45,6 +47,7 @@ from conftest import (
     chain,
     cycle_product,
     outcome,
+    overlapping_line,
     random_partial_controller,
     reference_enumerate_dynamic_runs,
     seeded_rng,
@@ -426,6 +429,76 @@ class TestNoCyclicGarbage:
             fx.s1, fx.s2, fx.c2_via_b, fx.relation, asr_interface, "1", 6
         ))
 
+    # The library pauses the collector while it reads and writes documents
+    # and builds extensions and interfaces; that is free only while those
+    # paths leave no cycles behind.
+
+    @staticmethod
+    def garbage_after(build):
+        """What ``gc.collect`` finds after ``build()`` ran with the collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            result = build()
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert result is not None
+        return found
+
+    @pytest.fixture(scope="class")
+    def bundles(self, tmp_path_factory):
+        """The fig5 bundle and a 3,000-state line bundle, with their files."""
+        s1, s2, rel = overlapping_line(600, 11)
+        line = jsonio.ProjectBundle(
+            systems={"S1": s1, "S2": s2, "S2x": mcr_extension(s1, s2, rel)},
+            relations={"R": ("S1", "S2", rel), "Rx": ("S1", "S2x", rel)},
+        )
+        out = []
+        for name, bundle in (("fig5", fig5_bundle()), ("line", line)):
+            path = tmp_path_factory.mktemp("bundles") / f"{name}.json"
+            jsonio.save(path, jsonio.bundle_to_obj(bundle))
+            out.append((bundle, path))
+        return out
+
+    def test_documents_leave_nothing_for_the_collector(self, bundles):
+        for bundle, path in bundles:
+            assert self.garbage_after(lambda: jsonio.bundle_from_obj(jsonio.load(path))) == 0
+            assert self.garbage_after(lambda: jsonio.dumps(jsonio.bundle_to_obj(bundle))) == 0
+
+    def test_extension_and_interface_leave_nothing_for_the_collector(self, bundles):
+        for bundle, _ in bundles:
+            s1, s2, s2x = (bundle.systems[name] for name in ("S1", "S2", "S2x"))
+            rel = bundle.relations["R"][2]
+            assert self.garbage_after(lambda: mcr_extension(s1, s2, rel)) == 0
+            assert self.garbage_after(
+                lambda: maximal_interface(s1, s2x, rel, RelationKind.MCR)) == 0
+
+    def test_decoding_a_large_bundle_runs_no_collection(self, bundles):
+        # Each paused call is recorded on its own, from a fresh young
+        # generation: the collection it defers runs at the first allocation
+        # after it returns, which is outside the recording.
+        _, path = bundles[1]
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        def collections_in(call, *args):
+            gc.collect()
+            gc.callbacks.append(record)
+            try:
+                result = call(*args)
+            finally:
+                gc.callbacks.remove(record)
+            return result
+
+        obj = collections_in(jsonio.load, path)
+        bundle = collections_in(jsonio.bundle_from_obj, obj)
+        assert len(bundle.systems["S1"].states) == 3000
+        assert started == []
+
 
 class TestMemorylessConcretization:
     def test_route_controller_refuted_with_exact_witness(self, fx, asr_interface):
@@ -735,3 +808,14 @@ class TestCrosscheck:
             with pytest.raises(CrosscheckFailure) as caught:
                 run_crosscheck(trials=1, seed=0)
             assert caught.value.law == law
+
+    def test_the_extension_keeps_availability(self, fx, monkeypatch):
+        # γ is unavailable at a in S2.  Adding the row (a, γ) -> {b, c} keeps
+        # both memoryless relations (input 0 at state 1 fits, and S2's rows
+        # stay inside theirs); only the availability law sees it.
+        grown = FiniteTransitionSystem(fx.s2.states, fx.s2.inputs,
+                                       {**fx.s2_extended.trans, ("a", GAMMA): {"b", "c"}})
+        monkeypatch.setattr(oracle, "mcr_extension", lambda *args: grown)
+        with pytest.raises(CrosscheckFailure) as caught:
+            run_crosscheck(trials=1, seed=0)
+        assert caught.value.law == "extension_availability"
