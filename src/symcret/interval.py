@@ -13,15 +13,16 @@ just above v (an open lower end), s = -1 just below v (an open upper end).
 A cell is every cut from its lower cut to its upper cut, both included.
 
 Abstract inputs are affine state-feedback laws u = gain * x + offset that act
-on a whole cell; the closed-loop map of a cell is then x -> σx + c with
-σ = 1 + gain = σn/σd and c = offset = cn/cd.  It sends the cut at k/d to
-(A·k + B)/D times 1/d, where A = σn·cd, B = cn·σd·d and D = σd·cd > 0 are
-integers fixed per law, so each image cut is keyed with one ``divmod``.  A
-negative A swaps the two cuts and negates their sides, and A = 0 (gain -1)
-is the closed point c.  An affine map sends a cell onto exactly its image
-interval, so the memoryless containment condition over all points of a cell
-is one inclusion between quantizations: the checks below are exact without
-sampling.
+on a whole cell; the closed-loop map is then x -> σx + c with σ = 1 + gain =
+σn/σd and c = offset = cn/cd.  ``AffineMap`` makes the law's integer form
+A = σn·cd, B = cn·σd, D = σd·cd > 0 once, and x -> (A·x + B)/D: a plant step
+is three integer products and one reduced ``Fraction``.  It sends the cut at
+k/d to (A·k + B·d)/D times 1/d, so each image cut is keyed with one
+``divmod``.  A negative A swaps the two cuts and negates their sides, and
+A = 0 (gain -1) is the closed point c.  An affine map sends a cell onto
+exactly its image interval, so the memoryless containment condition over all
+points of a cell is one inclusion between quantizations: the checks below
+are exact without sampling.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ def _key(n: int, den: int, side: int) -> int:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Feedback law u = gain * x + offset."""
+    """Feedback law u = gain * x + offset; ``_form`` is its (A, B, D), made once."""
 
     gain: Fraction
     offset: Fraction
@@ -100,13 +101,18 @@ class AffineMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "gain", _frac(self.gain))
         object.__setattr__(self, "offset", _frac(self.offset))
+        (g, g_den), (c, c_den) = self.gain.as_integer_ratio(), self.offset.as_integer_ratio()
+        object.__setattr__(self, "_form", ((g + g_den) * c_den, c * g_den, g_den * c_den))
 
     def apply(self, x: Rational) -> Fraction:
-        return self.gain * _frac(x) + self.offset
+        """u at x = n/m: ((A - D)·n + B·m)/(D·m), one reduced ``Fraction``."""
+        (a, b, den), (n, m) = self._form, _frac(x).as_integer_ratio()
+        return Fraction((a - den) * n + b * m, den * m)
 
     def closed_loop(self, x: Rational) -> Fraction:
-        """Next plant state under translation dynamics: x + u."""
-        return _frac(x) + self.apply(x)
+        """Next plant state x + u at x = n/m: (A·n + B·m)/(D·m), one gcd."""
+        (a, b, den), (n, m) = self._form, _frac(x).as_integer_ratio()
+        return Fraction(a * n + b * m, den * m)
 
 
 @dataclass(frozen=True)
@@ -257,14 +263,13 @@ def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
           available: Callable[[str], Iterable[str]]) -> Iterator[tuple[str, str, int, int]]:
     """(cell name, input name, lower key, upper key) of the exact closed-loop
     image of every row, cells in cover order, inputs in ``available`` order.
-    Each law becomes (A, B, D, sign of A) once (see the module docstring), and
-    an image cut is ``_key(A·k + B, D, side · sign)``: O(1) per row."""
+    Each law's (A, B, D) becomes (A, B·d, D, sign of A) (module docstring),
+    and an image cut is ``_key(A·k + B·d, D, side · sign)``: O(1) per row."""
     d = cover._scale
     laws = {}
     for ai in inputs:
-        (g, g_den), (c, c_den) = ai.law.gain.as_integer_ratio(), ai.law.offset.as_integer_ratio()
-        a = (g + g_den) * c_den
-        laws[ai.name] = a, c * g_den * d, g_den * c_den, (a > 0) - (a < 0)
+        a, b, den = ai.law._form
+        laws[ai.name] = a, b * d, den, (a > 0) - (a < 0)
     for name, (k_lo, s_lo, k_hi, s_hi) in cover._int_cuts.items():
         for input_name in available(name):
             try:

@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -135,6 +137,62 @@ class TestAffineImage:
         image = affine_image(NEGATIVES, law)
         assert image.lo == law.closed_loop(NEGATIVES.lo)
         assert image.hi == law.closed_loop(NEGATIVES.hi)
+
+
+# The plain Fraction arithmetic that the law's integer form replaced, kept as
+# references.
+
+
+def reference_apply(law, x):
+    return law.gain * Fraction(x) + law.offset
+
+
+def reference_closed_loop(law, x):
+    return Fraction(x) + reference_apply(law, x)
+
+
+class TestAffineMapIntegerForm:
+    def test_steps_match_the_fraction_reference(self):
+        rng = random.Random(27)
+        gains, offsets = set(), set()
+        for i in range(2000):
+            law = AffineMap(Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                            Fraction(rng.randint(-3, 3), rng.randint(1, 7)))
+            gains.add(law.gain)
+            offsets.add(law.offset)
+            if i % 2:
+                x = Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25))
+            else:
+                x = rng.randint(-10**6, 10**6)
+            for got, want in ((law.apply(x), reference_apply(law, x)),
+                              (law.closed_loop(x), reference_closed_loop(law, x))):
+                assert type(got) is Fraction and got == want, (law, x)
+        # Gain -1 is A = 0, the collapse to the point offset.
+        assert {Fraction(-1), Fraction(0)} <= gains and Fraction(0) in offsets
+
+    def test_the_integer_form_is_not_a_field(self):
+        law = AffineMap(Fraction(-1, 2), Fraction(1, 3))
+        assert [f.name for f in dataclasses.fields(AffineMap)] == ["gain", "offset"]
+        assert repr(law) == "AffineMap(gain=Fraction(-1, 2), offset=Fraction(1, 3))"
+        odd = AffineMap(law.gain, law.offset)
+        object.__setattr__(odd, "_form", (0, 0, 1))
+        assert odd == law and hash(odd) == hash(law) and repr(odd) == repr(law)
+        moved = dataclasses.replace(law, offset=Fraction(-5, 3))
+        back = pickle.loads(pickle.dumps(moved))
+        for x in (Fraction(7, 11), Fraction(-10**20, 3), 0, 5):
+            want = reference_closed_loop(moved, x)
+            assert moved.closed_loop(x) == back.closed_loop(x) == want
+            assert moved.apply(x) == back.apply(x) == reference_apply(moved, x)
+
+    def test_ints_and_floats_become_fractions(self):
+        law = AffineMap(-1, 0.5)
+        assert (law.gain, law.offset) == (Fraction(-1), Fraction(1, 2))
+        assert type(law.gain) is Fraction and type(law.offset) is Fraction
+        for x in (3, 0.25, Fraction(1, 3)):
+            assert type(law.closed_loop(x)) is Fraction and law.closed_loop(x) == Fraction(1, 2)
+            assert type(law.apply(x)) is Fraction
+            assert law.apply(x) == reference_apply(law, x)
+        assert AffineMap(0.75, -2).closed_loop(0.5) == Fraction(7, 8) - 2
 
 
 # References: the endpoint flag cases that the cuts replaced, and the linear
