@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import gc
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 
 class SymcretError(Exception):
@@ -49,6 +49,12 @@ def _nogc(build: Callable[..., Any]) -> Callable[..., Any]:
     return paused
 
 
+def _share(values: Iterable[Any]) -> list[Any]:
+    """``values`` with equal ones held as one object, the first met; the pool is the call's."""
+    pool: dict[Any, Any] = {}
+    return [pool.setdefault(value, value) for value in values]
+
+
 @dataclass(frozen=True)
 class FiniteTransitionSystem:
     """Non-deterministic transition system with labelled, set-valued moves.
@@ -58,9 +64,11 @@ class FiniteTransitionSystem:
     ``trans`` is normalised to a total map: rows missing at construction are
     filled in as empty (input unavailable).  One pass over ``trans`` checks
     each name once against the sorted carrier and keeps the carrier's own
-    object: one object per name.  Blocking systems (some state with no
-    available input) can be represented, so that predicates about them can be
-    evaluated; loaders and fixtures reject them where required.
+    object: one object per name.  ``available_inputs`` keeps one tuple per
+    distinct set; the values are immutable, so callers cannot tell.  Blocking
+    systems (some state with no available input) can be represented, so that
+    predicates about them can be evaluated; loaders and fixtures reject them
+    where required.
     """
 
     states: tuple[str, ...]
@@ -83,13 +91,23 @@ class FiniteTransitionSystem:
                     raise DomainError(f"transition key uses unknown input {u!r}") from None
                 stray = sorted(frozenset(succ).difference(names))
                 raise DomainError(f"successors {stray!r} of ({x!r}, {u!r}) are not states") from None
+        self._seal(tuple(names), tuple(labels), table)
+
+    @classmethod
+    def _trusted(cls, states: tuple, inputs: tuple, table: dict) -> "FiniteTransitionSystem":
+        """The system of a builder's ``table``, unchecked: ``states`` and ``inputs`` sorted and
+        distinct, the table keyed and filled with their own objects, in frozensets."""
+        return object.__new__(cls)._seal(states, inputs, table)
+
+    def _seal(self, states: tuple, inputs: tuple, table: dict) -> "FiniteTransitionSystem":
         # The missing rows are filled in as empty while availability is read.
         fill, empty = table.setdefault, frozenset()
-        avail = {x: tuple([u for u in labels if fill((x, u), empty)]) for x in names}
-        object.__setattr__(self, "states", tuple(names))
-        object.__setattr__(self, "inputs", tuple(labels))
+        avail = _share(tuple([u for u in inputs if fill((x, u), empty)]) for x in states)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "trans", table)
-        object.__setattr__(self, "_avail", avail)
+        object.__setattr__(self, "_avail", dict(zip(states, avail)))
+        return self
 
     def has_state(self, x: str) -> bool:
         return x in self._avail  # type: ignore[attr-defined]
@@ -128,8 +146,9 @@ class FiniteTransitionSystem:
 @dataclass(frozen=True)
 class Controller:
     """Static set-valued state feedback: each covered state gets a non-empty
-    set of inputs.  The map may be partial; operations that need a choice at
-    an uncovered state fail explicitly when they get there."""
+    set of inputs, one object per distinct set (immutable, so callers cannot
+    tell).  The map may be partial; operations that need a choice at an
+    uncovered state fail explicitly when they get there."""
 
     choices: Mapping[str, frozenset[str]]
 
@@ -140,7 +159,7 @@ class Controller:
             if not us:
                 raise ContractError(f"controller assigns no input at state {x!r}")
             table[x] = us
-        object.__setattr__(self, "choices", table)
+        object.__setattr__(self, "choices", dict(zip(table, _share(table.values()))))
 
     @property
     def domain(self) -> frozenset[str]:

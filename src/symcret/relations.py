@@ -37,6 +37,7 @@ from .core import (
     ReachAvoidSpec,
     SymcretError,
     _nogc,
+    _share,
 )
 
 
@@ -58,7 +59,8 @@ class Relation:
     the relation connects; strictness and the quantizer view depend on them,
     not only on the pairs.  One pass over ``pairs`` checks each name once
     against its sorted carrier and keeps the carrier's own object: one object
-    per name.  The pairs are also kept sorted, in the order of every walk.
+    per name, and one object per distinct forward image (immutable, so
+    callers cannot tell).  The pairs are kept sorted, in the order of every walk.
     """
 
     domain: tuple[str, ...]
@@ -86,7 +88,7 @@ class Relation:
         object.__setattr__(self, "pairs", frozenset(order))
         object.__setattr__(self, "_order", order)
         object.__setattr__(self, "_strict", all(fwd.values()))
-        object.__setattr__(self, "_fwd", {a: frozenset(bs) for a, bs in fwd.items()})
+        object.__setattr__(self, "_fwd", dict(zip(fwd, _share(map(frozenset, fwd.values())))))
         object.__setattr__(self, "_inv", {b: frozenset(as_) for b, as_ in inv.items()})
 
     @staticmethod
@@ -169,17 +171,26 @@ class RelationCheckError(SymcretError):
 @dataclass(frozen=True)
 class Interface:
     """Map from (concrete state, abstract state, abstract input) to the
-    non-empty set of concrete inputs that implement the abstract input there."""
+    non-empty set of concrete inputs that implement the abstract input there,
+    one object per distinct set (immutable, so callers cannot tell)."""
 
     kind: RelationKind
     table: Mapping[tuple[str, str, str], frozenset[str]]
 
     def __post_init__(self) -> None:
-        table = {key: frozenset(us) for key, us in self.table.items()}
+        table = dict(zip(self.table, _share(map(frozenset, self.table.values()))))
         if not all(table.values()):
             key = next(key for key, us in table.items() if not us)
-            raise ContractError(f"interface entry ({', '.join(key)}) is empty")
+            raise ContractError(f"interface entry ({', '.join(map(str, key))}) is empty")
         object.__setattr__(self, "table", table)
+
+    @classmethod
+    def _trusted(cls, kind: RelationKind, table: dict) -> "Interface":
+        """The interface of a builder's own ``table`` of non-empty frozensets, unchecked."""
+        interface = object.__new__(cls)
+        object.__setattr__(interface, "kind", kind)
+        object.__setattr__(interface, "table", table)
+        return interface
 
     def inputs_for(self, x1: str, x2: str, u2: str) -> frozenset[str]:
         try:
@@ -375,16 +386,19 @@ def maximal_interface(
     check returns.
 
     Cost: that of the check with every concrete input tested,
-    O(P log P + T * m * d * r).  The collector is paused: the table holds no cycles.
+    O(P log P + T * m * d * r), and one frozenset per distinct entry, looked up
+    by the walk's input list.  The collector is paused: the table holds no cycles.
     """
     kind = RelationKind(kind)
     _require(kind, s1, s2, rel)
     table: dict[tuple[str, str, str], frozenset[str]] = {}
+    shared: dict[tuple[str, ...], frozenset[str]] = {}
     for x1, x2, u2, us, _ in _walk(kind, s1, s2, rel, first=False):
         if not us:
             raise RelationCheckError(kind, _refutation(kind, s1, s2, rel, x1, x2, u2))
-        table[(x1, x2, u2)] = frozenset(us)
-    return Interface(kind, table)
+        # ``us`` is not empty, so a missing entry is the only falsy lookup.
+        table[(x1, x2, u2)] = shared.get(key := tuple(us)) or shared.setdefault(key, frozenset(us))
+    return Interface._trusted(kind, table)
 
 
 def validate_interface(
@@ -428,7 +442,8 @@ def mcr_extension(
     ``rel`` (each kept image inside its row) and with ``s2`` along identity
     (the same available inputs, each original row inside its row).
     Cost: one ASR walk, then an O(T * d) check of the kept images for the T
-    triples of d successors, no MCR walk; collector paused, as the table holds no cycles.
+    triples of d successors, no MCR walk; the rows are frozen with no name looked
+    up again.  Collector paused, as the table holds no cycles.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
@@ -443,7 +458,10 @@ def mcr_extension(
         for u1 in us:
             row.update(*post[u1])
         kept.setdefault((x2, u2), []).append(post[us[0]])
-    extended = FiniteTransitionSystem(s2.states, s2.inputs, table)
+    # Unchecked, the grown rows must hold S2's own names, as rel's codomain usually does.
+    own = all(a is b for a, b in zip(rel.codomain, s2.states))
+    build = FiniteTransitionSystem._trusted if own else FiniteTransitionSystem
+    extended = build(s2.states, s2.inputs, {key: frozenset(row) for key, row in table.items()})
     trans = extended.trans
     if not all(image <= trans[key] for key, certificate in kept.items()
                for images in certificate for image in images):

@@ -8,19 +8,26 @@ first.  The constructors before that change copied their input and checked
 it in several passes; they are kept here as ``reference_*``.  On seeded
 inputs the fields must be equal, and an error must match in class and
 message.
+
+The tables also keep one object per distinct value, and the system decoder
+reads a valid document in one pass; a malformed one must raise what the
+two-pass decoder raised.
 """
+import copy
 import json
 
 import pytest
 
 from symcret import (
-    FiniteTransitionSystem, Interface, Relation, RelationKind, jsonio, maximal_interface,
+    FiniteTransitionSystem, Interface, Relation, ReachAvoidSpec, RelationKind, fig5, jsonio,
+    maximal_interface, mcr_extension, memoryless_controller, synthesize_reach_avoid,
+    translate_spec,
 )
 from symcret.core import ContractError, DomainError
-from symcret.jsonio import ProjectBundle
+from symcret.jsonio import FormatError, ProjectBundle
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import seeded_rng
+from conftest import overlapping_line, seeded_rng
 
 
 def reference_system(states, inputs, trans):
@@ -244,3 +251,179 @@ def test_decoded_bundle_keeps_one_object_per_name():
     assert shared((u2 for _, _, u2 in interface.table), s2.inputs)
     assert shared((u1 for us in interface.table.values() for u1 in us), s1.inputs)
     assert jsonio.dumps(jsonio.bundle_to_obj(loaded)) == text
+
+
+def shared_tables(s1, s2, rel, spec):
+    """The values of every table that keeps one object per distinct value,
+    built by the line_plant pipeline on the triplet and its concrete goal."""
+    s2x = mcr_extension(s1, s2, rel)
+    interface = maximal_interface(s1, s2x, rel, RelationKind.MCR)
+    c2 = synthesize_reach_avoid(s2x, translate_spec(spec, rel)).controller
+    c1 = memoryless_controller(c2, rel, interface)
+    return {
+        "S1 availability": list(s1._avail.values()),
+        "S2 availability": list(s2._avail.values()),
+        "extension availability": list(s2x._avail.values()),
+        "relation images": list(rel._fwd.values()),
+        "interface": list(interface.table.values()),
+        "abstract controller": list(c2.choices.values()),
+        "concretized controller": list(c1.choices.values()),
+    }
+
+
+def one_object_per_value(values):
+    return len({id(value) for value in values}) == len(set(values))
+
+
+def decoded(s1, s2, rel, spec):
+    """The triplet and goal after a JSON round trip, on the decoder's objects."""
+    bundle = ProjectBundle(systems={"S1": s1, "S2": s2}, relations={"R": ("S1", "S2", rel)},
+                           specs={"spec": ("S1", spec)})
+    loaded = jsonio.bundle_from_obj(json.loads(jsonio.dumps(jsonio.bundle_to_obj(bundle))))
+    return (loaded.systems["S1"], loaded.systems["S2"], loaded.relations["R"][2],
+            loaded.specs["spec"][1])
+
+
+def fig5_case():
+    fx = fig5()
+    return fx.s1, fx.s2, fx.relation, fx.spec1
+
+
+def line_case():
+    s1, s2, rel = overlapping_line(300, 1)
+    return s1, s2, rel, ReachAvoidSpec(frozenset(), frozenset(s1.states[:50]), frozenset())
+
+
+@pytest.mark.parametrize("case", [fig5_case, line_case], ids=["fig5", "line"])
+@pytest.mark.parametrize("load", [lambda *built: built, decoded], ids=["built", "decoded"])
+def test_tables_keep_one_object_per_distinct_value(case, load):
+    tables = shared_tables(*load(*case()))
+    for name, values in tables.items():
+        assert one_object_per_value(values), name
+    if case is line_case:
+        # Where values repeat, they are shared: 1,500 states, few distinct sets.
+        for name in ("S1 availability", "interface", "concretized controller"):
+            assert len({id(value) for value in tables[name]}) < len(tables[name]) // 10, name
+
+
+def test_no_value_is_kept_across_calls():
+    # Each pool lives for one call: two builds of equal tables share no value.
+    first, second = shared_tables(*line_case()), shared_tables(*line_case())
+    for name in first:
+        assert first[name] == second[name], name
+        assert not {id(v) for v in first[name]} & {id(v) for v in second[name]}, name
+
+
+def test_decoded_system_equals_the_encoded_one():
+    for seed in range(300):
+        rng = seeded_rng(seed)
+        sys = random_system(rng, rng.randint(1, 12), rng.randint(1, 4), state_prefix="st",
+                            fully_available=rng.random() < 0.3, input_prefix="in")
+        back = jsonio.system_from_obj(json.loads(json.dumps(jsonio.system_to_obj(sys))))
+        assert back == sys and back._avail == sys._avail, seed
+        names, labels = dict(zip(back.states, back.states)), dict(zip(back.inputs, back.inputs))
+        assert all(x is names[x] and u is labels[u] for x, u in back.trans)
+        assert all(y is names[y] for row in back.trans.values() for y in row)
+        assert all(u is labels[u] for us in back._avail.values() for u in us)
+        assert one_object_per_value(back._avail.values()), seed
+
+
+def test_a_valid_system_document_takes_one_path(monkeypatch):
+    doc = jsonio.system_to_obj(fig5().s1)
+    checked = []
+    monkeypatch.setattr(FiniteTransitionSystem, "__post_init__", checked.append)
+    jsonio.system_from_obj(doc)
+    assert checked == []
+
+
+SYSTEM_DOC = {
+    "format": "symcret/1", "kind": "system", "states": ["s0", "s1", "s2"],
+    "inputs": ["go", "stay"],
+    "trans": {"s0|go": ["s1"], "s0|stay": ["s0"], "s1|go": ["s2", "s0"], "s2|stay": ["s2"]},
+}
+
+
+def rows(**changed):
+    return lambda doc: doc["trans"].update(changed)
+
+
+def field(name, value):
+    return lambda doc: doc.update({name: value})
+
+
+def rekey(old, new):
+    return lambda doc: doc.update(trans={new if key == old else key: succ
+                                         for key, succ in doc["trans"].items()})
+
+
+def both(first, second):
+    return lambda doc: (first(doc), second(doc))
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    pytest.param(rekey("s1|go", "s1go"), FormatError,
+                 "transition key 's1go' lacks the '|' separator", id="missing-separator"),
+    pytest.param(rows(**{"s0|go": "s1"}), FormatError,
+                 'malformed system document (TypeError: expected an array of names, got "s1")',
+                 id="string-row"),
+    pytest.param(rows(**{"s0|go": 7}), FormatError,
+                 "malformed system document (TypeError: expected an array of names, got 7)",
+                 id="number-row"),
+    pytest.param(rows(**{"s0|go": {"s1": 1}}), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got {"s1": 1})', id="object-row"),
+    pytest.param(rows(**{"s0|go": ("s1",)}), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got ["s1"])', id="tuple-row"),
+    pytest.param(rows(**{"s0|go": ["s1", 3]}), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got ["s1", 3])', id="number-in-row"),
+    pytest.param(rows(**{"s0|go": ["s1", ["s2"]]}), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got ["s1", ["s2"]])', id="array-in-row"),
+    pytest.param(rekey("s1|go", "zz|go"), DomainError,
+                 "transition key uses unknown state 'zz'", id="unknown-state"),
+    pytest.param(rekey("s1|go", "|go"), DomainError,
+                 "transition key uses unknown state ''", id="empty-state"),
+    pytest.param(rekey("s1|go", "s1|fly"), DomainError,
+                 "transition key uses unknown input 'fly'", id="unknown-input"),
+    pytest.param(rekey("s1|go", "s1|go|x"), DomainError,
+                 "transition key uses unknown input 'go|x'", id="two-separators"),
+    pytest.param(rows(**{"s1|go": ["s2", "zz", "s0", "yy"]}), DomainError,
+                 "successors ['yy', 'zz'] of ('s1', 'go') are not states",
+                 id="unknown-successors"),
+    pytest.param(field("states", "s0"), FormatError,
+                 'malformed system document (TypeError: expected an array of names, got "s0")',
+                 id="states-a-string"),
+    pytest.param(field("states", ["s0", 1, "s2"]), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got ["s0", 1, "s2"])', id="states-with-a-number"),
+    pytest.param(field("inputs", [["go"], "stay"]), FormatError,
+                 'malformed system document (TypeError: expected an array of names, '
+                 'got [["go"], "stay"])', id="inputs-nested"),
+    pytest.param(lambda doc: doc.pop("states"), FormatError,
+                 "malformed system document (KeyError: 'states')", id="states-missing"),
+    pytest.param(field("trans", 7), FormatError,
+                 "malformed system document (AttributeError: 'int' object has no attribute "
+                 "'items')", id="trans-a-number"),
+    pytest.param(lambda doc: doc["trans"].update({1: ["s1"]}), FormatError,
+                 "malformed system document (AttributeError: 'int' object has no attribute "
+                 "'partition')", id="number-key"),
+    pytest.param(both(rekey("s0|go", "zz|go"), rows(**{"s2|stay": "s2"})), FormatError,
+                 'malformed system document (TypeError: expected an array of names, got "s2")',
+                 id="domain-fault-then-string-row"),
+    pytest.param(both(rows(**{"s0|go": ["zz"]}), rekey("s2|stay", "s2stay")), FormatError,
+                 "transition key 's2stay' lacks the '|' separator",
+                 id="domain-fault-then-missing-separator"),
+    pytest.param(both(rekey("s0|go", "s0|fly"), field("states", "s0")), FormatError,
+                 'malformed system document (TypeError: expected an array of names, got "s0")',
+                 id="domain-fault-then-malformed-states"),
+    pytest.param(lambda doc: doc["trans"].pop("s2|stay"), ContractError,
+                 "system blocks at states ['s2']", id="blocking"),
+])
+def test_a_malformed_system_document_raises_what_two_passes_raised(edit, error, message):
+    doc = copy.deepcopy(SYSTEM_DOC)
+    edit(doc)
+    with pytest.raises(error) as caught:
+        jsonio.system_from_obj(doc)
+    assert type(caught.value) is error and str(caught.value) == message

@@ -480,16 +480,19 @@ class TestCollectorPause:
             return call
 
         system_from_obj = jsonio.system_from_obj
+        # Made first: building fig5's extension calls the entry recorded below.
+        doc = jsonio.bundle_to_obj(fig5_bundle())
 
         def decode_system(obj):
             system = system_from_obj(obj)
             seen.append(("after", gc.isenabled()))
             return system
 
-        monkeypatch.setattr(jsonio, "FiniteTransitionSystem",
-                            recording("constructor", FiniteTransitionSystem))
+        # A valid system document goes to the unchecked constructor entry.
+        monkeypatch.setattr(FiniteTransitionSystem, "_trusted",
+                            recording("constructor", FiniteTransitionSystem._trusted))
         monkeypatch.setattr(jsonio, "system_from_obj", decode_system)
         monkeypatch.setattr(jsonio, "Relation", recording("relation", Relation))
-        jsonio.bundle_from_obj(jsonio.bundle_to_obj(fig5_bundle()))
+        jsonio.bundle_from_obj(doc)
         assert seen == [("constructor", False), ("after", False)] * 3 + [("relation", False)] * 2
         assert gc.isenabled()

@@ -525,6 +525,13 @@ class TestInterfaces:
         with pytest.raises(ContractError):
             Interface(RelationKind.ASR, {("x", "q", "u"): frozenset()})
 
+    def test_empty_entry_with_a_number_name_is_named(self):
+        # Names are written with str, as Relation writes its int names.
+        with pytest.raises(ContractError) as caught:
+            Interface(RelationKind.MCR, {("x", "q", "u"): ["u"], (1, "a", "b"): frozenset()})
+        assert type(caught.value) is ContractError
+        assert str(caught.value) == "interface entry (1, a, b) is empty"
+
     def test_tampered_interface_detected(self, fx):
         iface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
         table = dict(iface.table)
@@ -572,22 +579,39 @@ class TestExtension:
          "extension postcondition failed against the original abstraction"),
     ])
     def test_postconditions_read_the_constructed_system(self, fx, monkeypatch, fault, message):
-        # The certificate is checked against the system the constructor
-        # hands back, not against the rows the walk grew.  (a, α) grows by c;
-        # γ is unavailable at a in S2.
+        # The certificate is checked against the system the unchecked
+        # constructor entry hands back, not against the rows the walk grew.
+        # (a, α) grows by c; γ is unavailable at a in S2.
+        trusted = FiniteTransitionSystem._trusted
+
         def faulty(states, inputs, table):
             if fault == "drop a grown successor":
                 table = {**table, ("a", ALPHA): table[("a", ALPHA)] - {"c"}}
             else:
-                table = {**table, ("a", GAMMA): {"a"}}
-            return FiniteTransitionSystem(states, inputs, table)
+                table = {**table, ("a", GAMMA): frozenset({"a"})}
+            return trusted(states, inputs, table)
 
         assert fx.s2_extended.successors("a", ALPHA) - fx.s2.successors("a", ALPHA) == {"c"}
         assert GAMMA not in fx.s2.available_inputs("a")
-        monkeypatch.setattr(relations, "FiniteTransitionSystem", faulty)
+        monkeypatch.setattr(FiniteTransitionSystem, "_trusted", faulty)
         with pytest.raises(SymcretError) as caught:
             mcr_extension(fx.s1, fx.s2, fx.relation)
         assert type(caught.value) is SymcretError and str(caught.value) == message
+
+    def test_extension_keeps_one_object_per_name(self):
+        # A relation whose codomain holds other objects for S2's names grows
+        # the rows by those objects; the extension must still hold S2's own.
+        s1, s2, rel = overlapping_line(40, 3)
+        other = tuple("".join(list(q)) for q in s2.states)
+        assert all(a == b and a is not b for a, b in zip(other, s2.states))
+        for codomain in (s2.states, other):
+            pairs = {(x, other[s2.states.index(q)] if codomain is other else q)
+                     for x, q in rel.pairs}
+            extended = mcr_extension(s1, s2, Relation(s1.states, codomain, pairs))
+            assert extended.trans != s2.trans
+            names = dict(zip(s2.states, s2.states))
+            assert all(x is names[x] for x, _ in extended.trans)
+            assert all(y is names[y] for row in extended.trans.values() for y in row)
 
     def test_extension_holds_both_relations_on_seeded_instances(self):
         # Both memoryless relations, walked in full, on every strict
