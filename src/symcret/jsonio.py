@@ -147,30 +147,30 @@ def system_to_obj(sys: FiniteTransitionSystem) -> dict[str, Any]:
 
 @_decoder("system")
 def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
-    """One pass splits each key, checks that its row is a list and maps each name to the
-    carrier's own object.  A malformed document is read again in two passes, keys and
-    rows first, then names, so that the error names its first fault in that order."""
+    """One pass maps each name to the carrier's own object.  Past an unknown name or with a
+    malformed carrier, it checks only the rows' format, and the constructor names the fault."""
+    rows, table, trusted = obj["trans"].items(), {}, True
     try:
         names = {x: x for x in sorted(dict.fromkeys(_names(obj["states"])))}
         labels = {u: u for u in sorted(dict.fromkeys(_names(obj["inputs"])))}
-        name, table = names.__getitem__, {}
-        for key, succ in obj["trans"].items():
-            x, u = key.split(KEY_SEP, 1)
-            if not isinstance(succ, list):
-                raise TypeError(f"row {key!r} is not a list")
-            table[names[x], labels[u]] = frozenset(map(name, succ))
-    except (AttributeError, KeyError, TypeError, ValueError):
-        sys = None
-    else:
+    except (KeyError, TypeError):
+        names, labels, trusted = {}, {}, False
+    name = names.__getitem__
+    for key, succ in rows:
+        x, sep, u = key.partition(KEY_SEP)
+        if not sep:
+            raise FormatError(f"transition key {key!r} lacks the {KEY_SEP!r} separator")
+        if trusted and isinstance(succ, list):
+            try:
+                table[names[x], labels[u]] = frozenset(map(name, succ))
+                continue
+            except (KeyError, TypeError):
+                trusted = False
+        table[x, u] = _names(succ)
+    if trusted:
         sys = FiniteTransitionSystem._trusted(tuple(names), tuple(labels), table)
-    if sys is None:
-        trans: dict[tuple[str, str], list[str]] = {}
-        for key, succ in obj["trans"].items():
-            x, sep, u = key.partition(KEY_SEP)
-            if not sep:
-                raise FormatError(f"transition key {key!r} lacks the {KEY_SEP!r} separator")
-            trans[(x, u)] = _names(succ)
-        sys = FiniteTransitionSystem(_names(obj["states"]), _names(obj["inputs"]), trans)
+    else:
+        sys = FiniteTransitionSystem(_names(obj["states"]), _names(obj["inputs"]), table)
     sys.require_non_blocking()
     return sys
 

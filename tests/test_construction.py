@@ -403,6 +403,9 @@ def both(first, second):
                  'got [["go"], "stay"])', id="inputs-nested"),
     pytest.param(lambda doc: doc.pop("states"), FormatError,
                  "malformed system document (KeyError: 'states')", id="states-missing"),
+    pytest.param(both(field("trans", {}), field("inputs", "go")), FormatError,
+                 'malformed system document (TypeError: expected an array of names, got "go")',
+                 id="no-rows-and-inputs-a-string"),
     pytest.param(field("trans", 7), FormatError,
                  "malformed system document (AttributeError: 'int' object has no attribute "
                  "'items')", id="trans-a-number"),

@@ -1,22 +1,24 @@
 """Alternating A/B pairs of the pipeline benchmark between two checkouts.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --out BENCH_N.json \\
-        [--workloads interval_grid,line_plant,tiny_batch] [--pairs 10] \\
-        [--seconds 30] [--seed-base 28000] [--claim line_plant:pipelines_per_s]
+        [--seed-base 28000] [--claim line_plant:pipelines_per_s]
 
-For each workload and each pair k, ``python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0`` runs once in each checkout with the same
-seed S = seed base + 100 * (workload's place in the list, from 1) + k + 1.
-The parent runs first in even pairs and the change first in odd ones, so a
-drift in machine speed hits both sides alike.  One run at a time, each in
-its own process; nothing in either checkout is changed.
+The workloads and the run length T are the ``workloads`` and ``run_seconds``
+of ``BENCHMARK.json`` in the change checkout.  For each workload and each of
+10 pairs k, ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` runs once in each checkout with the same seed S = seed base +
+100 * (workload's place in the list, from 1) + k + 1; pick a seed base no
+earlier run has used.  The parent runs first in even pairs and the change
+first in odd ones, so a drift in machine speed hits both sides alike.  One
+run at a time, each in its own process; nothing in either checkout is
+changed.
 
-The result holds, per workload and end-to-end metric of ``BENCHMARK.json``
-(read from the change checkout): both medians, their ratio, the first and
-third quartiles (``statistics.quantiles(runs, n=4, method='inclusive')``),
-the number of pairs the change won in the metric's better direction, and
-every run; with the seeds, the operation counts, the Python version and the
-machine.  It is rewritten after every pair, so a stopped session keeps the
+The result holds, per workload and end-to-end metric of ``BENCHMARK.json``:
+both medians, their ratio, the first and third quartiles
+(``statistics.quantiles(runs, n=4, method='inclusive')``), the number of
+pairs the change won in the metric's better direction, and every run; with
+the seeds, the operation counts, the Python version and the machine.  It is
+rewritten after every pair from the second on, so a stopped run keeps the
 pairs it finished.  Standard library only.
 """
 from __future__ import annotations
@@ -29,6 +31,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+PAIRS = 10  # the fewest alternating pairs a claimed gain is judged on
 
 
 def _machine() -> str:
@@ -61,8 +65,6 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def quartiles(runs: list[float]) -> list[float]:
-    if len(runs) < 2:
-        return [runs[0], runs[0]]
     q = statistics.quantiles(runs, n=4, method="inclusive")
     return [q[0], q[2]]
 
@@ -88,26 +90,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", default="interval_grid,line_plant,tiny_batch")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed-base", type=int, default=28000)
     parser.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims")
     parser.add_argument("--parent-rev", default="", help="the parent's commit, for the record")
     parser.add_argument("--description", default="", help="what the change does")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = spec["end_to_end"]
-    workloads = args.workloads.split(",")
+    metrics, seconds = spec["end_to_end"], spec["run_seconds"]
+    workloads = [workload["name"] for workload in spec["workloads"]]
     result: dict = {
         "change": args.description,
         "parent": args.parent_rev,
         "python": platform.python_version(),
         "machine": _machine(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
+                   f"{seconds:g} --trace 0",
         "order": "pairs alternate which side runs first; the parent runs first in even pairs",
         "quartiles": "statistics.quantiles(runs, n=4, method='inclusive'), first and third",
         "workloads": {},
@@ -119,18 +116,20 @@ def main(argv: list[str] | None = None) -> int:
     for place, workload in enumerate(workloads, start=1):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         seeds: list[int] = []
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             seed = args.seed_base + 100 * place + k + 1
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
                 root = args.parent if side == "parent" else args.change
-                runs[side].append(run_once(root, workload, seed, args.seconds))
+                runs[side].append(run_once(root, workload, seed, seconds))
             seeds.append(seed)
             pair = {side: runs[side][-1]["metrics"] for side in runs}
             print(f"{workload} seed {seed}: " + ", ".join(
                 f"{m['name']} {pair['parent'][m['name']]['value']:.6g} -> "
                 f"{pair['change'][m['name']]['value']:.6g}" for m in metrics),
                 file=sys.stderr, flush=True)
+            if len(seeds) < 2:
+                continue  # quartiles need two runs
             result["workloads"][workload] = {
                 "pairs": len(seeds),
                 "seeds": seeds,
