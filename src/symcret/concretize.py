@@ -78,15 +78,19 @@ def memoryless_controller(c2: Controller, rel: Relation, interface: Interface) -
     concrete states with at least one covered related abstract state."""
     if not rel.is_strict():
         raise StrictnessError("memoryless concretization needs a strict relation")
-    choices: dict[str, frozenset[str]] = {}
+    choices, table = {}, interface.table
     for x1 in rel.domain:
-        covered = [x2 for x2 in sorted(rel.forward(x1)) if x2 in c2.choices]
+        covered = [x2 for x2 in rel.forward(x1) if x2 in c2.choices]
         if not covered:
             continue
         inputs: set[str] = set()
-        for x2 in covered:
-            for u2 in sorted(c2.choices[x2]):
-                inputs |= interface.inputs_for(x1, x2, u2)
+        try:  # a union does not depend on order
+            for x2 in covered:
+                for u2 in c2.choices[x2]:
+                    inputs |= table[x1, x2, u2]
+        except KeyError:  # the least missing entry raises
+            keys = {(x1, x2, u2) for x2 in covered for u2 in c2.choices[x2]}
+            interface.inputs_for(*min(keys - table.keys()))
         if not inputs:
             raise ContractError(f"concretized controller has no input at {x1!r}")
         choices[x1] = frozenset(inputs)

@@ -262,22 +262,21 @@ def quantize(cover: CellCover, target: IntervalCell | Rational) -> frozenset[str
 def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
           available: Callable[[str], Iterable[str]]) -> Iterator[tuple[str, str, int, int]]:
     """(cell name, input name, lower key, upper key) of the exact closed-loop
-    image of every row, cells in cover order, inputs in ``available`` order.
+    image of every row, cells in cover order, inputs in ``available`` order,
+    names the cover's and the first law's own objects (the last law rules).
     Each law's (A, B, D) becomes (A, B·d, D, sign of A) (module docstring),
     and an image cut is ``_key(A·k + B·d, D, side · sign)``: O(1) per row."""
     d = cover._scale
-    laws = {}
-    for ai in inputs:
-        a, b, den = ai.law._form
-        laws[ai.name] = a, b * d, den, (a > 0) - (a < 0)
+    forms = {ai.name: ai.law._form for ai in inputs}
+    laws = {u: (u, a, b * d, den, (a > 0) - (a < 0)) for u, (a, b, den) in forms.items()}
     for name, (k_lo, s_lo, k_hi, s_hi) in cover._int_cuts.items():
         for input_name in available(name):
             try:
-                a, b, den, sign = laws[input_name]
+                u, a, b, den, sign = laws[input_name]
             except KeyError:
                 raise DomainError(f"unknown abstract input {input_name!r}") from None
             lo, hi = _key(a * k_lo + b, den, s_lo * sign), _key(a * k_hi + b, den, s_hi * sign)
-            yield (name, input_name, lo, hi) if a >= 0 else (name, input_name, hi, lo)
+            yield (name, u, lo, hi) if a >= 0 else (name, u, hi, lo)
 
 
 def _image(cover: CellCover, inputs: Sequence[AbstractInput], name: str,
@@ -313,7 +312,8 @@ def build_abstraction(
     holds for every point of the cell.
 
     Each row is keyed by ``_rows`` and quantized from its keys: O(r log n + v)
-    for r rows over n cells, where v counts the cells visited.  Availability
+    for r rows over n cells, where v counts the cells visited.  The table is
+    sealed unchecked, from the cover's and the laws' own names.  Availability
     for a cell the cover lacks is a DomainError naming the least such cell.
     An image that leaves the hull, or that lies in a gap between cells and so
     would leave its input unavailable, is an OutOfDomainError naming the row.
@@ -327,8 +327,9 @@ def build_abstraction(
         found = _quantize_keys(cover, lo_key, hi_key)
         if not found:
             raise _row_error(cover, inputs, name, input_name, found)
-        trans[(name, input_name)] = found
-    return FiniteTransitionSystem(cover.names, [ai.name for ai in inputs], trans)
+        trans[name, input_name] = found
+    labels = tuple(sorted(dict.fromkeys(ai.name for ai in inputs)))
+    return FiniteTransitionSystem._trusted(tuple(sorted(cover.names)), labels, trans)
 
 
 def verify_mcr_interval(
@@ -350,7 +351,7 @@ def verify_mcr_interval(
             quantize(cover, _image(cover, inputs, name, input_name))  # raises its error
         if not found:
             raise _row_error(cover, inputs, name, input_name, found)
-        if not found <= abstraction.successors(name, input_name):
+        if not found <= abstraction.trans[name, input_name]:
             return False
     return True
 
@@ -373,7 +374,7 @@ def verify_asr_interval(
     for name, input_name, need, hi_key in _rows(cover, inputs, abstraction.available_inputs):
         # ``cell`` raises the unknown-cell DomainError for a name off the cover.
         pieces = [int_cuts[q] if q in int_cuts else cover.cell(q)
-                  for q in abstraction.successors(name, input_name)]
+                  for q in abstraction.trans[name, input_name]]
         for k_lo, s_lo, k_hi, s_hi in sorted(pieces):
             if 2 * k_lo + s_lo > need:
                 break

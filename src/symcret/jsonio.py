@@ -133,11 +133,13 @@ def fraction_from_str(text: str) -> Fraction:
 
 
 def system_to_obj(sys: FiniteTransitionSystem) -> dict[str, Any]:
-    trans = {
-        f"{_check_id(x)}{KEY_SEP}{_check_id(u)}": sorted(succ)
-        for (x, u), succ in sorted(sys.trans.items())
-        if succ
-    }
+    trans, rows, seen = {}, sys.trans, set()  # rows in sorted order, a name checked at first use
+    for x, us in sys._avail.items():  # type: ignore[attr-defined]
+        head = f"{_check_id(x)}{KEY_SEP}" if us else ""
+        for u in us:
+            if u not in seen:
+                seen.add(_check_id(u))
+            trans[head + u] = sorted(rows[x, u])
     return tagged("system", {
         "states": list(sys.states),
         "inputs": list(sys.inputs),
@@ -197,7 +199,7 @@ def relation_from_obj(
 
 def controller_to_obj(ctrl: Controller) -> dict[str, Any]:
     return tagged("controller", {
-        "choices": {x: sorted(us) for x, us in sorted(ctrl.choices.items())},
+        "choices": {x: sorted(ctrl.choices[x]) for x in sorted(ctrl.choices)},
     })
 
 

@@ -190,10 +190,13 @@ def check_memoryless_concretization(
     if not rel.is_strict():
         raise StrictnessError("the memoryless guarantee is stated for strict relations")
     c2.validate_for(s2)
+    order: dict[frozenset[str], list[str]] = {}  # each distinct set, sorted once
     for x1, x2 in rel._order:  # type: ignore[attr-defined]
-        for u2 in sorted(c2.choices.get(x2, frozenset())):
+        us = c2.choices.get(x2, frozenset())
+        for u2 in order.get(us) or order.setdefault(us, sorted(us)):
             row = s2.successors(x2, u2)
-            for u1 in sorted(interface.inputs_for(x1, x2, u2)):
+            u1s = interface.inputs_for(x1, x2, u2)
+            for u1 in order.get(u1s) or order.setdefault(u1s, sorted(u1s)):
                 step = _escape(s1, rel, x1, u1, row)
                 if step is not None:
                     return PropertyVerdict(False, _extend_architecture_run(

@@ -201,6 +201,11 @@ def seeded_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def fresh(name):
+    """An equal string that is another object, as a decoder would make it."""
+    return "".join(list(name)) if isinstance(name, str) else name
+
+
 def random_partial_controller(rng: random.Random, sys: FiniteTransitionSystem) -> Controller:
     """A random non-empty subset of the available inputs at about 85 % of
     the states, none at the rest."""

@@ -25,7 +25,7 @@ from symcret import (
     scripted,
 )
 from symcret.fixtures import ALPHA, BETA
-from symcret.oracle import random_strict_relation, random_system
+from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 from symcret.relations import StrictnessError
 
 from conftest import (
@@ -126,6 +126,18 @@ def dynamic_case(seed):
     return s1, s2, c2, rel, interface, rng.choice(s1.states), rng.randint(1, 6)
 
 
+def reference_memoryless_controller(c2, rel, interface):
+    """The former ``memoryless_controller``: related cells and choices in
+    sorted order."""
+    choices = {}
+    for x1 in rel.domain:
+        covered = [x2 for x2 in sorted(rel.forward(x1)) if x2 in c2.choices]
+        if covered:
+            choices[x1] = frozenset().union(*(interface.inputs_for(x1, x2, u2)
+                                              for x2 in covered for u2 in sorted(c2.choices[x2])))
+    return Controller(choices)
+
+
 @pytest.fixture(scope="module")
 def asr_interface(fx):
     return maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
@@ -164,6 +176,24 @@ class TestMemorylessController:
         stub = Interface(RelationKind.ASR, {("1", "a", ALPHA): frozenset({"0"})})
         with pytest.raises(ContractError):
             memoryless_controller(fx.c2_via_e, fx.relation, stub)
+
+    def test_matches_the_former_sorted_loops(self):
+        """Equal choices, or the same error: the union is taken in any order,
+        and a missing interface entry is the least one of the first state."""
+        kinds = set()
+        for seed in range(400):
+            rng = random.Random(seed)
+            s1 = random_system(rng, rng.randint(2, 8), 3, fully_available=True)
+            rel = random_strict_relation(rng, s1.states, [f"q{i}" for i in range(3)], overlap=0.5)
+            s2 = induced_abstraction(s1, rel)
+            table = maximal_interface(s1, s2, rel, RelationKind.ASR).table
+            partial = Interface(RelationKind.ASR,
+                                {key: us for key, us in table.items() if rng.random() < 0.9})
+            c2 = random_partial_controller(rng, s2)
+            got = outcome(memoryless_controller, c2, rel, partial)
+            assert got == outcome(reference_memoryless_controller, c2, rel, partial), seed
+            kinds.add(type(got).__name__)
+        assert kinds == {"Controller", "tuple"}
 
     def test_output_is_static_value(self, fx, asr_interface):
         c1 = memoryless_controller(fx.c2_via_b, fx.relation, asr_interface)

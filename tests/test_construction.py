@@ -27,7 +27,7 @@ from symcret.core import ContractError, DomainError
 from symcret.jsonio import FormatError, ProjectBundle
 from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import overlapping_line, seeded_rng
+from conftest import fresh, overlapping_line, seeded_rng
 
 
 def reference_system(states, inputs, trans):
@@ -118,11 +118,6 @@ STATES = [f"s{i}" for i in range(8)]
 INPUTS = ["up", "down", "hold"]
 # Names no carrier holds; the numbers are not coerced to the state "s1".
 STRAYS = ["zz", "s9", 1, 7]
-
-
-def fresh(name):
-    """An equal string that is another object, as a decoder would make it."""
-    return "".join(list(name)) if isinstance(name, str) else name
 
 
 def carrier(rng, names):

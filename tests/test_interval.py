@@ -39,7 +39,7 @@ from symcret import (
 from symcret import jsonio
 from symcret.interval import FIG8_AVAILABILITY
 
-from conftest import json_nodes, mutate, outcome
+from conftest import fresh, json_nodes, mutate, outcome
 
 L = Fraction(1)
 NEGATIVES = IntervalCell(-L, Fraction(0), True, False)
@@ -1057,3 +1057,94 @@ class TestRefinementBridge:
         iface = maximal_interface(fine, coarse, refinement, RelationKind.FRR)
         for (x1, x2, u2), us in iface.table.items():
             assert us == frozenset({u2})
+
+
+# ``build_abstraction`` seals its table unchecked; the checking constructor
+# it used before is kept here as the reference, on rows found by the scan.
+
+
+def checked_build(cover, inputs, availability):
+    """The former ``build_abstraction``: the rows in cover order and sorted
+    availability order, each quantized by the scan, handed with the cover's
+    names and every law's name to the checking constructor."""
+    if unknown := set(availability).difference(cover.names):
+        raise DomainError(f"availability names unknown cell {min(unknown)!r}")
+    laws = {ai.name: ai.law for ai in inputs}
+    rows = {}
+    for name, cell in cover.cells:
+        for u in sorted(set(availability.get(name, ()))):
+            if u not in laws:
+                raise DomainError(f"unknown abstract input {u!r}")
+            image = affine_image(cell, laws[u])
+            try:
+                found = reference_quantize(cover, image)
+            except OutOfDomainError as err:
+                raise OutOfDomainError(
+                    f"image of cell {name!r} under {u!r} leaves the domain: {err}") from None
+            if not found:
+                raise OutOfDomainError(f"image of cell {name!r} under {u!r} meets no cell: "
+                                       f"{image.describe()} lies in a gap of the cover")
+            rows[name, u] = found
+    return FiniteTransitionSystem(cover.names, [ai.name for ai in inputs], rows)
+
+
+def build_case(seed):
+    """A cover of overlapping cells with gaps, in shuffled order; laws that
+    share names; availability lists that are unsorted and repeat entries.
+    Every name is its own object.  Now and then an availability list names a
+    law that does not exist, or availability names a cell that does not."""
+    rng = random.Random(seed)
+    ends = sorted({Fraction(k, rng.choice((1, 2, 3))) for k in range(-6, 7)})
+    cells = []
+    for i in range(rng.randint(1, 7)):
+        lo, hi = sorted(rng.sample(ends, 2))
+        cell = IntervalCell(lo, hi, rng.random() < 0.5, rng.random() < 0.5)
+        cells.append((fresh(f"c{i}"), IntervalCell.point(lo) if rng.random() < 0.15 else cell))
+    rng.shuffle(cells)
+    cover = CellCover(cells)
+    inputs = tuple(
+        AbstractInput(fresh(rng.choice(("k0", "k1", "k2"))),
+                      AffineMap(Fraction(rng.randint(-4, 1), 2), Fraction(rng.randint(-3, 3), 3)))
+        for _ in range(rng.randint(1, 4))
+    )
+    names = [ai.name for ai in inputs] + ["kz"] * (rng.random() < 0.1)
+    availability = {
+        fresh(q): [fresh(rng.choice(names)) for _ in range(rng.randint(0, 4))]
+        for q in cover.names if rng.random() < 0.8
+    }
+    if rng.random() < 0.05:
+        availability[fresh("zz")] = [fresh(names[0])]
+    return cover, inputs, availability
+
+
+# The four faults of a build: unknown cell, unknown input, off-hull row, gap row.
+BUILD_ERRORS = ("availability names unknown cell", "unknown abstract input",
+                "leaves the domain", "meets no cell")
+
+
+def test_build_abstraction_matches_the_checking_constructor():
+    """Equal fields, rows in the same order, the carriers' own objects in
+    every key, successor set and availability tuple, and the same errors."""
+    def shared(names, carrier):
+        one = dict(zip(carrier, carrier))
+        return all(name is one[name] for name in names)
+
+    kinds = set()
+    for seed in range(3000):
+        cover, inputs, availability = build_case(seed)
+        got = outcome(build_abstraction, cover, inputs, availability)
+        want = outcome(checked_build, cover, inputs, availability)
+        if not isinstance(want, FiniteTransitionSystem):
+            assert got == want, seed
+            kinds.add(next(kind for kind in BUILD_ERRORS if kind in want[1]))
+            continue
+        if len(got.inputs) < len(inputs) and any(got.trans.values()):
+            kinds.add("built with a law name held twice")
+        assert (got.states, got.inputs, got._avail) == (want.states, want.inputs, want._avail)
+        assert list(got.trans.items()) == list(want.trans.items())
+        assert all(a is b for a, b in zip(got.states + got.inputs, want.states + want.inputs))
+        assert shared((x for x, _ in got.trans), got.states)
+        assert shared((u for _, u in got.trans), got.inputs)
+        assert shared((q for row in got.trans.values() for q in row), got.states)
+        assert shared((u for us in got._avail.values() for u in us), got.inputs)
+    assert kinds == {"built with a law name held twice", *BUILD_ERRORS}

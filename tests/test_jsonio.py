@@ -6,6 +6,7 @@ ensure_ascii=False) + "\\n"``.  Below Python 3.13 it uses its own writer,
 Python version tests it, with the stdlib as the reference."""
 import json
 import math
+import random
 from enum import IntEnum
 from unittest import mock
 from fractions import Fraction
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcret import (
-    AbstractInput, AffineMap, CellCover, IntervalCell, ReachAvoidSpec, mcr_extension,
-    synthesize_reach_avoid,
+    AbstractInput, AffineMap, CellCover, FiniteTransitionSystem, IntervalCell, ReachAvoidSpec,
+    mcr_extension, synthesize_reach_avoid,
 )
+from symcret.core import SymcretError
 from symcret import jsonio
 from symcret.cli import fig5_bundle, main
 from symcret.jsonio import ProjectBundle
@@ -253,3 +255,78 @@ class TestHandOff:
         with pytest.raises(ValueError, match="Circular reference detected"):
             jsonio._indented(obj)
         assert len(calls) == 1 and calls[0] is obj
+
+
+# ``system_to_obj`` walks the states and their available inputs, which list
+# the non-empty rows in sorted order; the encoder before it sorted every row
+# of the table, and is kept here as the reference.
+
+
+def reference_system_to_obj(sys):
+    """The former ``system_to_obj``: every non-empty row, names checked in
+    sorted (state, input) order."""
+    check = jsonio._check_id
+    trans = {
+        f"{check(x)}{jsonio.KEY_SEP}{check(u)}": sorted(succ)
+        for (x, u), succ in sorted(sys.trans.items())
+        if succ
+    }
+    return jsonio.tagged("system", {
+        "states": list(sys.states),
+        "inputs": list(sys.inputs),
+        "trans": trans,
+    })
+
+
+# Names that sort between and around each other; three of them hold ``|``.
+ENCODER_NAMES = ("a", "a|", "b", "s0", "s10", "s2", "|t", "u", "v|w", "x", "z")
+
+
+def encoder_case(seed):
+    """A system with some blocking states, some unused inputs and many empty
+    rows, built from rows given in shuffled order."""
+    rng = random.Random(seed)
+    states = rng.sample(ENCODER_NAMES, rng.randint(1, 6))
+    inputs = rng.sample(ENCODER_NAMES, rng.randint(1, 4))
+    rows = [((x, u), rng.sample(states, rng.randint(0, len(states))))
+            for x in states for u in inputs if rng.random() < 0.4]
+    rng.shuffle(rows)
+    return FiniteTransitionSystem(states, inputs, dict(rows))
+
+
+def encoded(encode, sys):
+    """The document and its text, or the class and message of the error."""
+    try:
+        obj = encode(sys)
+    except SymcretError as err:
+        return type(err), str(err)
+    return list(obj.items()), list(obj["trans"].items()), jsonio.dumps(obj)
+
+
+def test_system_encoder_matches_the_one_that_sorted_every_row():
+    kinds = set()
+    for seed in range(2000):
+        sys = encoder_case(seed)
+        got = encoded(jsonio.system_to_obj, sys)
+        assert got == encoded(reference_system_to_obj, sys), seed
+        if got[0] is jsonio.FormatError:
+            kinds.add("a name with | in a row")
+            continue
+        rows = [key for key, succ in sys.trans.items() if succ]
+        for kind, names, used in (("state", sys.states, {x for x, _ in rows}),
+                                  ("input", sys.inputs, {u for _, u in rows})):
+            if any("|" in name and name not in used for name in names):
+                kinds.add(f"{kind} with | outside every row")
+        if not sys.is_non_blocking():
+            kinds.add("a blocking state")
+    assert kinds == {"a name with | in a row", "state with | outside every row",
+                     "input with | outside every row", "a blocking state"}
+
+
+def test_a_bar_is_refused_only_in_a_row():
+    sys = FiniteTransitionSystem(["a", "b|"], ["u", "v|"], {("a", "u"): ["a", "b|"]})
+    assert jsonio.system_to_obj(sys)["trans"] == {"a|u": ["a", "b|"]}
+    both = FiniteTransitionSystem(["a|", "b"], ["u|", "v"],
+                                  {("b", "u|"): ["b"], ("a|", "v"): ["b"]})
+    with pytest.raises(jsonio.FormatError, match=r"^identifier 'a\|' may not contain '\|'$"):
+        jsonio.system_to_obj(both)
