@@ -55,15 +55,12 @@ from .concretize import (
 from .oracle import (
     AllControllersVerdict,
     BudgetExceededError,
-    CrosscheckFailure,
-    CrosscheckReport,
     PropertyVerdict,
     PropertyWitness,
     check_controlled_simulability,
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
     replay_memoryless_witness,
-    run_crosscheck,
 )
 from .interval import (
     AbstractInput,

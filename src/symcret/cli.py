@@ -31,8 +31,6 @@ from .oracle import (
     check_controlled_simulability,
     check_memoryless_concretization,
     check_memoryless_concretization_all_controllers,
-    run_crosscheck,
-    CrosscheckFailure,
 )
 from .relations import (
     Relation,
@@ -456,33 +454,6 @@ def cmd_demo_fig8(args: argparse.Namespace) -> int:
     return _table(rows, args.json, extra)
 
 
-def cmd_demo_crosscheck(args: argparse.Namespace) -> int:
-    try:
-        report = run_crosscheck(trials=args.trials, seed=args.seed)
-    except CrosscheckFailure as err:
-        payload = jsonio.tagged("crosscheck-report", {
-            "passed": False,
-            "failed_law": err.law,
-            "bundle": err.bundle,
-        })
-        _emit(payload, args.json, [f"law {err.law} FAILED"])
-        return 1
-    required = ("mcr_implies_asr", "mcr_sufficiency_trials", "asr_gap_necessity",
-                "partition_collapse", "transitivity", "extension_postconditions")
-    covered = all(report.counters.get(key, 0) > 0 for key in required)
-    payload = jsonio.tagged("crosscheck-report", {"passed": covered, **report.to_obj()})
-    if args.json:
-        print(jsonio.dumps(payload), end="")
-    else:
-        for key, value in sorted(report.counters.items()):
-            print(f"  {key}: {value}")
-        print(
-            f"{report.trials} trials, 0 failures, {report.elapsed_seconds:.1f}s"
-            + ("" if covered else " (WARNING: some branches never ran)")
-        )
-    return 0 if covered else 1
-
-
 # ------------------------------------------------------------------ main
 
 
@@ -555,12 +526,6 @@ def _build_parser() -> _Parser:
     d8 = demo_sub.add_parser("fig8", help="segment reach-the-origin scenario", parents=[as_json])
     d8.add_argument("--bound", default="1", help="segment half-width, as p/q")
     d8.set_defaults(run=cmd_demo_fig8)
-
-    dc = demo_sub.add_parser("crosscheck", help="randomized law cross-validation",
-                             parents=[as_json])
-    dc.add_argument("--trials", type=_count, default=500)
-    dc.add_argument("--seed", type=int, default=0)
-    dc.set_defaults(run=cmd_demo_crosscheck)
 
     return parser
 

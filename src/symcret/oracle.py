@@ -14,35 +14,19 @@ step-local, so the check walks the related pairs once and takes no horizon;
 a witness is the violating step run on to its first repeated (x1, x2) pair,
 a lasso.
 
-``run_crosscheck`` cross-validates the whole theory on randomly generated
-systems: the containment hierarchy of the relation checks, the collapse on
-partitions, sufficiency and necessity of the memoryless relation for the
-memoryless guarantee, the extension construction, and reflexivity and
-transitivity.  Any failed law aborts with a replayable counterexample bundle.
+The tests check the paper's laws on every instance up to a small size: the
+memoryless relation is sufficient and necessary for the memoryless guarantee
+over every total abstract controller, and the closed form of the
+all-controllers check equals the enumeration of the controllers.
 """
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from .core import ContractError, Controller, FiniteTransitionSystem, SymcretError
-from .relations import (
-    Interface,
-    Relation,
-    RelationKind,
-    StrictnessError,
-    _escape,
-    _validate_triplet,
-    check_asr,
-    check_mcr,
-    maximal_interface,
-    mcr_extension,
-    compose,
-    replay_witness,
-)
-from .synthesis import controller_count, enumerate_controllers
+from .relations import Interface, Relation, StrictnessError, _escape, _validate_triplet
+from .synthesis import controller_count
 
 
 class BudgetExceededError(ContractError):
@@ -293,295 +277,3 @@ def check_memoryless_concretization_all_controllers(
     index = (2 ** i - 1) * controller_count(s2, dom[dom.index(k) + 1:])
     verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
     return AllControllersVerdict(False, c2, verdict.witness, index + 1)
-
-
-# --------------------------------------------------------------------------
-# Randomized cross-validation of the theory.
-# --------------------------------------------------------------------------
-
-
-class CrosscheckFailure(SymcretError):
-    """A law failed on a generated instance; carries a replayable bundle."""
-
-    def __init__(self, law: str, bundle: dict[str, Any]) -> None:
-        super().__init__(f"law {law!r} failed; counterexample bundle attached")
-        self.law = law
-        self.bundle = bundle
-
-
-@dataclass
-class CrosscheckReport:
-    trials: int
-    seed: int
-    counters: dict[str, int] = field(default_factory=dict)
-    elapsed_seconds: float = 0.0
-
-    def bump(self, key: str) -> None:
-        self.counters[key] = self.counters.get(key, 0) + 1
-
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "counters": dict(sorted(self.counters.items())),
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-        }
-
-
-def random_system(
-    rng: random.Random,
-    n_states: int,
-    n_inputs: int,
-    *,
-    fully_available: bool = False,
-    state_prefix: str = "x",
-    input_prefix: str = "u",
-) -> FiniteTransitionSystem:
-    """Random non-blocking system.  With ``fully_available`` every input is
-    available at every state, which the constructive generators below rely
-    on."""
-    states = [f"{state_prefix}{i}" for i in range(n_states)]
-    inputs = [f"{input_prefix}{j}" for j in range(n_inputs)]
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    for x in states:
-        live = list(inputs) if fully_available else [u for u in inputs if rng.random() < 0.7]
-        if not live:
-            live = [rng.choice(inputs)]
-        for u in live:
-            width = 1 if rng.random() < 0.6 else rng.randint(1, min(3, n_states))
-            trans[(x, u)] = frozenset(rng.sample(states, width))
-    return FiniteTransitionSystem(tuple(states), tuple(inputs), trans)
-
-
-def random_strict_relation(
-    rng: random.Random,
-    concrete_states: Iterable[str],
-    abstract_states: Iterable[str],
-    *,
-    overlap: float = 0.25,
-) -> Relation:
-    """Strict cover of the concrete states: one cell each, and with
-    probability ``overlap`` membership in a second cell as well."""
-    concrete = tuple(concrete_states)
-    abstract = tuple(abstract_states)
-    pairs = set()
-    for x in concrete:
-        pairs.add((x, rng.choice(abstract)))
-        if rng.random() < overlap:
-            pairs.add((x, rng.choice(abstract)))
-    return Relation(concrete, abstract, frozenset(pairs))
-
-
-def induced_abstraction(s1: FiniteTransitionSystem, rel: Relation) -> FiniteTransitionSystem:
-    """Existential abstraction over the cells of ``rel`` with the concrete
-    input alphabet.  When ``s1`` is fully available this is a memoryless
-    concretization abstraction by construction.  Abstract states with empty
-    cells get a self loop under the first input to stay non-blocking."""
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    for q in rel.codomain:
-        cell = rel.inverse_map(q)
-        if not cell:
-            trans[(q, s1.inputs[0])] = frozenset({q})
-            continue
-        for u in s1.inputs:
-            succ: set[str] = set()
-            for x in cell:
-                succ |= rel.image(s1.successors(x, u))
-            if succ:
-                trans[(q, u)] = frozenset(succ)
-    return FiniteTransitionSystem(rel.codomain, s1.inputs, trans)
-
-
-def _perturb_abstraction(
-    rng: random.Random, s2: FiniteTransitionSystem
-) -> FiniteTransitionSystem:
-    """Randomly drop successors (rows stay non-empty) and occasionally add
-    some, to move instances around the strict/loose boundary."""
-    trans: dict[tuple[str, str], frozenset[str]] = {}
-    for (q, u), succ in s2.trans.items():
-        if not succ:
-            continue
-        kept = set(succ)
-        for target in sorted(succ):
-            if len(kept) > 1 and rng.random() < 0.3:
-                kept.discard(target)
-        if rng.random() < 0.15:
-            kept.add(rng.choice(s2.states))
-        trans[(q, u)] = frozenset(kept)
-    return FiniteTransitionSystem(s2.states, s2.inputs, trans)
-
-
-def availability_quotient(
-    rng: random.Random, s2: FiniteTransitionSystem
-) -> tuple[FiniteTransitionSystem, Relation]:
-    """Random partition quotient that only merges states with identical
-    available-input sets; the quotient abstracts the original in the
-    memoryless sense by construction.  Every cell is non-empty, so it is the
-    induced abstraction of the partition."""
-    groups: dict[frozenset[str], list[str]] = {}
-    for q in s2.states:
-        groups.setdefault(frozenset(s2.available_inputs(q)), []).append(q)
-    assignment: dict[str, str] = {}
-    counter = 0
-    for _, members in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
-        buckets = rng.randint(1, len(members))
-        labels = [f"p{counter + i}" for i in range(buckets)]
-        counter += buckets
-        for q in members:
-            assignment[q] = rng.choice(labels)
-    used = sorted(set(assignment.values()))
-    rel = Relation(s2.states, used, frozenset(assignment.items()))
-    return induced_abstraction(s2, rel), rel
-
-
-def _bundle(**parts: Any) -> dict[str, Any]:
-    from . import jsonio
-
-    encoders = {FiniteTransitionSystem: jsonio.system_to_obj, Relation: jsonio.relation_to_obj,
-                Controller: jsonio.controller_to_obj}
-    return {name: encoders[type(value)](value) if type(value) in encoders else value
-            for name, value in parts.items()}
-
-
-def _law(name: str, holds: bool, **parts: Any) -> None:
-    """Fail law ``name`` with a bundle of ``parts`` unless it holds."""
-    if not holds:
-        raise CrosscheckFailure(name, _bundle(**parts))
-
-
-# Trial 0 is fig5; the others draw up to this many concrete states and
-# inputs, and enumerate controllers only up to the budget.
-_MAX_STATES = 5
-_MAX_INPUTS = 3
-_ENUMERATION_BUDGET = 256
-
-
-def run_crosscheck(trials: int = 500, seed: int = 0) -> CrosscheckReport:
-    """Randomized cross-validation of the relation and concretization laws.
-
-    Per trial, whichever laws apply to the drawn instance are asserted:
-
-    * memoryless relation implies alternating simulation;
-    * on partitions the two checks agree;
-    * memoryless relation implies the memoryless guarantee for every total
-      abstract controller (enumeration capped at 256 controllers);
-    * alternating simulation without the memoryless relation admits a
-      violating controller;
-    * the extension stands in both memoryless relations (walked again, not read off its
-      certificate), keeps availability, only grows rows, adds nothing on partitions;
-    * reflexivity along identity and transitivity along composition.
-
-    Raises :class:`CrosscheckFailure` with a replayable bundle on the first
-    violated law.  Coverage counters in the report show how often each branch
-    actually ran.
-    """
-    rng = random.Random(seed)
-    report = CrosscheckReport(trials=trials, seed=seed)
-    started = time.perf_counter()
-    try:
-        for index in range(trials):
-            _run_trial(report, rng, index)
-    except CrosscheckFailure as err:
-        err.bundle.setdefault("trial", index)
-        err.bundle.setdefault("master_seed", seed)
-        raise
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
-
-
-def _run_trial(report: CrosscheckReport, rng: random.Random, index: int) -> None:
-    if index == 0:
-        from .fixtures import fig5
-
-        fx = fig5()
-        s1, s2, rel = fx.s1, fx.s2, fx.relation
-    else:
-        flavor = index % 4
-        n1 = rng.randint(2, _MAX_STATES)
-        m1 = rng.randint(1, _MAX_INPUTS)
-        n2 = rng.randint(2, min(4, max(2, n1)))
-        fully = flavor in (0, 2)
-        s1 = random_system(rng, n1, m1, fully_available=fully)
-        partition = rng.random() < 0.3
-        rel = random_strict_relation(
-            rng, s1.states, [f"q{i}" for i in range(n2)],
-            overlap=0.0 if partition else 0.25,
-        )
-        if flavor == 0:
-            s2 = induced_abstraction(s1, rel)
-        elif flavor == 2:
-            s2 = _perturb_abstraction(rng, induced_abstraction(s1, rel))
-        else:
-            s2 = random_system(
-                rng, n2, rng.randint(1, _MAX_INPUTS),
-                state_prefix="q", input_prefix="v",
-            )
-            rel = Relation(rel.domain, s2.states, rel.pairs)
-    report.bump("trials")
-    _law("reflexivity", check_mcr(s1, s1, Relation.identity(s1.states)).holds, s1=s1)
-    report.bump("reflexivity")
-
-    asr = check_asr(s1, s2, rel)
-    mcr = check_mcr(s1, s2, rel)
-    for kind, verdict in ((RelationKind.ASR, asr), (RelationKind.MCR, mcr)):
-        if not verdict.holds:
-            _law(f"{kind.value}_witness_replay",
-                 replay_witness(kind, s1, s2, rel, verdict.witness), s1=s1, s2=s2, rel=rel)
-            report.bump(f"{kind.value}_witness_replayed")
-
-    _law("mcr_implies_asr", asr.holds or not mcr.holds, s1=s1, s2=s2, rel=rel)
-    if mcr.holds:
-        report.bump("mcr_implies_asr")
-    if rel.is_single_valued():
-        _law("partition_collapse", asr.holds == mcr.holds, s1=s1, s2=s2, rel=rel)
-        report.bump("partition_collapse")
-
-    # Both memoryless laws enumerate every controller on purpose: they are
-    # what justifies the closed form of the all-controllers check.
-    enumerable = controller_count(s2, s2.states) <= _ENUMERATION_BUDGET
-    if mcr.holds and not enumerable:
-        report.bump("mcr_sufficiency_skipped_budget")
-    elif mcr.holds:
-        interface = maximal_interface(s1, s2, rel, RelationKind.MCR)
-        for c2 in enumerate_controllers(s2, s2.states):
-            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
-            report.bump("memoryless_controllers_checked")
-            if not verdict.holds:
-                raise CrosscheckFailure("mcr_sufficiency", _bundle(
-                    s1=s1, s2=s2, rel=rel, c2=c2, witness=list(verdict.witness.concrete)))
-        report.bump("mcr_sufficiency_trials")
-    elif asr.holds and not enumerable:
-        report.bump("asr_gap_skipped_budget")
-    elif asr.holds:
-        interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
-        for c2 in enumerate_controllers(s2, s2.states):
-            verdict = check_memoryless_concretization(s1, s2, rel, interface, c2)
-            if not verdict.holds:
-                break
-        else:
-            raise CrosscheckFailure("asr_gap_necessity", _bundle(s1=s1, s2=s2, rel=rel))
-        _law("memoryless_witness_replay",
-             replay_memoryless_witness(s1, s2, rel, interface, c2, verdict.witness),
-             s1=s1, s2=s2, rel=rel, c2=c2)
-        report.bump("asr_gap_necessity")
-
-    if asr.holds:
-        extended = mcr_extension(s1, s2, rel)
-        report.bump("extension_postconditions")
-        _law("extension_mcr", check_mcr(s1, extended, rel).holds, s1=s1, s2=s2, rel=rel)
-        _law("extension_identity_mcr",
-             check_mcr(s2, extended, Relation.identity(s2.states)).holds, s1=s1, s2=s2, rel=rel)
-        _law("extension_inclusion", all(s2.trans[key] <= extended.trans[key] for key in s2.trans),
-             s1=s1, s2=s2, rel=rel)
-        _law("extension_availability", all(extended.available_inputs(x) == s2.available_inputs(x)
-                                           for x in s2.states), s1=s1, s2=s2, rel=rel)
-        if rel.is_single_valued():
-            _law("partition_extension_identity", extended.trans == s2.trans,
-                 s1=s1, s2=s2, rel=rel)
-            report.bump("partition_extension_identity")
-        quotient, q_rel = availability_quotient(rng, extended)
-        _law("quotient_construction", check_mcr(extended, quotient, q_rel).holds,
-             s2=extended, s3=quotient, rel=q_rel)
-        _law("transitivity", check_mcr(s1, quotient, compose(rel, q_rel)).holds,
-             s1=s1, s2=extended, s3=quotient, rel=rel, q_rel=q_rel)
-        report.bump("transitivity")

@@ -1,6 +1,7 @@
 import json
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from symcret import (
     fig5,
     verify_fig5_consistency,
 )
-from symcret.oracle import induced_abstraction
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -31,37 +31,112 @@ def fx():
     return fig5()
 
 
-@st.composite
-def small_systems(draw, max_states=4, max_inputs=2, fully_available=False):
-    n = draw(st.integers(2, max_states))
-    m = draw(st.integers(1, max_inputs))
-    states = [f"x{i}" for i in range(n)]
-    inputs = [f"u{j}" for j in range(m)]
-    trans = {}
+# Seeded instance generators: one seed, one instance.
+
+def random_system(
+    rng: random.Random,
+    n_states: int,
+    n_inputs: int,
+    *,
+    fully_available: bool = False,
+    state_prefix: str = "x",
+    input_prefix: str = "u",
+) -> FiniteTransitionSystem:
+    """Random non-blocking system.  With ``fully_available`` every input is
+    available at every state, which the constructive generators below rely
+    on."""
+    states = [f"{state_prefix}{i}" for i in range(n_states)]
+    inputs = [f"{input_prefix}{j}" for j in range(n_inputs)]
+    trans: dict[tuple[str, str], frozenset[str]] = {}
     for x in states:
-        if fully_available:
-            live = list(inputs)
-        else:
-            live = [u for u in inputs if draw(st.booleans())]
-            if not live:
-                live = [draw(st.sampled_from(inputs))]
+        live = list(inputs) if fully_available else [u for u in inputs if rng.random() < 0.7]
+        if not live:
+            live = [rng.choice(inputs)]
         for u in live:
-            succ = draw(
-                st.frozensets(st.sampled_from(states), min_size=1, max_size=min(3, n))
-            )
-            trans[(x, u)] = succ
+            width = 1 if rng.random() < 0.6 else rng.randint(1, min(3, n_states))
+            trans[(x, u)] = frozenset(rng.sample(states, width))
     return FiniteTransitionSystem(tuple(states), tuple(inputs), trans)
 
 
-@st.composite
-def strict_relations(draw, concrete_states, max_cells=3, allow_overlap=True):
-    cells = [f"q{i}" for i in range(draw(st.integers(1, max_cells)))]
+def random_strict_relation(
+    rng: random.Random,
+    concrete_states: Iterable[str],
+    abstract_states: Iterable[str],
+    *,
+    overlap: float = 0.25,
+) -> Relation:
+    """Strict cover of the concrete states: one cell each, and with
+    probability ``overlap`` membership in a second cell as well."""
+    concrete = tuple(concrete_states)
+    abstract = tuple(abstract_states)
     pairs = set()
-    for x in concrete_states:
-        pairs.add((x, draw(st.sampled_from(cells))))
-        if allow_overlap and draw(st.integers(0, 3)) == 0:
-            pairs.add((x, draw(st.sampled_from(cells))))
-    return Relation(tuple(concrete_states), tuple(cells), frozenset(pairs))
+    for x in concrete:
+        pairs.add((x, rng.choice(abstract)))
+        if rng.random() < overlap:
+            pairs.add((x, rng.choice(abstract)))
+    return Relation(concrete, abstract, frozenset(pairs))
+
+
+def induced_abstraction(s1: FiniteTransitionSystem, rel: Relation) -> FiniteTransitionSystem:
+    """Existential abstraction over the cells of ``rel`` with the concrete
+    input alphabet.  When ``s1`` is fully available this is a memoryless
+    concretization abstraction by construction.  Abstract states with empty
+    cells get a self loop under the first input to stay non-blocking."""
+    trans: dict[tuple[str, str], frozenset[str]] = {}
+    for q in rel.codomain:
+        cell = rel.inverse_map(q)
+        if not cell:
+            trans[(q, s1.inputs[0])] = frozenset({q})
+            continue
+        for u in s1.inputs:
+            succ: set[str] = set()
+            for x in cell:
+                succ |= rel.image(s1.successors(x, u))
+            if succ:
+                trans[(q, u)] = frozenset(succ)
+    return FiniteTransitionSystem(rel.codomain, s1.inputs, trans)
+
+
+def perturb_abstraction(
+    rng: random.Random, s2: FiniteTransitionSystem
+) -> FiniteTransitionSystem:
+    """Randomly drop successors (rows stay non-empty) and occasionally add
+    some, to move instances around the strict/loose boundary."""
+    trans: dict[tuple[str, str], frozenset[str]] = {}
+    for (q, u), succ in s2.trans.items():
+        if not succ:
+            continue
+        kept = set(succ)
+        for target in sorted(succ):
+            if len(kept) > 1 and rng.random() < 0.3:
+                kept.discard(target)
+        if rng.random() < 0.15:
+            kept.add(rng.choice(s2.states))
+        trans[(q, u)] = frozenset(kept)
+    return FiniteTransitionSystem(s2.states, s2.inputs, trans)
+
+
+def availability_quotient(
+    rng: random.Random, s2: FiniteTransitionSystem
+) -> tuple[FiniteTransitionSystem, Relation]:
+    """Random partition quotient that only merges states with identical
+    available-input sets; the quotient abstracts the original in the
+    memoryless sense by construction.  Every cell is non-empty, so it is the
+    induced abstraction of the partition."""
+    groups: dict[frozenset[str], list[str]] = {}
+    for q in s2.states:
+        groups.setdefault(frozenset(s2.available_inputs(q)), []).append(q)
+    assignment: dict[str, str] = {}
+    counter = 0
+    for _, members in sorted(groups.items(), key=lambda kv: sorted(kv[1])):
+        buckets = rng.randint(1, len(members))
+        labels = [f"p{counter + i}" for i in range(buckets)]
+        counter += buckets
+        for q in members:
+            assignment[q] = rng.choice(labels)
+    used = sorted(set(assignment.values()))
+    rel = Relation(s2.states, used, frozenset(assignment.items()))
+    return induced_abstraction(s2, rel), rel
 
 
 def chain(n, loop_last=True):

@@ -14,18 +14,16 @@ from symcret import (
     ReachAvoidSpec,
     Relation,
     RelationKind,
-    RelationVerdict,
     controller_count,
     fig5,
     maximal_interface,
 )
-from symcret import cli, oracle
+from symcret import cli
 from symcret.cli import fig5_bundle, main
 from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
-from symcret.oracle import random_system
 
-from conftest import cycle_product, json_nodes, mutate
+from conftest import cycle_product, json_nodes, mutate, random_system
 
 
 @pytest.fixture(scope="module")
@@ -532,22 +530,6 @@ class TestDemos:
         code, out, _ = run(capsys, "demo", "fig8", "--bound", "3/2", "--json")
         assert code == 0 and json.loads(out)["passed"] is True
 
-    def test_crosscheck(self, capsys):
-        code, out, _ = run(capsys, "demo", "crosscheck", "--trials", "30", "--seed", "4", "--json")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["passed"] and doc["counters"]["trials"] == 30
-        assert "failures" not in doc
-
-    def test_crosscheck_failure(self, capsys, monkeypatch):
-        # A check_mcr that refutes everything breaks reflexivity on trial 0.
-        monkeypatch.setattr(oracle, "check_mcr", lambda *args: RelationVerdict(False, None))
-        code, out, _ = run(capsys, "demo", "crosscheck", "--trials", "5", "--seed", "3", "--json")
-        doc = json.loads(out)
-        assert code == 1 and doc["failed_law"] == "reflexivity" and doc["passed"] is False
-        assert doc["bundle"]["trial"] == 0 and doc["bundle"]["master_seed"] == 3
-        assert out == json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-
 
 class TestErrors:
     def test_unknown_member(self, capsys, bundle_path):
@@ -567,11 +549,10 @@ class TestErrors:
         ("verify", "--property", "two", "--c2", "c2_via_b", "--horizon", "-1"),
         ("verify", "--property", "one", "--c1", "c1_safe", "--c2", "c2_via_b", "--horizon", "-1"),
         ("verify", "--property", "two-all", "--budget", "-1"),
-        ("demo", "crosscheck", "--trials", "-3"),
     ])
     def test_negative_counts_are_usage_errors(self, capsys, bundle_path, extra):
         refs = {"S1", "S2", "R", "c1_safe", "c2_via_b"}
-        triplet = ("--s1", "S1", "--s2", "S2", "--rel", "R") if extra[0] == "verify" else ()
+        triplet = ("--s1", "S1", "--s2", "S2", "--rel", "R")
         argv = [f"{bundle_path}:{a}" if a in refs else a for a in (*extra, *triplet)]
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""

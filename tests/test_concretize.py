@@ -25,15 +25,17 @@ from symcret import (
     scripted,
 )
 from symcret.fixtures import ALPHA, BETA
-from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 from symcret.relations import StrictnessError
 
 from conftest import (
     DynamicRun,
     chain,
     controlled_system,
+    induced_abstraction,
     outcome,
     random_partial_controller,
+    random_strict_relation,
+    random_system,
     reference_enumerate_dynamic_runs,
     reference_is_valid_for,
     reference_maximal_trajectories,

@@ -25,9 +25,15 @@ from symcret import (
 )
 from symcret.core import ContractError, DomainError
 from symcret.jsonio import FormatError, ProjectBundle
-from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import fresh, overlapping_line, seeded_rng
+from conftest import (
+    fresh,
+    induced_abstraction,
+    overlapping_line,
+    random_strict_relation,
+    random_system,
+    seeded_rng,
+)
 
 
 def reference_system(states, inputs, trans):

@@ -25,17 +25,16 @@ from symcret import (
 from symcret import jsonio
 from symcret.cli import fig5_bundle
 from symcret.fixtures import ALPHA, BETA, GAMMA
-from symcret.oracle import random_system
 
 from conftest import (
     chain,
     controlled_system,
     outcome,
     random_partial_controller,
+    random_system,
     reference_is_valid_for,
     reference_maximal_trajectories,
     reference_moves,
-    small_systems,
 )
 
 
@@ -205,8 +204,10 @@ class TestControlledSystem:
             controlled_system(fx.s1, Controller({"3": {"1"}}))
 
     @settings(max_examples=60, deadline=None)
-    @given(sys=small_systems())
-    def test_never_adds_transitions(self, sys):
+    @given(seed=st.integers(0, 10**6))
+    def test_never_adds_transitions(self, seed):
+        rng = random.Random(seed)
+        sys = random_system(rng, rng.randint(2, 4), rng.randint(1, 2))
         ctrl = Controller({
             x: frozenset(sys.available_inputs(x)[:1])
             for x in sys.states
@@ -239,8 +240,10 @@ class TestBoundedBehavior:
             reference_bounded_behavior(fx.s1, {"1"}, 0)
 
     @settings(max_examples=40, deadline=None)
-    @given(sys=small_systems())
-    def test_prefix_closed_and_monotone(self, sys):
+    @given(seed=st.integers(0, 10**6))
+    def test_prefix_closed_and_monotone(self, seed):
+        rng = random.Random(seed)
+        sys = random_system(rng, rng.randint(2, 4), rng.randint(1, 2))
         small = reference_bounded_behavior(sys, sys.states[:1], 2)
         large = reference_bounded_behavior(sys, sys.states[:1], 4)
         assert small <= large

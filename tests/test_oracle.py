@@ -1,4 +1,5 @@
 import gc
+import json
 import time
 from collections import Counter
 
@@ -10,7 +11,6 @@ from symcret import (
     AllControllersVerdict,
     BudgetExceededError,
     Controller,
-    CrosscheckFailure,
     FiniteTransitionSystem,
     Interface,
     PropertyVerdict,
@@ -29,26 +29,23 @@ from symcret import (
     mcr_extension,
     memoryless_controller,
     replay_memoryless_witness,
-    run_crosscheck,
 )
-from symcret import jsonio, oracle
+from symcret import jsonio
 from symcret.cli import fig5_bundle
 from symcret.core import ContractError, DomainError, SymcretError
 from symcret.fixtures import ALPHA, GAMMA
-from symcret.oracle import (
-    _perturb_abstraction,
-    induced_abstraction,
-    random_strict_relation,
-    random_system,
-)
 from symcret.relations import RelationCheckError, StrictnessError, _validate_triplet
 
 from conftest import (
     chain,
     cycle_product,
+    induced_abstraction,
     outcome,
     overlapping_line,
+    perturb_abstraction,
     random_partial_controller,
+    random_strict_relation,
+    random_system,
     reference_enumerate_dynamic_runs,
     seeded_rng,
 )
@@ -225,7 +222,7 @@ def memoryless_case(seed):
     else:
         s2 = induced_abstraction(s1, rel)
         if flavor == 1:
-            s2 = _perturb_abstraction(rng, s2)
+            s2 = perturb_abstraction(rng, s2)
     if rng.random() < 0.1:
         dead = rng.choice(s2.states)
         s2 = FiniteTransitionSystem(
@@ -274,7 +271,7 @@ def asr_gap_cases(seeds):
         s1 = random_system(rng, rng.randint(2, 5), rng.randint(1, 3), fully_available=True)
         cells = [f"q{i}" for i in range(rng.randint(1, 4))]
         rel = random_strict_relation(rng, s1.states, cells, overlap=0.4)
-        s2 = _perturb_abstraction(rng, induced_abstraction(s1, rel))
+        s2 = perturb_abstraction(rng, induced_abstraction(s1, rel))
         try:
             interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
         except RelationCheckError:
@@ -744,6 +741,14 @@ class TestAllControllers:
         assert elapsed < 1.0
 
 
+@pytest.fixture(scope="module")
+def laws():
+    # Imported here, not at the top: test_laws imports this module's references.
+    import test_laws
+
+    return test_laws
+
+
 class TestCrosscheck:
     def test_degenerate_single_state_laws(self):
         from symcret import FiniteTransitionSystem, check_asr, check_frr
@@ -759,63 +764,44 @@ class TestCrosscheck:
         )
         assert outcome.holds and outcome.checked == 1
 
-    def test_small_run_covers_every_branch(self):
-        report = run_crosscheck(trials=80, seed=5)
-        for key in (
-            "mcr_implies_asr",
-            "mcr_sufficiency_trials",
-            "asr_gap_necessity",
-            "partition_collapse",
-            "transitivity",
-            "extension_postconditions",
-            "reflexivity",
-        ):
-            assert report.counters.get(key, 0) > 0, key
+    def test_fig5_meets_every_law(self, fx, laws):
+        # The faults below are the first law to fail on fig5.
+        assert laws.assert_laws(fx.s1, fx.s2, fx.relation) == {
+            "asr without mcr", "extension", "merging quotient"}
 
-    def test_deterministic_given_seed(self):
-        first = run_crosscheck(trials=30, seed=9)
-        second = run_crosscheck(trials=30, seed=9)
-        assert first.counters == second.counters
+    def test_a_failed_law_raises_a_replayable_bundle(self, fx, laws, monkeypatch):
+        # A check_mcr that refutes everything breaks reflexivity, the first
+        # law; the message carries the instance as JSON.
+        monkeypatch.setattr(laws, "check_mcr", lambda *args: RelationVerdict(False, None))
+        with pytest.raises(AssertionError) as caught:
+            laws.assert_laws(fx.s1, fx.s2, fx.relation)
+        law, _, bundle = str(caught.value).partition(" failed on ")
+        assert law == "law 'reflexivity'"
+        bundle = json.loads(bundle)
+        assert jsonio.system_from_obj(bundle["S1"]) == fx.s1
+        assert jsonio.system_from_obj(bundle["S2"]) == fx.s2
+        assert jsonio.relation_from_obj(bundle["R"], fx.s1, fx.s2) == fx.relation
 
-    def test_a_failed_law_raises_a_replayable_bundle(self, fx, monkeypatch):
-        # A check_mcr that refutes everything breaks reflexivity on trial 0,
-        # which is fig5; the bundle holds that instance and the run's seed.
-        monkeypatch.setattr(oracle, "check_mcr", lambda *args: RelationVerdict(False, None))
-        with pytest.raises(CrosscheckFailure) as caught:
-            run_crosscheck(trials=5, seed=7)
-        failure = caught.value
-        assert failure.law == "reflexivity"
-        assert failure.bundle["trial"] == 0 and failure.bundle["master_seed"] == 7
-        assert jsonio.system_from_obj(failure.bundle["s1"]) == fx.s1
-
-    def test_report_serializes(self):
-        report = run_crosscheck(trials=10, seed=1)
-        obj = report.to_obj()
-        assert obj["trials"] == 10 and "counters" in obj
-        # A failed law raises, so a report has no failures to list.
-        assert set(obj) == {"trials", "seed", "counters", "elapsed_seconds"}
-
-    def test_the_extension_is_re_walked(self, fx, monkeypatch):
-        # The extension checks only its own certificate; the crosscheck walks
-        # both memoryless relations again.  On fig5 (trial 0), handing back
-        # S2 itself breaks the one with S1; moving the row (b, α) to {d}
-        # keeps that one and breaks the one with S2 along identity.
+    def test_the_extension_is_re_walked(self, fx, laws, monkeypatch):
+        # The extension checks only its own certificate; the laws walk both
+        # memoryless relations again.  On fig5, handing back S2 itself
+        # breaks the one with S1; moving the row (b, α) to {d} keeps that
+        # one and breaks the one with S2 along identity.
         moved = FiniteTransitionSystem(fx.s2.states, fx.s2.inputs,
                                        {**fx.s2_extended.trans, ("b", ALPHA): {"d"}})
         assert check_mcr(fx.s1, moved, fx.relation).holds
-        for extended, law in ((fx.s2, "extension_mcr"), (moved, "extension_identity_mcr")):
-            monkeypatch.setattr(oracle, "mcr_extension", lambda *args, ext=extended: ext)
-            with pytest.raises(CrosscheckFailure) as caught:
-                run_crosscheck(trials=1, seed=0)
-            assert caught.value.law == law
+        for extended, law in ((fx.s2, "extension mcr with s1"),
+                              (moved, "extension mcr with s2 along identity")):
+            monkeypatch.setattr(laws, "mcr_extension", lambda *args, ext=extended: ext)
+            with pytest.raises(AssertionError, match=f"^law '{law}' failed on "):
+                laws.assert_laws(fx.s1, fx.s2, fx.relation)
 
-    def test_the_extension_keeps_availability(self, fx, monkeypatch):
+    def test_the_extension_keeps_availability(self, fx, laws, monkeypatch):
         # γ is unavailable at a in S2.  Adding the row (a, γ) -> {b, c} keeps
         # both memoryless relations (input 0 at state 1 fits, and S2's rows
         # stay inside theirs); only the availability law sees it.
         grown = FiniteTransitionSystem(fx.s2.states, fx.s2.inputs,
                                        {**fx.s2_extended.trans, ("a", GAMMA): {"b", "c"}})
-        monkeypatch.setattr(oracle, "mcr_extension", lambda *args: grown)
-        with pytest.raises(CrosscheckFailure) as caught:
-            run_crosscheck(trials=1, seed=0)
-        assert caught.value.law == "extension_availability"
+        monkeypatch.setattr(laws, "mcr_extension", lambda *args: grown)
+        with pytest.raises(AssertionError, match="^law 'extension availability' failed on "):
+            laws.assert_laws(fx.s1, fx.s2, fx.relation)

@@ -3,13 +3,13 @@ removed one, changes this list, so the change shows in the diff."""
 import types
 
 import symcret
-from symcret import jsonio
+from symcret import jsonio, oracle
 
 PUBLIC = [
     "AbstractInput", "AffineMap", "AllControllersVerdict", "BrokenCertificateError",
     "BudgetExceededError", "CellCover", "ContractError", "Controller",
-    "ControllerUndefinedError", "CrosscheckFailure", "CrosscheckReport", "DomainError",
-    "DynamicConcretizer", "DynamicConcretizerState", "ExtendedRelation", "Fig5",
+    "ControllerUndefinedError", "DomainError", "DynamicConcretizer",
+    "DynamicConcretizerState", "ExtendedRelation", "Fig5",
     "Fig8Case", "Fig8Report", "FiniteTransitionSystem", "Interface", "IntervalCell",
     "OutOfDomainError", "PropertyVerdict", "PropertyWitness", "ReachAvoidSpec",
     "Relation", "RelationCheckError", "RelationKind", "RelationVerdict",
@@ -24,7 +24,7 @@ PUBLIC = [
     "fig8_cover", "fig8_target_spec", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
     "prove_frr_infeasible_fig8", "quantize", "rank_decreasing_controller",
-    "replay_memoryless_witness", "replay_witness", "run_crosscheck", "scripted",
+    "replay_memoryless_witness", "replay_witness", "scripted",
     "synthesize_reach_avoid", "translate_spec", "validate_interface",
     "verify_asr_interval", "verify_fig5_consistency", "verify_mcr_interval",
     "winning_region",
@@ -49,3 +49,5 @@ def test_test_only_methods_stay_out():
     for method in ("contains", "intersects", "is_subset_of"):
         assert not hasattr(symcret.IntervalCell, method)
     assert not hasattr(jsonio, "trajectory_from_obj")
+    for name in ("run_crosscheck", "random_system", "induced_abstraction"):
+        assert not hasattr(oracle, name)

@@ -35,9 +35,15 @@ from symcret import (
 import symcret
 from symcret import relations
 from symcret.fixtures import ALPHA, BETA, GAMMA
-from symcret.oracle import induced_abstraction, random_strict_relation, random_system
 
-from conftest import overlapping_line, seeded_rng, small_systems, strict_relations
+from conftest import (
+    availability_quotient,
+    induced_abstraction,
+    overlapping_line,
+    random_strict_relation,
+    random_system,
+    seeded_rng,
+)
 
 
 # Reference implementations: the per-tuple evaluation every relation operation
@@ -261,31 +267,33 @@ def assert_walk_matches_references(s1, s2, rel, rng):
                 reference_validate_interface, s1, s2, rel, candidate)
 
 
-@st.composite
-def relation_instances(draw):
+def small_instance(rng, shape):
+    """A concrete system of 2-4 states and 1-2 inputs, and a relation onto
+    1-3 cells of the given shape: ``overlap`` (strict, a quarter of the
+    states in a second cell), ``partition`` or ``non_strict``."""
+    s1 = random_system(rng, rng.randint(2, 4), rng.randint(1, 2))
+    cells = [f"q{i}" for i in range(rng.randint(1, 3))]
+    if shape == "non_strict":
+        pairs = frozenset((x, q) for x in s1.states for q in cells if rng.random() < 0.3)
+        return s1, Relation(s1.states, cells, pairs)
+    overlap = 0.25 if shape == "overlap" else 0.0
+    return s1, random_strict_relation(rng, s1.states, cells, overlap=overlap)
+
+
+def relation_instance(seed):
     """A small concrete system, a strict (with or without overlap) or
     non-strict relation, and an abstraction that is random, induced, or
-    induced and thinned."""
-    s1 = draw(small_systems())
-    shape = draw(st.sampled_from(["overlap", "partition", "non_strict"]))
-    if shape == "non_strict":
-        cells = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
-        pairs = draw(st.frozensets(
-            st.tuples(st.sampled_from(s1.states), st.sampled_from(cells)), max_size=6))
-        rel = Relation(s1.states, cells, pairs)
-    else:
-        rel = draw(strict_relations(s1.states, allow_overlap=shape == "overlap"))
-    abstraction = draw(st.sampled_from(["random", "induced", "thinned"]))
+    induced and thinned, drawn from ``seed``."""
+    rng = seeded_rng(seed)
+    s1, rel = small_instance(rng, rng.choice(["overlap", "partition", "non_strict"]))
+    abstraction = rng.choice(["random", "induced", "thinned"])
     if abstraction == "random":
-        rng = seeded_rng(draw(st.integers(0, 10**6)))
-        s2 = random_system(rng, len(rel.codomain), 2, state_prefix="q")
-    else:
-        s2 = induced_abstraction(s1, rel)
-        if abstraction == "thinned":
-            s2 = FiniteTransitionSystem(s2.states, s2.inputs, {
-                key: draw(st.frozensets(st.sampled_from(sorted(succ)), min_size=1))
-                for key, succ in s2.trans.items() if succ
-            })
+        return s1, random_system(rng, len(rel.codomain), 2, state_prefix="q"), rel
+    s2 = induced_abstraction(s1, rel)
+    if abstraction == "thinned":
+        s2 = FiniteTransitionSystem(s2.states, s2.inputs, {
+            key: rng.sample(sorted(succ), rng.randint(1, len(succ)))
+            for key, succ in s2.trans.items() if succ})
     return s1, s2, rel
 
 
@@ -717,9 +725,9 @@ class TestTranslateSpec:
 
 class TestKernelAgainstReference:
     @settings(max_examples=150, deadline=None)
-    @given(inst=relation_instances())
-    def test_every_operation_matches(self, inst):
-        s1, s2, rel = inst
+    @given(seed=st.integers(0, 10**6))
+    def test_every_operation_matches(self, seed):
+        s1, s2, rel = relation_instance(seed)
         assert_walk_matches_references(s1, s2, rel, seeded_rng(0))
         for kind, checker in (
             (RelationKind.ASR, check_asr),
@@ -798,24 +806,20 @@ class TestWalkAgainstReference:
 
 class TestRelationLaws:
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_mcr_implies_asr(self, data):
-        s1 = data.draw(small_systems())
-        rel = data.draw(strict_relations(s1.states))
-        rng = seeded_rng(data.draw(st.integers(0, 10**6)))
+    @given(seed=st.integers(0, 10**6))
+    def test_mcr_implies_asr(self, seed):
+        rng = seeded_rng(seed)
+        s1, rel = small_instance(rng, "overlap")
         s2 = random_system(rng, len(rel.codomain), 2, state_prefix="q", input_prefix="v")
-        rel = Relation(rel.domain, s2.states, rel.pairs)
         if check_mcr(s1, s2, rel).holds:
             assert check_asr(s1, s2, rel).holds
 
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data())
-    def test_partition_collapses_the_two_checks(self, data):
-        s1 = data.draw(small_systems())
-        rel = data.draw(strict_relations(s1.states, allow_overlap=False))
-        rng = seeded_rng(data.draw(st.integers(0, 10**6)))
+    @given(seed=st.integers(0, 10**6))
+    def test_partition_collapses_the_two_checks(self, seed):
+        rng = seeded_rng(seed)
+        s1, rel = small_instance(rng, "partition")
         s2 = random_system(rng, len(rel.codomain), 2, state_prefix="q", input_prefix="v")
-        rel = Relation(rel.domain, s2.states, rel.pairs)
         assert rel.is_single_valued()
         assert check_asr(s1, s2, rel).holds == check_mcr(s1, s2, rel).holds
 
@@ -832,8 +836,6 @@ class TestRelationLaws:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
     def test_transitivity_along_composition(self, seed):
-        from symcret.oracle import availability_quotient
-
         rng = seeded_rng(seed)
         s1 = random_system(rng, rng.randint(2, 4), rng.randint(1, 2), fully_available=True)
         rel = random_strict_relation(rng, s1.states, ["q0", "q1", "q2"])

@@ -16,9 +16,8 @@ from symcret import (
     winning_region,
 )
 from symcret.fixtures import ALPHA, BETA
-from symcret.oracle import random_system
 
-from conftest import chain, controlled_system, outcome, seeded_rng
+from conftest import chain, controlled_system, outcome, random_system, seeded_rng
 
 
 def brute_force_predecessor(sys, safe, target):
