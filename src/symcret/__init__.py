@@ -39,7 +39,6 @@ from .synthesis import (
     controller_count,
     enumerate_controllers,
     is_sub_controller,
-    rank_decreasing_controller,
     synthesize_reach_avoid,
     winning_region,
 )

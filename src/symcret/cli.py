@@ -41,12 +41,7 @@ from .relations import (
     mcr_extension,
     validate_interface,
 )
-from .synthesis import (
-    is_sub_controller,
-    rank_decreasing_controller,
-    synthesize_reach_avoid,
-    winning_region,
-)
+from .synthesis import _synthesize, is_sub_controller, synthesize_reach_avoid
 
 
 class UsageError(SymcretError):
@@ -167,21 +162,19 @@ def cmd_extend(args: argparse.Namespace) -> int:
 def cmd_synthesize(args: argparse.Namespace) -> int:
     sys_ = jsonio.system_from_obj(_load_doc(args.sys, args.parsed))
     spec = jsonio.spec_from_obj(_load_doc(args.spec, args.parsed))
-    winning, rank = winning_region(sys_, spec)
-    losing = spec.initial - winning
-    if losing:
+    result, losing = _synthesize(sys_, spec)
+    if result is None:
         payload = jsonio.tagged("synthesis-result", {
             "solvable": False,
             "losing_initial": sorted(losing),
         })
         _emit(payload, args.json, ["unsolvable"])
         return 1
-    controller = rank_decreasing_controller(sys_, rank, spec.target)
     payload = jsonio.tagged("synthesis-result", {
         "solvable": True,
-        "controller": jsonio.controller_to_obj(controller),
-        "rank": {x: rank[x] for x in sorted(rank)},
-        "winning": sorted(winning),
+        "controller": jsonio.controller_to_obj(result.controller),
+        "rank": {x: result.rank[x] for x in sorted(result.rank)},
+        "winning": sorted(result.winning),
     })
     _maybe_save(payload, args.out)
     _emit(payload, args.json, ["solvable"])

@@ -212,6 +212,6 @@ class ReachAvoidSpec:
     def validate_for(self, sys: FiniteTransitionSystem) -> None:
         for name, group in (("initial", self.initial), ("target", self.target),
                             ("obstacle", self.obstacle)):
-            stray = group - frozenset(sys.states)
+            stray = group.difference(sys._avail)  # type: ignore[attr-defined]
             if stray:
                 raise DomainError(f"{name} set contains unknown states {sorted(stray)!r}")

@@ -261,12 +261,16 @@ def _escape(
     s1: FiniteTransitionSystem, rel: Relation, x1: str, u1: str, row: frozenset[str]
 ) -> tuple[str, str] | None:
     """The least x1' in F1(x1, u1) with a quantization outside ``row``, and its
-    least such quantization, or None; an input unknown to ``s1`` raises."""
-    for x1p in sorted(s1.successors(x1, u1)):
-        outside = rel.forward(x1p) - row
-        if outside:
-            return x1p, min(outside)
-    return None
+    least such quantization, or None (the common case, found first without
+    ordering anything); an input unknown to ``s1`` raises."""
+    succ, forward = s1.successors(x1, u1), rel.forward
+    for x1p in succ:
+        if not forward(x1p) <= row:
+            break
+    else:
+        return None
+    x1p = min(x1p for x1p in succ if not forward(x1p) <= row)
+    return x1p, min(forward(x1p) - row)
 
 
 def _refutation(

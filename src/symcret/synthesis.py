@@ -5,11 +5,11 @@ each (state, input) row is a hyperarc with one tail and all its successors as
 heads, and a state is winning only if some row keeps every head winning.  The
 winning set is the least fixed point of the controllable predecessor; ranks
 record the iteration at which a state entered and bound its distance to the
-target.  :func:`winning_region` computes both by counter-based hyperarc
-reachability (Gallo, Longo, Pallottino & Nguyen 1993; Liu & Smolka 1998) in
-O(states + rows + sum of successor-set sizes), not by rescanning every state
-at every level of the fixed point.  :func:`check_spec` verifies a closed loop
-by reading the same ranks.
+target.  One pass of counter-based hyperarc reachability (Gallo, Longo,
+Pallottino & Nguyen 1993; Liu & Smolka 1998) computes both in O(states + rows
++ sum of successor-set sizes), and records the controller as the attractor
+grows (Thomas 1995).  :func:`check_spec` verifies a closed loop by reading
+the same ranks.
 """
 from __future__ import annotations
 
@@ -34,36 +34,33 @@ class SynthesisResult:
         object.__setattr__(self, "rank", dict(self.rank))
 
 
-def winning_region(
+def _attract(
     sys: FiniteTransitionSystem, spec: ReachAvoidSpec
-) -> tuple[frozenset[str], dict[str, int]]:
-    """Least fixed point of the controllable predecessor over the obstacle-free
-    states, together with the entry rank of every winning state.
-
-    The rank is the level of the Kleene iteration at which a state enters:
-    0 on the target, otherwise the minimum over its rows of one more than the
-    largest rank of the row's heads.  Each usable row (tail neither target nor
-    obstacle, no obstacle head) keeps a count of its heads not yet winning;
-    the states of one rank are processed together, and a row whose count
-    drops to 0 while rank k is processed gives its tail rank k + 1 unless it
-    already has one.  Every row and every head is touched once, so the cost
-    is O(states + rows + sum of successor-set sizes).
-    """
+) -> tuple[dict[str, int], dict[str, list[str]]]:
+    """The entry rank of every winning state, and the inputs that decrease it
+    at each winning non-target state.  Each usable row (tail neither target
+    nor obstacle, no obstacle head) counts its heads not yet winning; a row
+    whose count drops to 0 while rank k is processed completes at level k + 1,
+    where its tail enters unless ranked already.  The row joins the tail's
+    choices exactly when that level is the tail's rank (a row that completes
+    later has a head ranked no lower than its tail).  Every row and every head
+    is touched once: O(states + rows + sum of successor-set sizes)."""
     spec.validate_for(sys)
     if spec.target & spec.obstacle:
         raise ContractError("a target state may not also be an obstacle")
     settled = spec.target | spec.obstacle
-    tails: list[str] = []
+    rows: list[tuple[str, str]] = []
     pending: list[int] = []
     rows_into: dict[str, list[int]] = {}
-    for (x, _), succ in sys.trans.items():
-        if succ and x not in settled and succ.isdisjoint(spec.obstacle):
-            row = len(tails)
-            tails.append(x)
+    for key, succ in sys.trans.items():
+        if succ and key[0] not in settled and succ.isdisjoint(spec.obstacle):
+            row = len(rows)
+            rows.append(key)
             pending.append(len(succ))
             for xp in succ:
                 rows_into.setdefault(xp, []).append(row)
     rank = dict.fromkeys(spec.target, 0)
+    picks: dict[str, list[str]] = {}
     frontier = list(spec.target)
     level = 0
     while frontier:
@@ -72,31 +69,40 @@ def winning_region(
         for xp in frontier:
             for row in rows_into.get(xp, ()):
                 pending[row] -= 1
-                if not pending[row] and tails[row] not in rank:
-                    rank[tails[row]] = level
-                    fresh.append(tails[row])
+                if not pending[row]:
+                    x, u = rows[row]
+                    if x not in rank:
+                        rank[x] = level
+                        fresh.append(x)
+                        picks[x] = [u]
+                    elif rank[x] == level:
+                        picks[x].append(u)
         frontier = fresh
+    return rank, picks
+
+
+def winning_region(
+    sys: FiniteTransitionSystem, spec: ReachAvoidSpec
+) -> tuple[frozenset[str], dict[str, int]]:
+    """Least fixed point of the controllable predecessor over the obstacle-free
+    states, and the entry rank of every winning state: the level of the Kleene
+    iteration at which it enters, 0 on the target, otherwise the minimum over
+    its rows of one more than the largest rank of the row's heads.  The pass
+    of :func:`synthesize_reach_avoid` with its choices dropped."""
+    rank, _ = _attract(sys, spec)
     return frozenset(rank), rank
 
 
-def rank_decreasing_controller(
-    sys: FiniteTransitionSystem, rank: Mapping[str, int], target: Iterable[str]
-) -> Controller:
-    """At each ranked state outside ``target``, every input whose successors
-    all have a strictly smaller rank; O(rows + sum of successor-set sizes).
-
-    With the ranks of :func:`winning_region`, no choice set is empty.
-    """
-    target = frozenset(target)
-    choices: dict[str, frozenset[str]] = {}
-    for x in sorted(rank.keys() - target):
-        here = rank[x]
-        choices[x] = frozenset(
-            u
-            for u in sys.available_inputs(x)
-            if all(rank.get(xp, here) < here for xp in sys.successors(x, u))
-        )
-    return Controller(choices)
+def _synthesize(
+    sys: FiniteTransitionSystem, spec: ReachAvoidSpec
+) -> tuple[SynthesisResult | None, frozenset[str]]:
+    """:func:`synthesize_reach_avoid`'s result, and the losing initial states."""
+    rank, picks = _attract(sys, spec)
+    losing = spec.initial.difference(rank)
+    if losing:
+        return None, losing
+    controller = Controller({x: picks[x] for x in sorted(picks)})
+    return SynthesisResult(frozenset(rank), controller, rank), losing
 
 
 def synthesize_reach_avoid(
@@ -107,14 +113,11 @@ def synthesize_reach_avoid(
 
     The controller keeps, at each winning non-target state, every input whose
     successors all stay winning with strictly smaller rank; that is the
-    largest choice set that cannot livelock under non-determinism.  Both the
-    fixed point and the controller cost O(states + rows + sum of
-    successor-set sizes); the ranks equal those of the Kleene iteration.
+    largest choice set that cannot livelock under non-determinism.  The pass
+    that computes the ranks records these inputs as each state enters:
+    O(states + rows + sum of successor-set sizes).
     """
-    winning, rank = winning_region(sys, spec)
-    if not spec.initial <= winning:
-        return None
-    return SynthesisResult(winning, rank_decreasing_controller(sys, rank, spec.target), rank)
+    return _synthesize(sys, spec)[0]
 
 
 @dataclass(frozen=True)

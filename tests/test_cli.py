@@ -45,6 +45,28 @@ def last_json(stdout: str):
     return json.loads(stdout[start:])
 
 
+# The exact `--json` payloads of `synthesize` on the bundled fig5 problems:
+# key order, rank order and choice lists are pinned byte for byte.
+SYNTHESIZE_S2 = (
+    '{\n  "controller": {\n    "choices": {\n      "a": [\n        "α",\n'
+    '        "β"\n      ],\n      "b": [\n        "α"\n      ],\n'
+    '      "e": [\n        "α"\n      ]\n    },\n    "format": "symcret/1",\n'
+    '    "kind": "controller"\n  },\n  "format": "symcret/1",\n'
+    '  "kind": "synthesis-result",\n  "rank": {\n    "a": 2,\n    "b": 1,\n'
+    '    "e": 1,\n    "f": 0\n  },\n  "solvable": true,\n  "winning": [\n'
+    '    "a",\n    "b",\n    "e",\n    "f"\n  ]\n}\n'
+)
+SYNTHESIZE_S2X = (
+    '{\n  "controller": {\n    "choices": {\n      "a": [\n        "β"\n'
+    '      ],\n      "b": [\n        "α"\n      ],\n      "e": [\n'
+    '        "α"\n      ]\n    },\n    "format": "symcret/1",\n'
+    '    "kind": "controller"\n  },\n  "format": "symcret/1",\n'
+    '  "kind": "synthesis-result",\n  "rank": {\n    "a": 2,\n    "b": 1,\n'
+    '    "e": 1,\n    "f": 0\n  },\n  "solvable": true,\n  "winning": [\n'
+    '    "a",\n    "b",\n    "e",\n    "f"\n  ]\n}\n'
+)
+
+
 class TestRoundTrips:
     def test_all_object_kinds(self, fx):
         iface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
@@ -193,6 +215,16 @@ class TestCommands:
         doc = json.loads(out)
         assert code == 0 and doc["solvable"] and doc["rank"]["f"] == 0
 
+    @pytest.mark.parametrize("system, spec, payload", [
+        ("S2", "sigma2", SYNTHESIZE_S2), ("S2x", "sigma2x", SYNTHESIZE_S2X),
+    ], ids=["S2", "S2x"])
+    def test_synthesize_payload_bytes(self, capsys, bundle_path, system, spec, payload):
+        code, out, _ = run(
+            capsys, "synthesize",
+            "--sys", f"{bundle_path}:{system}", "--spec", f"{bundle_path}:{spec}", "--json",
+        )
+        assert code == 0 and out == payload
+
     def test_synthesize_unsolvable(self, capsys, bundle_path, tmp_path):
         spec_file = tmp_path / "bad_spec.json"
         jsonio.save(spec_file, {
@@ -213,16 +245,16 @@ class TestCommands:
             "initial": ["a", "e"], "target": ["d"], "obstacle": ["f"],
         })
         calls = []
-        real_region = cli.winning_region
+        real_synthesize = cli._synthesize
         real_validate = ReachAvoidSpec.validate_for
-        monkeypatch.setattr(cli, "winning_region",
-                            lambda *a: calls.append("region") or real_region(*a))
+        monkeypatch.setattr(cli, "_synthesize",
+                            lambda *a: calls.append("solve") or real_synthesize(*a))
         monkeypatch.setattr(ReachAvoidSpec, "validate_for",
                             lambda *a: calls.append("validate") or real_validate(*a))
         code, out, _ = run(
             capsys, "synthesize", "--sys", f"{bundle_path}:S2", "--spec", str(spec_file),
         )
-        assert code == 1 and calls == ["region", "validate"]
+        assert code == 1 and calls == ["solve", "validate"]
         assert out == (
             'unsolvable\n{\n  "format": "symcret/1",\n  "kind": "synthesis-result",\n'
             '  "losing_initial": [\n    "a",\n    "e"\n  ],\n  "solvable": false\n}\n'

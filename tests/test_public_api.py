@@ -23,7 +23,7 @@ PUBLIC = [
     "extended_relation", "fig5", "fig8_affine_inputs", "fig8_constant_inputs",
     "fig8_cover", "fig8_target_spec", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
-    "prove_frr_infeasible_fig8", "quantize", "rank_decreasing_controller",
+    "prove_frr_infeasible_fig8", "quantize",
     "replay_memoryless_witness", "replay_witness", "scripted",
     "synthesize_reach_avoid", "translate_spec", "validate_interface",
     "verify_asr_interval", "verify_fig5_consistency", "verify_mcr_interval",

@@ -11,7 +11,6 @@ from symcret import (
     controller_count,
     enumerate_controllers,
     is_sub_controller,
-    rank_decreasing_controller,
     synthesize_reach_avoid,
     winning_region,
 )
@@ -70,6 +69,23 @@ def reference_winning_region(sys, spec):
         for x in fresh:
             rank[x] = level
         winning |= fresh
+
+
+# The second scan over every row that the synthesis pass replaced, kept as the
+# reference: at each ranked non-target state, every input whose successors all
+# have a strictly smaller rank, in sorted state order.
+
+def rank_decreasing_controller(sys, rank, target):
+    target = frozenset(target)
+    choices = {}
+    for x in sorted(rank.keys() - target):
+        here = rank[x]
+        choices[x] = frozenset(
+            u
+            for u in sys.available_inputs(x)
+            if all(rank.get(xp, here) < here for xp in sys.successors(x, u))
+        )
+    return Controller(choices)
 
 
 def reference_choices(sys, spec, winning, rank):
@@ -245,6 +261,7 @@ class TestAgainstKleeneReference:
         assert result.winning == winning and result.rank == rank
         assert result.controller.choices == reference_choices(sys, spec, winning, rank)
         assert rank_decreasing_controller(sys, rank, spec.target) == result.controller
+        assert list(result.controller.choices) == sorted(result.controller.choices)
 
     def test_long_chain_rank_is_distance(self):
         sys = chain(1500)
@@ -252,6 +269,72 @@ class TestAgainstKleeneReference:
         result = synthesize_reach_avoid(sys, spec)
         assert result.rank == {f"s{i}": 1499 - i for i in range(1500)}
         assert result.controller.choices == {f"s{i}": {"go"} for i in range(1499)}
+
+
+def solve_rows(states, rows, target, obstacle=()):
+    """Synthesis, with no initial state, on the system with ``rows``
+    ((state, input) -> successors); its ranks and controller are checked
+    against the Kleene and rescanning references before it is returned."""
+    inputs = sorted({u for _, u in rows})
+    sys = FiniteTransitionSystem(tuple(states), tuple(inputs), rows)
+    spec = ReachAvoidSpec(frozenset(), frozenset(target), frozenset(obstacle))
+    result = synthesize_reach_avoid(sys, spec)
+    assert rank_decreasing_controller(sys, result.rank, spec.target) == result.controller
+    assert (result.winning, result.rank) == reference_winning_region(sys, spec)
+    return result
+
+
+class TestEntryLevelRule:
+    # A row joins its tail's choices exactly when it completes at the level
+    # where the tail enters; one case for each place that could slip.
+
+    def test_self_loop_row(self):
+        # (x, stay) completes only once x itself is processed, a level late.
+        result = solve_rows("tx", {("x", "stay"): {"x", "t"}, ("x", "go"): {"t"}}, {"t"})
+        assert result.rank == {"t": 0, "x": 1}
+        assert result.controller.choices == {"x": {"go"}}
+
+    def test_two_rows_complete_at_entry(self):
+        result = solve_rows("tx", {("x", "u"): {"t"}, ("x", "v"): {"t"}}, {"t"})
+        assert result.controller.choices == {"x": {"u", "v"}}
+
+    def test_row_completing_above_rank_left_out(self):
+        # (x, slow) waits for y, which enters at x's level, so it completes
+        # at level 2 > rank(x) = 1.
+        rows = {("x", "fast"): {"t"}, ("x", "slow"): {"t", "y"}, ("y", "fast"): {"t"}}
+        result = solve_rows("txy", rows, {"t"})
+        assert result.rank == {"t": 0, "x": 1, "y": 1}
+        assert result.controller.choices == {"x": {"fast"}, "y": {"fast"}}
+
+    def test_obstacle_head_row_left_out(self):
+        rows = {("x", "u"): {"t", "o"}, ("x", "v"): {"t"}, ("y", "u"): {"o", "t"}}
+        result = solve_rows("otxy", rows, {"t"}, {"o"})
+        assert result.winning == {"t", "x"}
+        assert result.controller.choices == {"x": {"v"}}
+
+    def test_head_never_ranked(self):
+        # z is a dead end outside the target, so (x, u) never completes.
+        rows = {("x", "u"): {"t", "z"}, ("x", "v"): {"x", "t"}, ("x", "w"): {"t"}}
+        result = solve_rows("txz", rows, {"t"})
+        assert "z" not in result.rank
+        assert result.controller.choices == {"x": {"w"}}
+
+    def test_blocking_state(self):
+        # b has no available input: it never enters, and a row into it
+        # never completes.
+        rows = {("x", "u"): {"b"}, ("x", "v"): {"t"}}
+        result = solve_rows("btx", rows, {"t"})
+        assert result.winning == {"t", "x"}
+        assert result.controller.choices == {"x": {"v"}}
+        sys = FiniteTransitionSystem(("b", "t", "x"), ("u", "v"), rows)
+        assert synthesize_reach_avoid(sys, ReachAvoidSpec({"b"}, {"t"}, set())) is None
+
+    def test_target_tail(self):
+        # A target's own rows are settled: no rank change, no choices.
+        rows = {("t", "u"): {"x"}, ("x", "u"): {"t"}, ("s", "u"): {"t"}}
+        result = solve_rows("stx", rows, {"t", "s"})
+        assert result.rank == {"s": 0, "t": 0, "x": 1}
+        assert result.controller.choices == {"x": {"u"}}
 
 
 class TestEnumeration:
