@@ -24,7 +24,6 @@ from .relations import (
     check_frr,
     check_mcr,
     check_relation,
-    compose,
     extended_relation,
     maximal_interface,
     mcr_extension,
@@ -37,7 +36,6 @@ from .synthesis import (
     SynthesisResult,
     check_spec,
     controller_count,
-    enumerate_controllers,
     is_sub_controller,
     synthesize_reach_avoid,
     winning_region,
@@ -79,6 +77,5 @@ from .interval import (
     verify_asr_interval,
     verify_mcr_interval,
 )
-from .fixtures import Fig5, fig5, verify_fig5_consistency
 
 __version__ = "0.1.0"

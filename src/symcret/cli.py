@@ -24,7 +24,6 @@ from .concretize import (
     memoryless_controller,
 )
 from .core import FiniteTransitionSystem, SymcretError
-from .fixtures import ALPHA, BETA, fig5, verify_fig5_consistency
 from .interval import prove_frr_infeasible_fig8
 from .jsonio import FormatError, ProjectBundle
 from .oracle import (
@@ -35,6 +34,8 @@ from .oracle import (
 from .relations import (
     Relation,
     RelationKind,
+    check_asr,
+    check_mcr,
     check_relation,
     extended_relation,
     maximal_interface,
@@ -294,51 +295,51 @@ def _table(rows: list[tuple[str, bool, str]], json_only: bool, extra: dict[str, 
 
 
 def fig5_bundle() -> ProjectBundle:
-    fx = fig5()
-    bundle = ProjectBundle()
-    bundle.systems = {"S1": fx.s1, "S2": fx.s2, "S2x": fx.s2_extended}
-    bundle.relations = {"R": ("S1", "S2", fx.relation), "Rx": ("S1", "S2x", fx.relation)}
-    bundle.controllers = {
-        "c2_via_b": ("S2", fx.c2_via_b),
-        "c2_via_e": ("S2", fx.c2_via_e),
-        "c1_safe": ("S1", fx.c1_safe),
-    }
-    bundle.specs = {
-        "sigma1": ("S1", fx.spec1),
-        "sigma2": ("S2", fx.spec2),
-        "sigma2x": ("S2x", fx.spec2),
-    }
-    bundle.validate()
-    return bundle
+    """The paper's fig5 scenario, decoded from the packaged ``data/fig5.json``,
+    the one place it is defined."""
+    from importlib import resources  # only `demo fig5` pays for the import
+
+    text = resources.files("symcret").joinpath("data/fig5.json").read_text("utf-8")
+    return jsonio.bundle_from_obj(json.loads(text))
 
 
 def cmd_demo_fig5(args: argparse.Namespace) -> int:
-    fx = fig5()
-    rows: list[tuple[str, bool, str]] = []
+    bundle = fig5_bundle()
+    s1, s2, s2x = (bundle.systems[name] for name in ("S1", "S2", "S2x"))
+    rel, spec2 = bundle.relations["R"][2], bundle.specs["sigma2"][1]
+    via_b, via_e, c1_safe = (bundle.controllers[name][1]
+                             for name in ("c2_via_b", "c2_via_e", "c1_safe"))
 
-    # The gate's checks carry the relation rows; if it fails, they fail too.
-    try:
-        checks = verify_fig5_consistency(fx)
-        rows.append(("fixture-consistency", True, "all fixture checks passed"))
-    except AssertionError as err:
-        checks = {}
-        rows.append(("fixture-consistency", False, str(err)))
-    rows.append(("alternating-simulation", checks.get("asr_holds", False), "holds"))
-    mcr_ok = checks.get("mcr_refuted", False) and checks.get("mcr_witness", False)
-    rows.append(("memoryless-relation", mcr_ok,
-                 f"refuted at (1, a, {ALPHA}), successor pair (2, c) escapes"))
-    iface_keys = ("interface_1_a_alpha", "interface_2_b_alpha", "interface_2_c_alpha")
-    rows.append(("maximal-interface", all(checks.get(key, False) for key in iface_keys),
-                 f"(1,a,{ALPHA})->{{0}}  (2,b,{ALPHA})->{{0}}  (2,c,{ALPHA})->{{1}}"))
+    structure = {
+        "s1_non_blocking": s1.is_non_blocking(),
+        "s2_non_blocking": s2.is_non_blocking(),
+        "s2_deterministic": s2.is_deterministic(),
+        "s2_extended_non_deterministic": not s2x.is_deterministic(),
+        "relation_strict": rel.is_strict(),
+        "relation_overlaps_at_2": rel.forward("2") == frozenset({"b", "c"}),
+    }
+    failed = sorted(name for name, ok in structure.items() if not ok)
+    rows = [("fixture-consistency", not failed,
+             f"fig5 fixture consistency checks failed: {failed}" if failed
+             else "all fixture checks passed")]
+    rows.append(("alternating-simulation", check_asr(s1, s2, rel).holds, "holds"))
+    w = check_mcr(s1, s2, rel).witness  # None when the relation holds
+    rows.append(("memoryless-relation",
+                 w is not None and (w.x1, w.x2, w.u2, w.evidence) == ("1", "a", "α", ("2", "c")),
+                 "refuted at (1, a, α), successor pair (2, c) escapes"))
+    interface = maximal_interface(s1, s2, rel, RelationKind.ASR)
+    overlap = [interface.inputs_for(x1, x2, "α")
+               for x1, x2 in (("1", "a"), ("2", "b"), ("2", "c"))]
+    rows.append(("maximal-interface", overlap == [{"0"}, {"0"}, {"1"}],
+                 "(1,a,α)->{0}  (2,b,α)->{0}  (2,c,α)->{1}"))
 
-    interface = maximal_interface(fx.s1, fx.s2, fx.relation, RelationKind.ASR)
-    c1 = memoryless_controller(fx.c2_via_b, fx.relation, interface)
+    c1 = memoryless_controller(via_b, rel, interface)
     values_ok = (
         c1.choices.get("1") == frozenset({"0"}) and c1.choices.get("2") == frozenset({"0", "1"})
     )
     rows.append(("memoryless-controller-values", values_ok, "c1(1)={0}, c1(2)={0,1}"))
 
-    p2_bad = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_b)
+    p2_bad = check_memoryless_concretization(s1, s2, rel, interface, via_b)
     bad_ok = (
         not p2_bad.holds
         and p2_bad.witness is not None
@@ -348,12 +349,12 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     rows.append(("memoryless-guarantee-refuted", bad_ok,
                  "run (1,2,3) quantizes to invalid abstract trace (a,c,d)"))
 
-    p2_good = check_memoryless_concretization(fx.s1, fx.s2, fx.relation, interface, fx.c2_via_e)
+    p2_good = check_memoryless_concretization(s1, s2, rel, interface, via_e)
     rows.append(("alternate-controller-safe", p2_good.holds,
                  "the detour controller satisfies the memoryless guarantee"))
 
-    p1_bad = check_controlled_simulability(fx.s1, fx.s2, fx.relation, c1, fx.c2_via_b, 6)
-    p1_good = check_controlled_simulability(fx.s1, fx.s2, fx.relation, fx.c1_safe, fx.c2_via_b, 6)
+    p1_bad = check_controlled_simulability(s1, s2, rel, c1, via_b, 6)
+    p1_good = check_controlled_simulability(s1, s2, rel, c1_safe, via_b, 6)
     rows.append((
         "controlled-simulability",
         (not p1_bad.holds and p1_bad.witness.concrete == ("1", "2", "3") and p1_good.holds),
@@ -361,31 +362,31 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
     ))
 
     # mcr_extension raises unless both memoryless checks pass on its result.
-    extended = fx.s2_extended
-    ext_ok = extended.successors("a", ALPHA) == frozenset({"b", "c"}) and all(
-        extended.trans[key] == fx.s2.trans[key] for key in fx.s2.trans if key != ("a", ALPHA)
+    extended = mcr_extension(s1, s2, rel)
+    ext_ok = extended == s2x and extended.successors("a", "α") == frozenset({"b", "c"}) and all(
+        extended.trans[key] == s2.trans[key] for key in s2.trans if key != ("a", "α")
     )
     rows.append(("extension", ext_ok,
-                 f"only row (a, {ALPHA}) grows, to {{b, c}}; memoryless checks pass"))
+                 "only row (a, α) grows, to {b, c}; memoryless checks pass"))
 
-    res2 = synthesize_reach_avoid(fx.s2, fx.spec2)
-    res2x = synthesize_reach_avoid(extended, fx.spec2)
+    res2 = synthesize_reach_avoid(s2, spec2)
+    res2x = synthesize_reach_avoid(extended, spec2)
     synth_ok = (
         res2 is not None
-        and is_sub_controller(fx.c2_via_b, res2.controller)
-        and is_sub_controller(fx.c2_via_e, res2.controller)
+        and is_sub_controller(via_b, res2.controller)
+        and is_sub_controller(via_e, res2.controller)
         and res2x is not None
-        and res2x.controller.choices.get("a") == frozenset({BETA})
+        and res2x.controller.choices.get("a") == frozenset({"β"})
     )
     rows.append(("synthesis-collapse", synth_ok,
-                 f"original admits both routes; extension pins a -> {{{BETA}}}"))
+                 "original admits both routes; extension pins a -> {β}"))
 
     try:
         runs_total = sum(
-            count_dynamic_runs(fx.s1, fx.s2, c2, fx.relation, interface, x0, 6)
-            for c2 in (fx.c2_via_b, fx.c2_via_e)
-            for x0 in fx.s1.states
-            if any(x2 in c2.choices for x2 in fx.relation.forward(x0))
+            count_dynamic_runs(s1, s2, c2, rel, interface, x0, 6)
+            for c2 in (via_b, via_e)
+            for x0 in s1.states
+            if any(x2 in c2.choices for x2 in rel.forward(x0))
         )
     except SymcretError:
         runs_total = 0
@@ -393,7 +394,7 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
                  f"{runs_total} fully branched runs, relation held, no empty intersection"))
 
     if args.export_bundle:
-        jsonio.save(args.export_bundle, jsonio.bundle_to_obj(fig5_bundle()))
+        jsonio.save(args.export_bundle, jsonio.bundle_to_obj(bundle))
 
     return _table(rows, args.json, {"demo": "fig5"})
 

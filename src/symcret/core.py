@@ -67,8 +67,8 @@ class FiniteTransitionSystem:
     object: one object per name.  ``available_inputs`` keeps one tuple per
     distinct set; the values are immutable, so callers cannot tell.  Blocking
     systems (some state with no available input) can be represented, so that
-    predicates about them can be evaluated; loaders and fixtures reject them
-    where required.
+    predicates about them can be evaluated; loaders reject them where
+    required.
     """
 
     states: tuple[str, ...]

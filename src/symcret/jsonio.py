@@ -362,11 +362,6 @@ class ProjectBundle:
         field(default_factory=dict)
     )
 
-    def validate(self) -> None:
-        for name, sys in self.systems.items():
-            _member("system", name, sys.require_non_blocking)
-        self._check_references()
-
     def _check_references(self) -> None:
         """Every relation, controller and spec names a system of the bundle
         and fits it."""

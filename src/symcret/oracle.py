@@ -52,8 +52,12 @@ class PropertyVerdict:
 
 @dataclass(frozen=True)
 class AllControllersVerdict:
-    """``checked`` is the 1-based position of ``witness_controller`` in
-    ``enumerate_controllers`` order, or the controller count when it holds."""
+    """``checked`` is the 1-based position of ``witness_controller`` among all
+    total controllers, or the controller count when it holds.  The order is
+    lexicographic over the states in sorted order, the last state varying
+    fastest.  Each state runs through the non-empty subsets of its sorted
+    available inputs U(x) in bitmask order, mask 1 to 2^|U(x)| - 1 with bit i
+    for the i-th input: {u0}, {u1}, {u0, u1}, {u2}, ..., the full set last."""
 
     holds: bool
     witness_controller: Controller | None = None
@@ -230,8 +234,10 @@ def check_memoryless_concretization_all_controllers(
     budget: int | None = None,
 ) -> AllControllersVerdict:
     """Does every total abstract controller pass the memoryless check?  The
-    answer is the first violator in ``enumerate_controllers`` order, found
-    without enumerating.  A violation depends on one u2 in c2(x2), so all
+    answer is the first violator in the order of
+    :attr:`AllControllersVerdict.checked` (states sorted, the last state
+    fastest, each state's input sets in bitmask order), found without
+    enumerating.  A violation depends on one u2 in c2(x2), so all
     controllers pass iff no available u2 is an event at x2: for some related
     x1 the step-local test escapes or raises (the necessity theorem of the
     memoryless relation).  One pass over the related pairs finds the events at

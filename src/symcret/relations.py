@@ -122,14 +122,6 @@ class Relation:
         return all(len(self.forward(a)) <= 1 for a in self.domain)
 
 
-def compose(first: Relation, second: Relation) -> Relation:
-    """Relational composition: (a, c) related iff some b links a to c."""
-    if first.codomain != second.domain:
-        raise DomainError("composition needs matching middle state sets")
-    pairs = {(a, c) for a, b in first.pairs for c in second.forward(b)}
-    return Relation(first.domain, second.codomain, pairs)
-
-
 @dataclass(frozen=True)
 class ExtendedRelation:
     """Input-annotated relation: all (x1, x2, u1, u2) satisfying the local

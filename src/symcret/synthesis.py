@@ -13,9 +13,8 @@ the same ranks.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .core import Controller, ContractError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
 
@@ -189,26 +188,3 @@ def controller_count(sys: FiniteTransitionSystem, domain: Iterable[str]) -> int:
     for x in sorted(set(domain)):
         total *= 2 ** len(sys.available_inputs(x)) - 1
     return total
-
-
-def _nonempty_subsets(items: tuple[str, ...]) -> list[frozenset[str]]:
-    # Bitmask order: singletons of earlier inputs first, full set last.
-    return [
-        frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
-        for mask in range(1, 2 ** len(items))
-    ]
-
-
-def enumerate_controllers(
-    sys: FiniteTransitionSystem, domain: Iterable[str]
-) -> Iterator[Controller]:
-    """Yield every controller over ``domain`` in a fixed deterministic order,
-    :func:`controller_count` of them.  A domain state with no available input
-    admits no controller at all.
-    """
-    dom = sorted(set(domain))
-    for x in dom:
-        sys.require_state(x)
-    menus = [_nonempty_subsets(sys.available_inputs(x)) for x in dom]
-    for combo in itertools.product(*menus):
-        yield Controller(dict(zip(dom, combo)))

@@ -1,7 +1,8 @@
+import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -12,23 +13,81 @@ from symcret import (
     Controller,
     DomainError,
     FiniteTransitionSystem,
+    ReachAvoidSpec,
     Relation,
     SymcretError,
     Trajectory,
-    fig5,
-    verify_fig5_consistency,
 )
+from symcret.cli import fig5_bundle
+
+# The abstract inputs of the paper's fig5.
+ALPHA, BETA, GAMMA = "α", "β", "γ"
 
 
-@pytest.fixture(scope="session", autouse=True)
-def fixture_consistency_gate():
-    # Nothing else may trust the bundled scenario before this passes.
-    verify_fig5_consistency()
+@dataclass(frozen=True)
+class Fig5:
+    """The packaged fig5 bundle under the names the tests use: the plant S1,
+    the abstraction S2 over the overlapping quantizer R (state 2 maps to
+    both b and c), its extension S2x, the reach-avoid goals sigma1 and
+    sigma2, the abstract controllers routing a -> b -> f and a -> e -> f, and
+    a safe concrete controller."""
+
+    s1: FiniteTransitionSystem
+    s2: FiniteTransitionSystem
+    s2_extended: FiniteTransitionSystem
+    relation: Relation
+    spec1: ReachAvoidSpec
+    spec2: ReachAvoidSpec
+    c2_via_b: Controller
+    c2_via_e: Controller
+    c1_safe: Controller
+
+
+def fig5() -> Fig5:
+    bundle = fig5_bundle()
+    return Fig5(
+        *(bundle.systems[name] for name in ("S1", "S2", "S2x")),
+        bundle.relations["R"][2],
+        *(bundle.specs[name][1] for name in ("sigma1", "sigma2")),
+        *(bundle.controllers[name][1] for name in ("c2_via_b", "c2_via_e", "c1_safe")),
+    )
 
 
 @pytest.fixture(scope="session")
 def fx():
     return fig5()
+
+
+def compose(first: Relation, second: Relation) -> Relation:
+    """Relational composition: (a, c) related iff some b links a to c."""
+    if first.codomain != second.domain:
+        raise DomainError("composition needs matching middle state sets")
+    pairs = {(a, c) for a, b in first.pairs for c in second.forward(b)}
+    return Relation(first.domain, second.codomain, pairs)
+
+
+def _nonempty_subsets(items: tuple[str, ...]) -> list[frozenset[str]]:
+    # Bitmask order: bit i stands for items[i]; the full set comes last.
+    return [
+        frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+        for mask in range(1, 2 ** len(items))
+    ]
+
+
+def enumerate_controllers(
+    sys: FiniteTransitionSystem, domain: Iterable[str]
+) -> Iterator[Controller]:
+    """Every controller over ``domain``, ``controller_count`` of them: states
+    sorted, the last state varying fastest, each state's non-empty subsets
+    of its available inputs in bitmask order.  A domain state with no
+    available input admits no controller at all.  The reference for
+    ``AllControllersVerdict.checked``."""
+    dom = sorted(set(domain))
+    for x in dom:
+        sys.require_state(x)
+    menus = [_nonempty_subsets(sys.available_inputs(x)) for x in dom]
+    for combo in itertools.product(*menus):
+        yield Controller(dict(zip(dom, combo)))
 
 
 # Seeded instance generators: one seed, one instance.

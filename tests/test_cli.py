@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import random
@@ -15,15 +16,13 @@ from symcret import (
     Relation,
     RelationKind,
     controller_count,
-    fig5,
     maximal_interface,
 )
 from symcret import cli
 from symcret.cli import fig5_bundle, main
-from symcret.fixtures import ALPHA, BETA
 from symcret import jsonio
 
-from conftest import cycle_product, json_nodes, mutate, random_system
+from conftest import ALPHA, BETA, cycle_product, json_nodes, mutate, random_system
 
 
 @pytest.fixture(scope="module")
@@ -118,9 +117,11 @@ class TestRoundTrips:
         with pytest.raises(Exception):
             jsonio.system_from_obj(obj)
 
-    def test_packaged_data_file_matches_fixture(self):
+    def test_packaged_data_file_round_trips(self):
+        # Decoding the packaged text and encoding it again gives the text back.
         text = resources.files("symcret").joinpath("data/fig5.json").read_text("utf-8")
-        assert text == jsonio.dumps(jsonio.bundle_to_obj(fig5_bundle()))
+        bundle = jsonio.bundle_from_obj(json.loads(text))
+        assert jsonio.dumps(jsonio.bundle_to_obj(bundle)) == text
 
 
 class TestBundleDecoding:
@@ -196,7 +197,7 @@ class TestCommands:
         )
         assert code == 1 and json.loads(out)["holds"] is False
 
-    def test_extend_writes_the_extension(self, capsys, bundle_path, tmp_path):
+    def test_extend_writes_the_extension(self, capsys, bundle_path, tmp_path, fx):
         out_file = tmp_path / "extended.json"
         code, _, _ = run(
             capsys, "extend",
@@ -204,7 +205,6 @@ class TestCommands:
             "--rel", f"{bundle_path}:R", "--out", str(out_file),
         )
         assert code == 0
-        fx = fig5()
         assert jsonio.system_from_obj(jsonio.load(out_file)) == fx.s2_extended
 
     def test_synthesize_solvable(self, capsys, bundle_path):
@@ -476,16 +476,32 @@ class TestCommands:
         assert ["1", "a", "0", ALPHA] in doc["tuples"]
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestDemos:
     def test_fig5(self, capsys):
         code, out, _ = run(capsys, "demo", "fig5")
         assert code == 0 and "all checks passed" in out
 
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "e687e7553e08ed85169e2edaf78bb275be7dcf4f1102869e465c2b7cdd87785f"),
+        (("--json",), "f76846528a020145e78e2ebf10516aec77c4d3fe389e2458b8fdebbf2744df28"),
+    ], ids=["text", "json"])
+    def test_fig5_stdout_bytes(self, capsys, flags, digest):
+        code, out, _ = run(capsys, "demo", "fig5", *flags)
+        assert code == 0 and sha256(out.encode("utf-8")) == digest
+
     def test_fig5_export_bundle(self, capsys, tmp_path):
+        # The export is the packaged data file, byte for byte.
         target = tmp_path / "exported.json"
         code, _, _ = run(capsys, "demo", "fig5", "--export-bundle", str(target), "--json")
         assert code == 0
-        assert jsonio.load(target)["kind"] == "bundle"
+        exported = target.read_bytes()
+        assert exported == resources.files("symcret").joinpath("data/fig5.json").read_bytes()
+        assert sha256(exported) == (
+            "f8d1090d76b7ac7edccbdb3b19348498494e152d88f31aee1e579ba4deb56912")
 
     def test_fig5_rows(self, capsys):
         code, out, _ = run(capsys, "demo", "fig5", "--json")
@@ -650,10 +666,10 @@ class TestErrors:
         ]
     ])
     def test_bad_documents_and_paths_are_named_errors(
-        self, capsys, tmp_path, bundle_path, case, error, detail
+        self, capsys, tmp_path, bundle_path, fx, case, error, detail
     ):
-        system = jsonio.system_to_obj(fig5().s1)
-        relation = jsonio.relation_to_obj(fig5().relation)
+        system = jsonio.system_to_obj(fx.s1)
+        relation = jsonio.relation_to_obj(fx.relation)
         docs = {
             "system-without-trans": {k: v for k, v in system.items() if k != "trans"},
             "successors-as-a-number": {**system, "trans": {**system["trans"], "1|0": 5}},

@@ -24,10 +24,11 @@ from symcret import (
     memoryless_controller,
     scripted,
 )
-from symcret.fixtures import ALPHA, BETA
 from symcret.relations import StrictnessError
 
 from conftest import (
+    ALPHA,
+    BETA,
     DynamicRun,
     chain,
     controlled_system,

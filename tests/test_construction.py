@@ -19,7 +19,7 @@ import json
 import pytest
 
 from symcret import (
-    FiniteTransitionSystem, Interface, Relation, ReachAvoidSpec, RelationKind, fig5, jsonio,
+    FiniteTransitionSystem, Interface, Relation, ReachAvoidSpec, RelationKind, jsonio,
     maximal_interface, mcr_extension, memoryless_controller, synthesize_reach_avoid,
     translate_spec,
 )
@@ -27,6 +27,7 @@ from symcret.core import ContractError, DomainError
 from symcret.jsonio import FormatError, ProjectBundle
 
 from conftest import (
+    fig5,
     fresh,
     induced_abstraction,
     overlapping_line,

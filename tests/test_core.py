@@ -24,9 +24,11 @@ from symcret import (
 )
 from symcret import jsonio
 from symcret.cli import fig5_bundle
-from symcret.fixtures import ALPHA, BETA, GAMMA
 
 from conftest import (
+    ALPHA,
+    BETA,
+    GAMMA,
     chain,
     controlled_system,
     outcome,
@@ -127,7 +129,8 @@ def reference_memoised_check_spec(sys, spec):
 def spec_case(seed):
     """A random system, usually restricted to a random partial controller so
     that some states block, and a random goal whose target and obstacle may
-    overlap; now and then the initial set names a state the system lacks."""
+    overlap; now and then the initial set names a state the system lacks,
+    and now and then it is empty."""
     rng = random.Random(seed)
     sys = random_system(rng, rng.randint(1, 6), rng.randint(1, 3))
     if rng.random() < 0.75:
@@ -137,8 +140,11 @@ def spec_case(seed):
         return frozenset(x for x in sys.states if rng.random() < 0.3)
 
     initial, target, obstacle = some() | {rng.choice(sys.states)}, some(), some()
-    if rng.random() < 0.03:
+    draw = rng.random()
+    if draw < 0.03:
         initial |= {"stray"}
+    elif draw > 0.97:
+        initial = frozenset()
     return sys, ReachAvoidSpec(initial, target, obstacle)
 
 
@@ -313,25 +319,6 @@ class TestCheckSpec:
         })
         spec = ReachAvoidSpec(frozenset({"x0"}), frozenset({"t"}), frozenset())
         assert check_spec(sys, spec).witness == Trajectory(("x0", "x0"), ("u",))
-
-    @settings(max_examples=300, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_matches_recursive_reference(self, seed):
-        # A drawn seed, not drawn systems: hypothesis spends far longer
-        # drawing a system than the three checks spend on it.
-        rng = random.Random(seed)
-        sys = random_system(rng, rng.randint(2, 6), rng.randint(1, 3))
-
-        def some():
-            return frozenset(x for x in sys.states if rng.random() < 0.5)
-
-        spec = ReachAvoidSpec(some(), some(), some())
-        # Controlling some states away gives blocking states too.
-        partial = controlled_system(
-            sys, Controller({x: sys.available_inputs(x) for x in some()}))
-        for s in (sys, partial):
-            got = check_spec(s, spec)
-            assert got == reference_check_spec(s, spec) == reference_memoised_check_spec(s, spec)
 
     def test_matches_references_on_seeded_systems(self):
         ends = Counter()

@@ -20,7 +20,6 @@ from symcret import (
     check_memoryless_concretization_all_controllers,
     check_mcr,
     check_relation,
-    compose,
     jsonio,
     maximal_interface,
     mcr_extension,
@@ -28,7 +27,7 @@ from symcret import (
     replay_witness,
 )
 
-from conftest import induced_abstraction
+from conftest import compose, induced_abstraction
 from test_oracle import reference_all_controllers
 from test_relations import reference_check, reference_mcr_extension
 

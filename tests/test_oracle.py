@@ -24,7 +24,6 @@ from symcret import (
     check_mcr,
     controller_count,
     count_dynamic_runs,
-    enumerate_controllers,
     maximal_interface,
     mcr_extension,
     memoryless_controller,
@@ -33,12 +32,14 @@ from symcret import (
 from symcret import jsonio
 from symcret.cli import fig5_bundle
 from symcret.core import ContractError, DomainError, SymcretError
-from symcret.fixtures import ALPHA, GAMMA
 from symcret.relations import RelationCheckError, StrictnessError, _validate_triplet
 
 from conftest import (
+    ALPHA,
+    GAMMA,
     chain,
     cycle_product,
+    enumerate_controllers,
     induced_abstraction,
     outcome,
     overlapping_line,

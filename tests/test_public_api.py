@@ -1,15 +1,16 @@
 """The names ``symcret`` exports.  Adding an export, or bringing back a
 removed one, changes this list, so the change shows in the diff."""
 import types
+from importlib.util import find_spec
 
 import symcret
-from symcret import jsonio, oracle
+from symcret import jsonio, oracle, relations, synthesis
 
 PUBLIC = [
     "AbstractInput", "AffineMap", "AllControllersVerdict", "BrokenCertificateError",
     "BudgetExceededError", "CellCover", "ContractError", "Controller",
     "ControllerUndefinedError", "DomainError", "DynamicConcretizer",
-    "DynamicConcretizerState", "ExtendedRelation", "Fig5",
+    "DynamicConcretizerState", "ExtendedRelation",
     "Fig8Case", "Fig8Report", "FiniteTransitionSystem", "Interface", "IntervalCell",
     "OutOfDomainError", "PropertyVerdict", "PropertyWitness", "ReachAvoidSpec",
     "Relation", "RelationCheckError", "RelationKind", "RelationVerdict",
@@ -18,15 +19,15 @@ PUBLIC = [
     "check_controlled_simulability", "check_frr", "check_mcr",
     "check_memoryless_concretization",
     "check_memoryless_concretization_all_controllers", "check_relation", "check_spec",
-    "closed_loop_run", "compose", "controller_count",
-    "count_dynamic_runs", "enumerate_controllers",
-    "extended_relation", "fig5", "fig8_affine_inputs", "fig8_constant_inputs",
+    "closed_loop_run", "controller_count",
+    "count_dynamic_runs",
+    "extended_relation", "fig8_affine_inputs", "fig8_constant_inputs",
     "fig8_cover", "fig8_target_spec", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
     "prove_frr_infeasible_fig8", "quantize",
     "replay_memoryless_witness", "replay_witness", "scripted",
     "synthesize_reach_avoid", "translate_spec", "validate_interface",
-    "verify_asr_interval", "verify_fig5_consistency", "verify_mcr_interval",
+    "verify_asr_interval", "verify_mcr_interval",
     "winning_region",
 ]
 
@@ -51,3 +52,7 @@ def test_test_only_methods_stay_out():
     assert not hasattr(jsonio, "trajectory_from_obj")
     for name in ("run_crosscheck", "random_system", "induced_abstraction"):
         assert not hasattr(oracle, name)
+    assert not hasattr(relations, "compose")
+    assert not hasattr(synthesis, "enumerate_controllers")
+    # The fig5 scenario is defined by its packaged bundle alone.
+    assert find_spec("symcret.fixtures") is None

@@ -24,7 +24,6 @@ from symcret import (
     check_frr,
     check_mcr,
     check_relation,
-    compose,
     extended_relation,
     maximal_interface,
     mcr_extension,
@@ -34,10 +33,13 @@ from symcret import (
 )
 import symcret
 from symcret import relations
-from symcret.fixtures import ALPHA, BETA, GAMMA
 
 from conftest import (
+    ALPHA,
+    BETA,
+    GAMMA,
     availability_quotient,
+    compose,
     induced_abstraction,
     overlapping_line,
     random_strict_relation,
@@ -572,7 +574,9 @@ class TestInterfaces:
 
 class TestExtension:
     def test_fig5_extension_exact(self, fx):
-        extended = fx.s2_extended
+        # The bundle states the extension; it must be the one derived.
+        extended = mcr_extension(fx.s1, fx.s2, fx.relation)
+        assert extended == fx.s2_extended
         assert extended.successors("a", ALPHA) == frozenset({"b", "c"})
         unchanged = [key for key in fx.s2.trans if key != ("a", ALPHA)]
         assert all(extended.trans[key] == fx.s2.trans[key] for key in unchanged)

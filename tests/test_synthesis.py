@@ -9,14 +9,21 @@ from symcret import (
     ReachAvoidSpec,
     check_spec,
     controller_count,
-    enumerate_controllers,
     is_sub_controller,
     synthesize_reach_avoid,
     winning_region,
 )
-from symcret.fixtures import ALPHA, BETA
 
-from conftest import chain, controlled_system, outcome, random_system, seeded_rng
+from conftest import (
+    ALPHA,
+    BETA,
+    chain,
+    controlled_system,
+    enumerate_controllers,
+    outcome,
+    random_system,
+    seeded_rng,
+)
 
 
 def brute_force_predecessor(sys, safe, target):
