@@ -64,11 +64,14 @@ class FiniteTransitionSystem:
     ``trans`` is normalised to a total map: rows missing at construction are
     filled in as empty (input unavailable).  One pass over ``trans`` checks
     each name once against the sorted carrier and keeps the carrier's own
-    object: one object per name.  ``available_inputs`` keeps one tuple per
-    distinct set; the values are immutable, so callers cannot tell.  Blocking
-    systems (some state with no available input) can be represented, so that
-    predicates about them can be evaluated; loaders reject them where
-    required.
+    object: one object per name.  The same pass keeps one frozenset per
+    distinct successor set, the first met, and ``available_inputs`` one tuple
+    per distinct set; the values are immutable, so callers cannot tell.  A
+    shared row may iterate in another order than the set it was built from,
+    so the library sorts a row, or takes its least member, wherever the order
+    could reach a result.  Blocking systems (some state with no available
+    input) can be represented, so that predicates about them can be
+    evaluated; loaders reject them where required.
     """
 
     states: tuple[str, ...]
@@ -78,12 +81,13 @@ class FiniteTransitionSystem:
     def __post_init__(self) -> None:
         names = {x: x for x in sorted(dict.fromkeys(self.states))}
         labels = {u: u for u in sorted(dict.fromkeys(self.inputs))}
-        name = names.__getitem__
+        name, pool = names.__getitem__, {}
         table: dict[tuple[str, str], frozenset[str]] = {}
         for (x, u), succ in self.trans.items():
             try:
                 key = names[x], labels[u]
-                table[key] = frozenset(map(name, succ))
+                row = frozenset(map(name, succ))
+                table[key] = pool.setdefault(row, row)
             except KeyError:
                 if x not in names:
                     raise DomainError(f"transition key uses unknown state {x!r}") from None

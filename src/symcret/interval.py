@@ -313,21 +313,23 @@ def build_abstraction(
 
     Each row is keyed by ``_rows`` and quantized from its keys: O(r log n + v)
     for r rows over n cells, where v counts the cells visited.  The table is
-    sealed unchecked, from the cover's and the laws' own names.  Availability
-    for a cell the cover lacks is a DomainError naming the least such cell.
-    An image that leaves the hull, or that lies in a gap between cells and so
-    would leave its input unavailable, is an OutOfDomainError naming the row.
+    sealed unchecked, from the cover's and the laws' own names, with one
+    object per distinct row.  Availability for a cell the cover lacks is a
+    DomainError naming the least such cell.  An image that leaves the hull,
+    or that lies in a gap between cells and so would leave its input
+    unavailable, is an OutOfDomainError naming the row.
     """
     if unknown := set(availability).difference(cover.names):
         raise DomainError(f"availability names unknown cell {min(unknown)!r}")
     trans: dict[tuple[str, str], frozenset[str]] = {}
+    pool: dict[frozenset[str], frozenset[str]] = {}
     for name, input_name, lo_key, hi_key in _rows(
         cover, inputs, lambda name: sorted(set(availability.get(name, ())))
     ):
         found = _quantize_keys(cover, lo_key, hi_key)
         if not found:
             raise _row_error(cover, inputs, name, input_name, found)
-        trans[name, input_name] = found
+        trans[name, input_name] = pool.setdefault(found, found)
     labels = tuple(sorted(dict.fromkeys(ai.name for ai in inputs)))
     return FiniteTransitionSystem._trusted(tuple(sorted(cover.names)), labels, trans)
 

@@ -149,9 +149,10 @@ def system_to_obj(sys: FiniteTransitionSystem) -> dict[str, Any]:
 
 @_decoder("system")
 def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
-    """One pass maps each name to the carrier's own object.  Past an unknown name or with a
-    malformed carrier, it checks only the rows' format, and the constructor names the fault."""
-    rows, table, trusted = obj["trans"].items(), {}, True
+    """One pass maps each name to the carrier's own object and each distinct row to one
+    frozenset.  Past an unknown name or with a malformed carrier, it checks only the rows'
+    format, and the constructor names the fault."""
+    rows, table, pool, trusted = obj["trans"].items(), {}, {}, True
     try:
         names = {x: x for x in sorted(dict.fromkeys(_names(obj["states"])))}
         labels = {u: u for u in sorted(dict.fromkeys(_names(obj["inputs"])))}
@@ -164,7 +165,8 @@ def system_from_obj(obj: Mapping[str, Any]) -> FiniteTransitionSystem:
             raise FormatError(f"transition key {key!r} lacks the {KEY_SEP!r} separator")
         if trusted and isinstance(succ, list):
             try:
-                table[names[x], labels[u]] = frozenset(map(name, succ))
+                row = frozenset(map(name, succ))
+                table[names[x], labels[u]] = pool.setdefault(row, row)
                 continue
             except (KeyError, TypeError):
                 trusted = False

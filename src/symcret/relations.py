@@ -439,7 +439,7 @@ def mcr_extension(
     (the same available inputs, each original row inside its row).
     Cost: one ASR walk, then an O(T * d) check of the kept images for the T
     triples of d successors, no MCR walk; the rows are frozen with no name looked
-    up again.  Collector paused, as the table holds no cycles.
+    up again, one object per distinct row.  Collector paused, as the table holds no cycles.
     """
     _validate_triplet(s1, s2, rel)
     if not rel.is_strict():
@@ -457,7 +457,8 @@ def mcr_extension(
     # Unchecked, the grown rows must hold S2's own names, as rel's codomain usually does.
     own = all(a is b for a, b in zip(rel.codomain, s2.states))
     build = FiniteTransitionSystem._trusted if own else FiniteTransitionSystem
-    extended = build(s2.states, s2.inputs, {key: frozenset(row) for key, row in table.items()})
+    frozen = dict(zip(table, _share(map(frozenset, table.values()))))
+    extended = build(s2.states, s2.inputs, frozen)
     trans = extended.trans
     if not all(image <= trans[key] for key, certificate in kept.items()
                for images in certificate for image in images):

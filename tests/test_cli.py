@@ -88,10 +88,6 @@ class TestRoundTrips:
         for obj, reload in cases:
             assert jsonio.dumps(reload(obj)) == jsonio.dumps(obj)
 
-    def test_bundle_round_trip(self):
-        obj = jsonio.bundle_to_obj(fig5_bundle())
-        assert jsonio.dumps(jsonio.bundle_to_obj(jsonio.bundle_from_obj(obj))) == jsonio.dumps(obj)
-
     def test_cover_round_trip(self):
         from symcret import fig8_affine_inputs, fig8_cover
         from symcret.interval import FIG8_AVAILABILITY
