@@ -81,7 +81,8 @@ class FiniteTransitionSystem:
     def __post_init__(self) -> None:
         names = {x: x for x in sorted(dict.fromkeys(self.states))}
         labels = {u: u for u in sorted(dict.fromkeys(self.inputs))}
-        name, pool = names.__getitem__, {}
+        name, empty = names.__getitem__, frozenset()
+        pool = {empty: empty}
         table: dict[tuple[str, str], frozenset[str]] = {}
         for (x, u), succ in self.trans.items():
             try:
@@ -95,17 +96,20 @@ class FiniteTransitionSystem:
                     raise DomainError(f"transition key uses unknown input {u!r}") from None
                 stray = sorted(frozenset(succ).difference(names))
                 raise DomainError(f"successors {stray!r} of ({x!r}, {u!r}) are not states") from None
-        self._seal(tuple(names), tuple(labels), table)
+        self._seal(tuple(names), tuple(labels), table, empty)
 
     @classmethod
-    def _trusted(cls, states: tuple, inputs: tuple, table: dict) -> "FiniteTransitionSystem":
+    def _trusted(cls, states: tuple, inputs: tuple, table: dict,
+                 empty: frozenset) -> "FiniteTransitionSystem":
         """The system of a builder's ``table``, unchecked: ``states`` and ``inputs`` sorted and
-        distinct, the table keyed and filled with their own objects, in frozensets."""
-        return object.__new__(cls)._seal(states, inputs, table)
+        distinct, the table keyed and filled with their own objects, in frozensets, and the
+        missing rows filled with ``empty``, the builder's pooled empty row if it has one."""
+        return object.__new__(cls)._seal(states, inputs, table, empty)
 
-    def _seal(self, states: tuple, inputs: tuple, table: dict) -> "FiniteTransitionSystem":
+    def _seal(self, states: tuple, inputs: tuple, table: dict,
+              empty: frozenset) -> "FiniteTransitionSystem":
         # The missing rows are filled in as empty while availability is read.
-        fill, empty = table.setdefault, frozenset()
+        fill = table.setdefault
         avail = _share(tuple([u for u in inputs if fill((x, u), empty)]) for x in states)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "inputs", inputs)

@@ -265,7 +265,7 @@ def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
     image of every row, cells in cover order, inputs in ``available`` order,
     names the cover's and the first law's own objects (the last law rules).
     Each law's (A, B, D) becomes (A, B·d, D, sign of A) (module docstring),
-    and an image cut is ``_key(A·k + B·d, D, side · sign)``: O(1) per row."""
+    and an image cut is ``_key(A·k + B·d, D, side · sign)``, inlined: O(1) per row."""
     d = cover._scale
     forms = {ai.name: ai.law._form for ai in inputs}
     laws = {u: (u, a, b * d, den, (a > 0) - (a < 0)) for u, (a, b, den) in forms.items()}
@@ -275,7 +275,9 @@ def _rows(cover: CellCover, inputs: Sequence[AbstractInput],
                 u, a, b, den, sign = laws[input_name]
             except KeyError:
                 raise DomainError(f"unknown abstract input {input_name!r}") from None
-            lo, hi = _key(a * k_lo + b, den, s_lo * sign), _key(a * k_hi + b, den, s_hi * sign)
+            (lo, lo_rest), (hi, hi_rest) = divmod(a * k_lo + b, den), divmod(a * k_hi + b, den)
+            lo = 2 * lo + 1 if lo_rest else 2 * lo + s_lo * sign
+            hi = 2 * hi + 1 if hi_rest else 2 * hi + s_hi * sign
             yield (name, u, lo, hi) if a >= 0 else (name, u, hi, lo)
 
 
@@ -331,7 +333,7 @@ def build_abstraction(
             raise _row_error(cover, inputs, name, input_name, found)
         trans[name, input_name] = pool.setdefault(found, found)
     labels = tuple(sorted(dict.fromkeys(ai.name for ai in inputs)))
-    return FiniteTransitionSystem._trusted(tuple(sorted(cover.names)), labels, trans)
+    return FiniteTransitionSystem._trusted(tuple(sorted(cover.names)), labels, trans, frozenset())
 
 
 def verify_mcr_interval(

@@ -456,9 +456,10 @@ def mcr_extension(
         kept.setdefault((x2, u2), []).append(post[us[0]])
     # Unchecked, the grown rows must hold S2's own names, as rel's codomain usually does.
     own = all(a is b for a, b in zip(rel.codomain, s2.states))
-    build = FiniteTransitionSystem._trusted if own else FiniteTransitionSystem
     frozen = dict(zip(table, _share(map(frozenset, table.values()))))
-    extended = build(s2.states, s2.inputs, frozen)
+    # The table holds every row of S2, so no row is filled in as empty.
+    extended = (FiniteTransitionSystem._trusted(s2.states, s2.inputs, frozen, frozenset()) if own
+                else FiniteTransitionSystem(s2.states, s2.inputs, frozen))
     trans = extended.trans
     if not all(image <= trans[key] for key, certificate in kept.items()
                for images in certificate for image in images):

@@ -2,21 +2,27 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
 
 from symcret import (
+    AbstractInput,
+    AffineMap,
     BrokenCertificateError,
+    CellCover,
     ContractError,
     Controller,
     DomainError,
     FiniteTransitionSystem,
+    IntervalCell,
     ReachAvoidSpec,
     Relation,
     SymcretError,
     Trajectory,
+    jsonio,
 )
 from symcret.cli import fig5_bundle
 
@@ -271,6 +277,27 @@ def overlapping_line(n_cells, seed):
                 row.discard(c)
         rows[(q, u)] = row
     return s1, FiniteTransitionSystem(induced.states, induced.inputs, rows), rel
+
+
+def grid_cover_document(k=100, width=Fraction(3, 7)):
+    """The 2k+1-cell grid of the benchmark, with its four laws and the
+    availability of each cell: a cover document of dicts of strings and
+    booleans."""
+    cells = [("z", IntervalCell.point(0))]
+    availability = {"z": ["halve"]}
+    for i in range(1, k + 1):
+        neg, pos = f"n{i:04d}", f"p{i:04d}"
+        cells.append((neg, IntervalCell(-i * width, -(i - 1) * width, True, False)))
+        cells.append((pos, IntervalCell((i - 1) * width, i * width, False, True)))
+        availability[neg] = ["halve", "right"] + (["zero"] if i == 1 else [])
+        availability[pos] = ["halve", "left"] + (["zero"] if i == 1 else [])
+    laws = (
+        AbstractInput("halve", AffineMap(Fraction(-1, 2), 0)),
+        AbstractInput("left", AffineMap(0, -width)),
+        AbstractInput("right", AffineMap(0, width)),
+        AbstractInput("zero", AffineMap(-1, 0)),
+    )
+    return jsonio.cover_to_obj(CellCover(cells), laws, availability)
 
 
 def outcome(fn, *args, **kwargs):

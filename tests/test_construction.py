@@ -305,7 +305,17 @@ def line_case():
     return s1, s2, rel, ReachAvoidSpec(frozenset(), frozenset(s1.states[:50]), frozenset())
 
 
-@pytest.mark.parametrize("case", [fig5_case, line_case], ids=["fig5", "line"])
+def empty_rows_case():
+    """Systems given one row as an empty set and another left out, which is
+    filled in as empty."""
+    s1 = FiniteTransitionSystem(("a",), ("u", "v", "w"), {("a", "u"): {"a"}, ("a", "v"): set()})
+    s2 = FiniteTransitionSystem(("q",), ("u", "v", "w"), {("q", "u"): {"q"}, ("q", "w"): set()})
+    rel = Relation(s1.states, s2.states, [("a", "q")])
+    return s1, s2, rel, ReachAvoidSpec(frozenset({"a"}), frozenset({"a"}), frozenset())
+
+
+@pytest.mark.parametrize("case", [fig5_case, line_case, empty_rows_case],
+                         ids=["fig5", "line", "empty-rows"])
 @pytest.mark.parametrize("load", [lambda *built: built, decoded], ids=["built", "decoded"])
 def test_tables_keep_one_object_per_distinct_value(case, load):
     tables = shared_tables(*load(*case()))
@@ -318,6 +328,14 @@ def test_tables_keep_one_object_per_distinct_value(case, load):
         # Neighbouring states move alike: 2,885 objects for S1's 4,500 rows, 442 for S2's 900.
         for name in ("S1 rows", "S2 rows", "extension rows"):
             assert len({id(value) for value in tables[name]}) < len(tables[name]), name
+
+
+def test_a_decoded_empty_row_is_the_filled_one():
+    # The encoder omits empty rows; a document may still spell one out.
+    sys = jsonio.system_from_obj(jsonio.tagged("system", {
+        "states": ["a"], "inputs": ["u", "v", "w"], "trans": {"a|u": ["a"], "a|v": []},
+    }))
+    assert sys.trans["a", "v"] is sys.trans["a", "w"]
 
 
 def test_built_abstraction_keeps_one_object_per_distinct_row():
@@ -386,7 +404,8 @@ def frozen_apart(states, inputs, rows):
     iterator as the constructor freezes it, so that only pooling can change
     a row's order."""
     table = {key: frozenset(iter(row)) for key, row in rows.items()}
-    return FiniteTransitionSystem._trusted(tuple(sorted(states)), tuple(sorted(inputs)), table)
+    return FiniteTransitionSystem._trusted(tuple(sorted(states)), tuple(sorted(inputs)), table,
+                                           frozenset())
 
 
 def ordered(ctrl):

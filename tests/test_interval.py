@@ -36,10 +36,10 @@ from symcret import (
     verify_asr_interval,
     verify_mcr_interval,
 )
-from symcret import jsonio
+from symcret import interval, jsonio
 from symcret.interval import FIG8_AVAILABILITY
 
-from conftest import fresh, json_nodes, mutate, outcome
+from conftest import fresh, grid_cover_document, json_nodes, mutate, outcome
 
 L = Fraction(1)
 NEGATIVES = IntervalCell(-L, Fraction(0), True, False)
@@ -521,6 +521,24 @@ class TestIntegerRowsAgainstFractions:
         assert got == reference_verify(TABLE_COVER, full, TABLE_INPUTS)
         assert got[0][0] is OutOfDomainError and got[1] is False
 
+    @settings(max_examples=200, deadline=None)
+    @given(cover=covers(), laws=LAWS)
+    def test_inline_row_keys_are_the_image_cuts_keys(self, cover, laws):
+        # Gains from -2 to 1: slopes A < 0 swap the cuts and flip their
+        # sides, and A = 0 (gain -1) is the closed point of the offset.
+        inputs = tuple(AbstractInput(f"k{j}", AffineMap(gain, offset))
+                       for j, (gain, offset) in enumerate(laws))
+        cells, names, d = dict(cover.cells), [ai.name for ai in inputs], cover._scale
+        for name, u, lo_key, hi_key in interval._rows(cover, inputs, lambda name: names):
+            law = inputs[names.index(u)].law
+            image = affine_image(cells[name], law)
+            assert (lo_key, hi_key) == (
+                interval._key(image.lo.numerator * d, image.lo.denominator,
+                              0 if image.lo_closed else 1),
+                interval._key(image.hi.numerator * d, image.hi.denominator,
+                              0 if image.hi_closed else -1),
+            )
+
     def test_asr_sees_one_missing_point(self):
         # The cover misses only the origin, and the image of the negatives
         # spans it: the successors' keys leave out exactly one key.
@@ -734,6 +752,15 @@ def same_decoding(doc):
 
 
 SMALL_COVER_DOC = jsonio.cover_to_obj(fig8_cover(L), fig8_affine_inputs(), FIG8_AVAILABILITY)
+GRID_COVER_DOC = grid_cover_document()
+
+
+def cell_by_cell_decoding(monkeypatch, doc):
+    """What ``cover_from_obj`` makes of ``doc`` when it reads every cell with
+    ``_cell_row``: its result, or the type and message of its error."""
+    with monkeypatch.context() as patch:
+        patch.setattr(jsonio, "_bulk_rows", lambda cells: None)
+        return outcome(jsonio.cover_from_obj, doc)
 
 
 SPELLINGS = st.sampled_from(
@@ -835,6 +862,60 @@ class TestCoverDecoding:
     @given(doc=mutated_covers())
     def test_mutated_cover_fails_like_the_reference(self, doc):
         same_decoding(doc)
+
+    @pytest.mark.parametrize("doc", [SMALL_COVER_DOC, GRID_COVER_DOC], ids=["fig8", "grid"])
+    def test_a_valid_cover_is_read_in_bulk(self, doc, monkeypatch):
+        cell_by_cell = cell_by_cell_decoding(monkeypatch, doc)
+
+        def no_cell_row(obj):
+            raise AssertionError("the cover left the bulk path")
+
+        monkeypatch.setattr(jsonio, "_cell_row", no_cell_row)
+        cover, inputs, availability = jsonio.cover_from_obj(doc)
+        assert (cover, inputs, availability) == cell_by_cell
+        for attr in ("names", "_scale", "_int_cuts", "_los", "_his", "_max_hi"):
+            assert getattr(cover, attr) == getattr(cell_by_cell[0], attr), attr
+        assert hash(cover) == hash(cell_by_cell[0])
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda cells: cells.__setitem__(1, ["q2"]), id="cell-not-a-dict"),
+        pytest.param(lambda cells: cells.clear(), id="no-cells"),
+        pytest.param(lambda cells: cells[1].__setitem__("hi", "0/0"), id="zero-over-zero"),
+        pytest.param(lambda cells: cells[2].__setitem__("lo", "1" * 5000 + "/1"),
+                     id="too-many-digits"),
+        pytest.param(lambda cells: cells[1].__setitem__("lo", "1/2\n3/4"), id="newline"),
+        pytest.param(lambda cells: cells[1].__setitem__("lo", "1/2,3/4"), id="comma"),
+        pytest.param(lambda cells: cells[0].__setitem__("state", 1), id="int-name"),
+        pytest.param(lambda cells: cells[2].__setitem__("hi_closed", 1), id="int-flag"),
+        pytest.param(lambda cells: cells[0].pop("lo"), id="missing-field"),
+    ])
+    def test_a_malformed_cover_fails_as_read_cell_by_cell(self, edit, monkeypatch):
+        doc = copy.deepcopy(SMALL_COVER_DOC)
+        edit(doc["cells"])
+        assert jsonio._bulk_rows(doc["cells"]) is None
+        got = outcome(jsonio.cover_from_obj, doc)
+        assert is_error(got) and got == cell_by_cell_decoding(monkeypatch, doc)
+
+    def test_a_name_of_a_str_subclass_decodes_to_an_equal_cover(self):
+        class Name(str):
+            pass
+
+        doc = copy.deepcopy(SMALL_COVER_DOC)
+        doc["cells"][1]["state"] = Name(doc["cells"][1]["state"])
+        cover, _, _ = jsonio.cover_from_obj(doc)
+        assert cover == jsonio.cover_from_obj(SMALL_COVER_DOC)[0]
+        assert hash(cover) == hash(jsonio.cover_from_obj(SMALL_COVER_DOC)[0])
+
+    @pytest.mark.parametrize("names, detail", [
+        (["halve", 3], 'expected an array of names, got ["halve", 3]'),
+        ("halve", 'expected an array of names, got "halve"'),
+    ])
+    def test_availability_fails_as_read_name_by_name(self, names, detail):
+        doc = copy.deepcopy(GRID_COVER_DOC)
+        assert same_decoding(doc) is None
+        doc["availability"]["p0007"] = names
+        message = f"malformed cover document (TypeError: {detail})"
+        assert same_decoding(doc) == (jsonio.FormatError, message)
 
 
 class TestQuantize:

@@ -8,23 +8,22 @@ import json
 import math
 import random
 from enum import IntEnum
+from pathlib import Path
 from unittest import mock
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symcret import (
-    AbstractInput, AffineMap, CellCover, FiniteTransitionSystem, IntervalCell, ReachAvoidSpec,
-    mcr_extension, synthesize_reach_avoid,
+    FiniteTransitionSystem, ReachAvoidSpec, mcr_extension, synthesize_reach_avoid,
 )
 from symcret.core import SymcretError
 from symcret import jsonio
 from symcret.cli import fig5_bundle, main
 from symcret.jsonio import ProjectBundle
 
-from conftest import overlapping_line
+from conftest import grid_cover_document, overlapping_line
 
 
 def reference(obj):
@@ -160,27 +159,6 @@ def test_a_generated_line_plant_bundle_is_byte_equal():
 
 def no_stdlib(*args, **kwargs):
     raise AssertionError("the document left the writer's fast path")
-
-
-def grid_cover_document(k=100, width=Fraction(3, 7)):
-    """The 2k+1-cell grid of the benchmark, with its four laws and the
-    availability of each cell: a cover document of dicts of strings and
-    booleans."""
-    cells = [("z", IntervalCell.point(0))]
-    availability = {"z": ["halve"]}
-    for i in range(1, k + 1):
-        neg, pos = f"n{i:04d}", f"p{i:04d}"
-        cells.append((neg, IntervalCell(-i * width, -(i - 1) * width, True, False)))
-        cells.append((pos, IntervalCell((i - 1) * width, i * width, False, True)))
-        availability[neg] = ["halve", "right"] + (["zero"] if i == 1 else [])
-        availability[pos] = ["halve", "left"] + (["zero"] if i == 1 else [])
-    laws = (
-        AbstractInput("halve", AffineMap(Fraction(-1, 2), 0)),
-        AbstractInput("left", AffineMap(0, -width)),
-        AbstractInput("right", AffineMap(0, width)),
-        AbstractInput("zero", AffineMap(-1, 0)),
-    )
-    return jsonio.cover_to_obj(CellCover(cells), laws, availability)
 
 
 def spy_on_stdlib(monkeypatch):
@@ -330,3 +308,25 @@ def test_a_bar_is_refused_only_in_a_row():
                                   {("b", "u|"): ["b"], ("a|", "v"): ["b"]})
     with pytest.raises(jsonio.FormatError, match=r"^identifier 'a\|' may not contain '\|'$"):
         jsonio.system_to_obj(both)
+
+
+class TestLoad:
+    """``load`` reads UTF-8 with universal newlines, from a ``str`` or a
+    ``Path``; a missing file is the ``OSError`` of ``open``."""
+
+    DOC = {"format": "symcret/1", "kind": "spec", "target": ["β", "a"]}
+
+    @pytest.mark.parametrize("as_path", [str, Path], ids=["str", "Path"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_a_document_reads_back(self, tmp_path, as_path, newline):
+        path = tmp_path / "doc.json"
+        path.write_bytes(jsonio.dumps(self.DOC).replace("\n", newline).encode("utf-8"))
+        assert jsonio.load(as_path(path)) == self.DOC
+
+    @pytest.mark.parametrize("as_path, named", [(str, "no//pe.json"), (Path, "no/pe.json")],
+                             ids=["str", "Path"])
+    def test_a_missing_file_is_named_as_given(self, tmp_path, monkeypatch, as_path, named):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError) as err:
+            jsonio.load(as_path("no//pe.json"))
+        assert str(err.value) == f"[Errno 2] No such file or directory: {named!r}"

@@ -596,12 +596,12 @@ class TestExtension:
         # (a, α) grows by c; γ is unavailable at a in S2.
         trusted = FiniteTransitionSystem._trusted
 
-        def faulty(states, inputs, table):
+        def faulty(states, inputs, table, empty):
             if fault == "drop a grown successor":
                 table = {**table, ("a", ALPHA): table[("a", ALPHA)] - {"c"}}
             else:
                 table = {**table, ("a", GAMMA): frozenset({"a"})}
-            return trusted(states, inputs, table)
+            return trusted(states, inputs, table, empty)
 
         assert fx.s2_extended.successors("a", ALPHA) - fx.s2.successors("a", ALPHA) == {"c"}
         assert GAMMA not in fx.s2.available_inputs("a")

@@ -16,10 +16,19 @@ changed.
 The result holds, per workload and end-to-end metric of ``BENCHMARK.json``:
 both medians, their ratio, the first and third quartiles
 (``statistics.quantiles(runs, n=4, method='inclusive')``), the number of
-pairs the change won in the metric's better direction, and every run; with
-the seeds, the operation counts, the Python version and the machine.  It is
-rewritten after every pair from the second on, so a stopped run keeps the
-pairs it finished.  Standard library only.
+pairs the change won in the metric's better direction, every run and a
+verdict; with the seeds, the operation counts, the Python version and the
+machine.  It is rewritten after every pair from the second on, so a stopped
+run keeps the pairs it finished.  Standard library only.
+
+Verdicts.  The claimed metric is ``met`` when the change wins at least nine
+tenths of the pairs, ties counting for neither, and its median is better
+than the parent's by more than the parent's interquartile range; else ``not
+met``.  Every other metric is ``unresolved`` when the parent's interquartile
+range is wider than the metric's bound (a fraction of the parent's median),
+unless every run of the change is better than every run of the parent; else
+``worse than bound`` when the change's median is worse than the parent's by
+more than the bound, and ``within bound`` otherwise.
 """
 from __future__ import annotations
 
@@ -69,11 +78,28 @@ def quartiles(runs: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
-def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
+def verdict(metric: dict, summary: dict, claimed: bool) -> str:
+    """The verdict on one metric's ``summary`` (module docstring)."""
+    higher = metric["better"] == "higher"
+    parent, change = summary["parent_runs"], summary["change_runs"]
+    first, third = summary["parent_quartiles"]
+    median = summary["parent_median"]
+    gain = summary["change_median"] - median if higher else median - summary["change_median"]
+    if claimed:
+        won = 10 * summary["change_better_pairs"] >= 9 * len(parent)
+        return "met" if won and gain > third - first else "not met"
+    better_throughout = min(change) > max(parent) if higher else max(change) < min(parent)
+    if third - first > metric["bound"] * median and not better_throughout:
+        return "unresolved"
+    return "within bound" if -gain <= metric["bound"] * median else "worse than bound"
+
+
+def summarize(metric: dict, parent: list[float], change: list[float],
+              claimed: bool = False) -> dict:
     higher = metric["better"] == "higher"
     wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     parent_median, change_median = statistics.median(parent), statistics.median(change)
-    return {
+    summary = {
         "parent_median": parent_median,
         "change_median": change_median,
         "change_over_parent": round(change_median / parent_median, 4),
@@ -83,6 +109,8 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
         "parent_runs": parent,
         "change_runs": change,
     }
+    summary["verdict"] = verdict(metric, summary, claimed)
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -109,10 +137,10 @@ def main(argv: list[str] | None = None) -> int:
         "quartiles": "statistics.quantiles(runs, n=4, method='inclusive'), first and third",
         "workloads": {},
     }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        better = next(m["better"] for m in metrics if m["name"] == metric)
-        result["claim"] = {"workload": workload, "metric": metric, "better": better}
+    claim = tuple(args.claim.split(":")) if args.claim else None
+    if claim:
+        better = next(m["better"] for m in metrics if m["name"] == claim[1])
+        result["claim"] = {"workload": claim[0], "metric": claim[1], "better": better}
     for place, workload in enumerate(workloads, start=1):
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         seeds: list[int] = []
@@ -141,7 +169,8 @@ def main(argv: list[str] | None = None) -> int:
                 "metrics": {
                     m["name"]: summarize(
                         m, *([r["metrics"][m["name"]]["value"] for r in runs[side]]
-                             for side in ("parent", "change")))
+                             for side in ("parent", "change")),
+                        claimed=claim == (workload, m["name"]))
                     for m in metrics
                 },
             }
