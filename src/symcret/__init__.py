@@ -63,16 +63,10 @@ from .interval import (
     AbstractInput,
     AffineMap,
     CellCover,
-    Fig8Case,
-    Fig8Report,
     IntervalCell,
     OutOfDomainError,
     build_abstraction,
-    fig8_affine_inputs,
-    fig8_constant_inputs,
-    fig8_cover,
-    fig8_target_spec,
-    prove_frr_infeasible_fig8,
+    constant_shift_abstraction,
     quantize,
     verify_asr_interval,
     verify_mcr_interval,

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -24,7 +25,15 @@ from .concretize import (
     memoryless_controller,
 )
 from .core import FiniteTransitionSystem, SymcretError
-from .interval import prove_frr_infeasible_fig8
+from .interval import (
+    FIG8_AVAILABILITY,
+    build_abstraction,
+    constant_shift_abstraction,
+    fig8_affine_inputs,
+    fig8_cover,
+    fig8_target_spec,
+    verify_mcr_interval,
+)
 from .jsonio import FormatError, ProjectBundle
 from .oracle import (
     check_controlled_simulability,
@@ -400,49 +409,59 @@ def cmd_demo_fig5(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_fig8(args: argparse.Namespace) -> int:
-    bound = jsonio.fraction_from_str(args.bound)
-    report = prove_frr_infeasible_fig8(bound)
-    expected = {
-        "0 < c < L": frozenset({"q1", "q2", "q3"}),
-        "c = L": frozenset({"q2", "q3"}),
-        "c = 0": frozenset({"q1"}),
-    }
+    """Every constant shift, read off one abstraction, leaves the reach-the-origin
+    goal unsolvable; affine in-cell feedback solves it in one step."""
+    size = jsonio.fraction_from_str(args.bound)
+    cover = fig8_cover(size)
+    spec = fig8_target_spec(cover)
+    shifts = constant_shift_abstraction(cover)
+    solvable = synthesize_reach_avoid(shifts, spec) is not None
     rows: list[tuple[str, bool, str]] = []
-    for case in report.constant_cases:
-        ok = case.q1_successors == expected[case.label] and not case.solvable
-        rows.append((
-            f"constant-case {case.label}",
-            ok,
-            f"shift {case.shift}: q1 -> {{{', '.join(sorted(case.q1_successors))}}}, unsolvable",
-        ))
+    cases = []
+    # Each case reports the solvability of the whole abstraction; the payload
+    # keeps its per-case field and its rationale so that it reads as before.
+    for label, shift, expected in (
+        ("0 < c < L", size / 2, ["q1", "q2", "q3"]),
+        ("c = L", size, ["q2", "q3"]),
+        ("c = 0", Fraction(0), ["q1"]),
+    ):
+        q1, q3 = (sorted(shifts.successors(x, jsonio.fraction_to_str(c)))
+                  for x, c in (("q1", shift), ("q3", -shift)))
+        rows.append((f"constant-case {label}", q1 == expected and not solvable,
+                     f"shift {shift}: q1 -> {{{', '.join(q1)}}}, unsolvable"))
+        cases.append({
+            "label": label,
+            "shift": jsonio.fraction_to_str(shift),
+            "q1_successors": q1,
+            "q3_successors": q3,
+            "solvable": solvable,
+        })
+    inputs = fig8_affine_inputs()
+    affine = build_abstraction(cover, inputs, FIG8_AVAILABILITY)
+    result = synthesize_reach_avoid(affine, spec)
+    ranks = dict(sorted(result.rank.items())) if result else {}
+    mcr_ok = verify_mcr_interval(cover, affine, inputs)
     rows.append(("affine-feedback", (
-        report.affine_solvable
-        and report.affine_deterministic
-        and report.affine_ranks.get("q1") == 1
-        and report.affine_ranks.get("q3") == 1
-        and report.affine_mcr_ok
+        result is not None
+        and affine.is_deterministic()
+        and ranks.get("q1") == 1
+        and ranks.get("q3") == 1
+        and mcr_ok
     ), "deterministic, solvable, both side cells one step from the origin"))
     extra = {
         "demo": "fig8",
         "report": {
-            "bound": jsonio.fraction_to_str(report.bound),
-            "cases": [
-                {
-                    "label": c.label,
-                    "shift": jsonio.fraction_to_str(c.shift),
-                    "q1_successors": sorted(c.q1_successors),
-                    "q3_successors": sorted(c.q3_successors),
-                    "solvable": c.solvable,
-                }
-                for c in report.constant_cases
-            ],
+            "bound": jsonio.fraction_to_str(size),
+            "cases": cases,
             "affine": {
-                "solvable": report.affine_solvable,
-                "deterministic": report.affine_deterministic,
-                "ranks": dict(sorted(report.affine_ranks.items())),
-                "memoryless_containment": report.affine_mcr_ok,
+                "solvable": result is not None,
+                "deterministic": affine.is_deterministic(),
+                "ranks": ranks,
+                "memoryless_containment": mcr_ok,
             },
-            "rationale": report.rationale,
+            "rationale": "constant shift c on the negative cell maps [-L, 0) to [c - L, c); "
+            "its quantization only depends on the comparisons of c with 0 and L, "
+            "so one exact representative per case decides the whole family",
         },
     }
     return _table(rows, args.json, extra)

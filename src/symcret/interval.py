@@ -23,6 +23,14 @@ A = 0 (gain -1) is the closed point c.  An affine map sends a cell onto
 exactly its image interval, so the memoryless containment condition over all
 points of a cell is one inclusion between quantizations: the checks below
 are exact without sampling.
+
+Feedback refinement applies one input to a whole cell, here a constant shift.
+``constant_shift_abstraction`` holds every such shift at once: one input per
+class of shifts that the cover's endpoints do not tell apart.  Reach-avoid
+synthesis on it decides whether any controller constant on each cell meets
+a goal.  The fig8 scenario at the end
+shows the gap between the two: no constant shift reaches the origin, while
+affine feedback does in one step.
 """
 from __future__ import annotations
 
@@ -34,7 +42,6 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import ContractError, DomainError, FiniteTransitionSystem, ReachAvoidSpec
-from .synthesis import synthesize_reach_avoid
 
 
 class OutOfDomainError(ContractError):
@@ -388,6 +395,51 @@ def verify_asr_interval(
     return True
 
 
+def constant_shift_abstraction(cover: CellCover) -> FiniteTransitionSystem:
+    """Abstraction of the plant x' = x + c over ``cover`` under every constant
+    shift c at once: the choices of a feedback refinement (FRR), which applies
+    one input on a whole cell.  A goal is reachable with an input constant on
+    each cell iff ``synthesize_reach_avoid`` solves it on this system.
+
+    The quantization of a cell [lo, hi] shifted by c changes only where c =
+    v - lo or c = v - hi for a cover endpoint v.  These critical values, and
+    the midpoint between each pair of neighbours, stand for every shift; each
+    is an input of the cell labelled by the shift as "p/q".  On integers over
+    2d, a shift m/(2d) moves a cut key by m, and an odd m lands both cuts in
+    the open gap between two multiples of 1/d.  A row is kept only when its
+    image lies in one connected piece of the cells' union, so that no point
+    leaves the cover: the pieces are merged once from the sorted keys, and a
+    row is checked with one bisection.  O(n) shifts per cell for n cells give
+    O(n^2) non-empty rows, each quantized from its keys in O(log n) plus the
+    cells it meets.  The labels are shared by all cells and the table is
+    dense over them: when the endpoint differences are distinct there are
+    O(n^2) labels, so O(n^3) entries, most of them empty.
+    """
+    d, cuts, los, max_hi = cover._scale, cover._int_cuts, cover._los, cover._max_hi
+    ends = {k for k_lo, _, k_hi, _ in cuts.values() for k in (k_lo, k_hi)}
+    breaks = [i for i in range(1, len(los)) if los[i] > max_hi[i - 1] + 1]
+    starts = [los[0], *(los[i] for i in breaks)]
+    stops = [*(max_hi[i - 1] for i in breaks), max_hi[-1]]
+    trans: dict[tuple[str, str], frozenset[str]] = {}
+    pool: dict[frozenset[str], frozenset[str]] = {}
+    labels: dict[int, str] = {}
+    for name, (k_lo, s_lo, k_hi, s_hi) in cuts.items():
+        crit = sorted({v - k for v in ends for k in (k_lo, k_hi)})
+        for m in [m for t, u in zip(crit, crit[1:]) for m in (2 * t, t + u)] + [2 * crit[-1]]:
+            odd = m & 1
+            lo_key = 2 * k_lo + m + (0 if odd else s_lo)
+            hi_key = 2 * k_hi + m + (0 if odd else s_hi)
+            piece = bisect_right(starts, lo_key) - 1
+            if piece >= 0 and hi_key <= stops[piece]:
+                found = _quantize_keys(cover, lo_key, hi_key)
+                if m not in labels:
+                    g = gcd(m, 2 * d)
+                    labels[m] = f"{m // g}/{2 * d // g}"
+                trans[name, labels[m]] = pool.setdefault(found, found)
+    return FiniteTransitionSystem._trusted(
+        tuple(sorted(cover.names)), tuple(sorted(labels.values())), trans, frozenset())
+
+
 # --------------------------------------------------------------------------
 # The bundled fig8 scenario: reach the origin on [-L, L].
 # --------------------------------------------------------------------------
@@ -418,81 +470,5 @@ def fig8_affine_inputs() -> tuple[AbstractInput, ...]:
     )
 
 
-def fig8_constant_inputs(shift: Rational) -> tuple[AbstractInput, ...]:
-    """Piecewise constant laws: move right by ``shift`` on the negatives,
-    stay at the origin, move left by ``shift`` on the positives."""
-    c = _frac(shift)
-    return (
-        AbstractInput("k1", AffineMap(Fraction(0), c)),
-        AbstractInput("k2", AffineMap(Fraction(0), Fraction(0))),
-        AbstractInput("k3", AffineMap(Fraction(0), -c)),
-    )
-
-
 def fig8_target_spec(cover: CellCover) -> ReachAvoidSpec:
     return ReachAvoidSpec(frozenset(cover.names), frozenset({"q2"}), frozenset())
-
-
-@dataclass(frozen=True)
-class Fig8Case:
-    """One representative constant-shift case in the infeasibility analysis."""
-
-    label: str
-    shift: Fraction
-    q1_successors: frozenset[str]
-    q3_successors: frozenset[str]
-    solvable: bool
-
-
-@dataclass(frozen=True)
-class Fig8Report:
-    bound: Fraction
-    constant_cases: tuple[Fig8Case, ...]
-    affine_solvable: bool
-    affine_deterministic: bool
-    affine_ranks: Mapping[str, int]
-    affine_mcr_ok: bool
-    rationale: str
-
-
-def prove_frr_infeasible_fig8(bound: Rational) -> Fig8Report:
-    """Case analysis showing that no piecewise constant input solves the
-    reach-the-origin problem on the three-cell cover, while the affine
-    feedback laws solve it in one step.
-
-    For a constant shift c applied on the negative cell, the image of
-    [-L, 0) is [c - L, c), and its quantization depends only on how c
-    compares with 0 and L.  That leaves three cases, each represented by one
-    exact rational value: 0 < c < L, c = L, and c = 0 (the positive cell is
-    symmetric).  Every case yields an abstraction whose side cells cannot be
-    forced into the origin cell, so synthesis fails; larger shifts leave the
-    segment and are inadmissible.
-    """
-    size = _frac(bound)
-    cover = fig8_cover(size)
-    spec = fig8_target_spec(cover)
-
-    cases = []
-    for label, shift in (("0 < c < L", size / 2), ("c = L", size), ("c = 0", Fraction(0))):
-        abstraction = build_abstraction(cover, fig8_constant_inputs(shift), FIG8_AVAILABILITY)
-        cases.append(Fig8Case(
-            label=label, shift=shift,
-            q1_successors=abstraction.successors("q1", "k1"),
-            q3_successors=abstraction.successors("q3", "k3"),
-            solvable=synthesize_reach_avoid(abstraction, spec) is not None,
-        ))
-
-    affine_inputs = fig8_affine_inputs()
-    affine = build_abstraction(cover, affine_inputs, FIG8_AVAILABILITY)
-    affine_result = synthesize_reach_avoid(affine, spec)
-    return Fig8Report(
-        bound=size,
-        constant_cases=tuple(cases),
-        affine_solvable=affine_result is not None,
-        affine_deterministic=affine.is_deterministic(),
-        affine_ranks=dict(affine_result.rank) if affine_result else {},
-        affine_mcr_ok=verify_mcr_interval(cover, affine, affine_inputs),
-        rationale="constant shift c on the negative cell maps [-L, 0) to [c - L, c); "
-        "its quantization only depends on the comparisons of c with 0 and L, "
-        "so one exact representative per case decides the whole family",
-    )

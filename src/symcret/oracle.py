@@ -259,7 +259,7 @@ def check_memoryless_concretization_all_controllers(
     dom = sorted(s2.states)
     avail = {x: s2.available_inputs(x) for x in dom}
     events: dict[str, set[int]] = {x: set() for x in dom}
-    steps = ((x1, x2, i, u2) for x1, x2 in rel.pairs for i, u2 in enumerate(avail.get(x2, ())))
+    steps = ((x1, x2, i, u2) for x1, x2 in rel._order for i, u2 in enumerate(avail.get(x2, ())))
     for x1, x2, i, u2 in steps:
         if i in events[x2]:
             continue

@@ -5,17 +5,20 @@ from fractions import Fraction
 
 from symcret import (
     RelationKind,
+    build_abstraction,
     check_asr,
     check_mcr,
     check_memoryless_concretization,
+    constant_shift_abstraction,
     count_dynamic_runs,
     is_sub_controller,
     maximal_interface,
     mcr_extension,
     memoryless_controller,
-    prove_frr_infeasible_fig8,
     synthesize_reach_avoid,
+    verify_mcr_interval,
 )
+from symcret.interval import FIG8_AVAILABILITY, fig8_affine_inputs, fig8_cover, fig8_target_spec
 from symcret.relations import Relation
 
 from conftest import ALPHA, BETA, reference_enumerate_dynamic_runs
@@ -100,16 +103,22 @@ def test_07_exhaustive_law_suite():
 
 
 def test_08_segment_separation():
-    report = prove_frr_infeasible_fig8(Fraction(1))
-    by_label = {case.label: case for case in report.constant_cases}
-    assert by_label["0 < c < L"].q1_successors == frozenset({"q1", "q2", "q3"})
-    assert by_label["c = L"].q1_successors == frozenset({"q2", "q3"})
-    assert by_label["c = 0"].q1_successors == frozenset({"q1"})
-    assert all(not case.solvable for case in report.constant_cases)
-    assert report.affine_solvable and report.affine_deterministic
-    assert report.affine_ranks["q1"] == 1 and report.affine_ranks["q3"] == 1
-    assert report.affine_mcr_ok
-    _report(8, "constant inputs fail in all three cases; affine feedback solves in one step")
+    """Every constant shift, read off one abstraction, leaves the origin
+    unreachable from the side cells; affine feedback reaches it in one step."""
+    cover = fig8_cover(Fraction(1))
+    spec = fig8_target_spec(cover)
+    shifts = constant_shift_abstraction(cover)
+    assert shifts.successors("q1", "1/2") == frozenset({"q1", "q2", "q3"})
+    assert shifts.successors("q1", "1/1") == frozenset({"q2", "q3"})
+    assert shifts.successors("q1", "0/1") == frozenset({"q1"})
+    assert synthesize_reach_avoid(shifts, spec) is None
+    inputs = fig8_affine_inputs()
+    affine = build_abstraction(cover, inputs, FIG8_AVAILABILITY)
+    result = synthesize_reach_avoid(affine, spec)
+    assert result is not None and affine.is_deterministic()
+    assert result.rank["q1"] == 1 and result.rank["q3"] == 1
+    assert verify_mcr_interval(cover, affine, inputs)
+    _report(8, "no constant shift reaches the origin; affine feedback solves in one step")
 
 
 def test_09_dynamic_architecture_invariant(fx):

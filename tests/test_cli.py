@@ -89,8 +89,7 @@ class TestRoundTrips:
             assert jsonio.dumps(reload(obj)) == jsonio.dumps(obj)
 
     def test_cover_round_trip(self):
-        from symcret import fig8_affine_inputs, fig8_cover
-        from symcret.interval import FIG8_AVAILABILITY
+        from symcret.interval import FIG8_AVAILABILITY, fig8_affine_inputs, fig8_cover
 
         obj = jsonio.cover_to_obj(fig8_cover(1), fig8_affine_inputs(), FIG8_AVAILABILITY)
         cover, inputs, availability = jsonio.cover_from_obj(obj)

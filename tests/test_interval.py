@@ -20,29 +20,34 @@ from symcret import (
     FiniteTransitionSystem,
     IntervalCell,
     OutOfDomainError,
+    ReachAvoidSpec,
     Relation,
     RelationKind,
     build_abstraction,
     check_frr,
     check_mcr,
-    fig8_affine_inputs,
-    fig8_constant_inputs,
-    fig8_cover,
-    fig8_target_spec,
+    constant_shift_abstraction,
     maximal_interface,
-    prove_frr_infeasible_fig8,
     quantize,
     synthesize_reach_avoid,
     verify_asr_interval,
     verify_mcr_interval,
+    winning_region,
 )
 from symcret import interval, jsonio
-from symcret.interval import FIG8_AVAILABILITY
+from symcret.interval import FIG8_AVAILABILITY, fig8_affine_inputs, fig8_cover, fig8_target_spec
 
 from conftest import fresh, grid_cover_document, json_nodes, mutate, outcome
 
 L = Fraction(1)
 NEGATIVES = IntervalCell(-L, Fraction(0), True, False)
+
+
+def constant_inputs(shift):
+    """fig8's piecewise constant laws: right by ``shift`` on the negatives,
+    none at the origin, left by ``shift`` on the positives."""
+    return tuple(AbstractInput(name, AffineMap(0, c))
+                 for name, c in (("k1", shift), ("k2", 0), ("k3", -shift)))
 
 
 # The Fraction image and the Fraction cut sweep that the integer row keys
@@ -353,8 +358,8 @@ def intervals(draw, values):
 
 
 @st.composite
-def covers(draw, max_cells=8):
-    cells = draw(st.lists(intervals(ANY_ENDPOINTS), min_size=1, max_size=max_cells))
+def covers(draw, max_cells=8, values=ANY_ENDPOINTS):
+    cells = draw(st.lists(intervals(values), min_size=1, max_size=max_cells))
     named = [(f"c{i}", cell) for i, cell in enumerate(cells)]
     return CellCover(tuple(draw(st.permutations(named))))
 
@@ -945,7 +950,7 @@ class TestBuildAbstraction:
 
     def test_constant_generic_shift_is_wide(self):
         sys = build_abstraction(
-            fig8_cover(L), fig8_constant_inputs(Fraction(1, 2)), FIG8_AVAILABILITY
+            fig8_cover(L), constant_inputs(Fraction(1, 2)), FIG8_AVAILABILITY
         )
         assert sys.successors("q1", "k1") == frozenset({"q1", "q2", "q3"})
 
@@ -995,7 +1000,7 @@ class TestVerification:
 
     def test_constant_abstraction_contains_by_construction(self):
         for shift in (Fraction(1, 3), Fraction(1), Fraction(0)):
-            inputs = fig8_constant_inputs(shift)
+            inputs = constant_inputs(shift)
             sys = build_abstraction(fig8_cover(L), inputs, FIG8_AVAILABILITY)
             assert verify_mcr_interval(fig8_cover(L), sys, inputs)
 
@@ -1004,7 +1009,7 @@ class TestVerification:
         assert reference_interval_covered(cover.hull(), [cell for _, cell in cover.cells])
 
     def test_dropping_a_successor_breaks_containment(self):
-        inputs = fig8_constant_inputs(Fraction(1, 2))
+        inputs = constant_inputs(Fraction(1, 2))
         sys = build_abstraction(fig8_cover(L), inputs, FIG8_AVAILABILITY)
         trimmed = {
             key: (succ - {"q3"} if key == ("q1", "k1") else succ)
@@ -1075,18 +1080,26 @@ class TestVerification:
 class TestFig8Separation:
     @pytest.mark.parametrize("bound", [Fraction(1), Fraction(2), Fraction(1, 2)])
     def test_constant_cases(self, bound):
-        report = prove_frr_infeasible_fig8(bound)
-        by_label = {case.label: case for case in report.constant_cases}
-        assert by_label["0 < c < L"].q1_successors == frozenset({"q1", "q2", "q3"})
-        assert by_label["c = L"].q1_successors == frozenset({"q2", "q3"})
-        assert by_label["c = 0"].q1_successors == frozenset({"q1"})
-        assert all(not case.solvable for case in report.constant_cases)
+        cover = fig8_cover(bound)
+        shifts = constant_shift_abstraction(cover)
+
+        def row(name, shift):
+            return shifts.successors(name, jsonio.fraction_to_str(shift))
+
+        assert row("q1", bound / 2) == row("q3", -bound / 2) == frozenset({"q1", "q2", "q3"})
+        assert row("q1", bound) == frozenset({"q2", "q3"})
+        assert row("q3", -bound) == frozenset({"q1", "q2"})
+        assert row("q1", Fraction(0)) == frozenset({"q1"})
+        assert row("q3", Fraction(0)) == frozenset({"q3"})
+        assert synthesize_reach_avoid(shifts, fig8_target_spec(cover)) is None
 
     def test_affine_success(self):
-        report = prove_frr_infeasible_fig8(L)
-        assert report.affine_solvable and report.affine_deterministic
-        assert report.affine_ranks == {"q1": 1, "q2": 0, "q3": 1}
-        assert report.affine_mcr_ok
+        cover, inputs = fig8_cover(L), fig8_affine_inputs()
+        affine = build_abstraction(cover, inputs, FIG8_AVAILABILITY)
+        result = synthesize_reach_avoid(affine, fig8_target_spec(cover))
+        assert result is not None and affine.is_deterministic()
+        assert result.rank == {"q1": 1, "q2": 0, "q3": 1}
+        assert verify_mcr_interval(cover, affine, inputs)
 
     def test_one_step_to_origin_symbolically(self):
         law = fig8_affine_inputs()[0].law
@@ -1098,9 +1111,136 @@ class TestFig8Separation:
             assert law.closed_loop(x) == 0
 
     def test_direct_synthesis_on_generic_constant_case(self):
-        inputs = fig8_constant_inputs(Fraction(1, 2))
+        inputs = constant_inputs(Fraction(1, 2))
         sys = build_abstraction(fig8_cover(L), inputs, FIG8_AVAILABILITY)
         assert synthesize_reach_avoid(sys, fig8_target_spec(fig8_cover(L))) is None
+
+
+SMALL_ENDPOINTS = st.sampled_from((1, 2, 3)).flatmap(
+    lambda q: st.integers(-2 * q, 2 * q).map(lambda k: Fraction(k, q))
+)
+
+
+def reference_constant_shifts(cover):
+    """Every admissible row of the plant x' = x + c, keyed (cell, c), for each
+    c on the multiples of 1/(2d) that can keep a cell's image on the hull,
+    quantized with the public ``quantize``: no critical values.  An image
+    that the cells do not cover, even in part, is left out."""
+    d = math.lcm(*(v.denominator for _, cell in cover.cells for v in (cell.lo, cell.hi)))
+    hull = reference_hull(cover)
+    cells = [cell for _, cell in cover.cells]
+    rows = {}
+    for name, cell in cover.cells:
+        for m in range(int((hull.lo - cell.hi) * 2 * d), int((hull.hi - cell.lo) * 2 * d) + 1):
+            c = Fraction(m, 2 * d)
+            image = IntervalCell(cell.lo + c, cell.hi + c, cell.lo_closed, cell.hi_closed)
+            try:
+                found = quantize(cover, image)
+            except OutOfDomainError:
+                continue
+            if reference_interval_covered(image, cells):
+                rows[name, c] = found
+    return rows
+
+
+def reference_losing(rows, names, target):
+    """The cells from which no choice of rows forces the target."""
+    winning, grew = set(target), True
+    while grew:
+        grew = False
+        for (name, _), succ in rows.items():
+            if name not in winning and succ <= winning:
+                winning.add(name)
+                grew = True
+    return set(names) - winning
+
+
+def least_losing(abstraction, target):
+    spec = ReachAvoidSpec(frozenset(abstraction.states), frozenset(target), frozenset())
+    return min(spec.initial - winning_region(abstraction, spec)[0], default=None)
+
+
+def uniform_grid(k, width):
+    return jsonio.cover_from_obj(grid_cover_document(k, width))[0]
+
+
+class TestConstantShiftAbstraction:
+    @settings(max_examples=200, deadline=None)
+    @given(cover=covers(max_cells=5, values=SMALL_ENDPOINTS), data=st.data())
+    def test_rows_equal_the_brute_force_reference(self, cover, data):
+        got = constant_shift_abstraction(cover)
+        want = reference_constant_shifts(cover)
+        rows = {key: succ for key, succ in got.trans.items() if succ}
+        # Each label is its shift, and the row is that shift's quantization.
+        assert all(want[name, Fraction(label)] == succ for (name, label), succ in rows.items())
+        assert set(got.inputs) == {label for _, label in rows}
+        for name in cover.names:
+            assert ({succ for (x, _), succ in rows.items() if x == name}
+                    == {succ for (x, _), succ in want.items() if x == name})
+        target = data.draw(st.sets(st.sampled_from(cover.names), min_size=1))
+        losing = reference_losing(want, cover.names, target)
+        assert least_losing(got, target) == min(losing, default=None)
+        spec = ReachAvoidSpec(frozenset(cover.names), frozenset(target), frozenset())
+        assert (synthesize_reach_avoid(got, spec) is not None) == (not losing)
+
+    @pytest.mark.parametrize("bound", [Fraction(1), Fraction(1, 3), Fraction(7, 5)])
+    def test_fig8_verdict(self, bound):
+        shifts = constant_shift_abstraction(fig8_cover(bound))
+        rows = {key: succ for key, succ in shifts.trans.items() if succ}
+        assert len(rows) == 11
+        assert least_losing(shifts, {"q2"}) == "q1"
+        assert [sorted(rows["q1", jsonio.fraction_to_str(c)]) for c in (0, bound / 2, bound)] == [
+            ["q1"], ["q1", "q2", "q3"], ["q2", "q3"]]
+
+    @pytest.mark.parametrize("width", [Fraction(1), Fraction(3, 7)])
+    @pytest.mark.parametrize("k", [5, 10, 20])
+    def test_uniform_grid_verdict(self, k, width):
+        # No shift sends n0001 = [-w, 0) onto the point z, but a shift by w
+        # sends each farther cell onto its neighbour.
+        shifts = constant_shift_abstraction(uniform_grid(k, width))
+        assert least_losing(shifts, {"z"}) == "n0001"
+        assert least_losing(shifts, {"z", "n0001", "p0001"}) is None
+
+    def test_rows_of_a_cover_with_overlaps_and_a_gap(self):
+        # The hull is [-1, 3] and [1, 2] is a gap: a's image {1/2 + c} is
+        # left out at c = 1/2, 1 and 3/2.  b = [-1, 1/2] is wider than zz, so
+        # only [-1, 1) holds its image, for 0 <= c < 1/2: at c = 1/2 the image
+        # reaches the gap at 1, and the rows that met the gap in part are gone.
+        # The cells are listed against the order of their names.
+        cover = CellCover((
+            ("zz", IntervalCell(Fraction(2), Fraction(3), False, True)),
+            ("b", IntervalCell(Fraction(-1), Fraction(1, 2))),
+            ("a", IntervalCell.point(Fraction(1, 2))),
+            ("m", IntervalCell(Fraction(0), Fraction(1), True, False)),
+        ))
+        shifts = constant_shift_abstraction(cover)
+
+        def rows(name):
+            return {str(Fraction(u)): "".join(sorted(shifts.trans[name, u]))
+                    for u in sorted(shifts.available_inputs(name), key=Fraction)}
+
+        assert rows("a") == {"-3/2": "b", "-1": "b", "-1/2": "bm", "-1/4": "bm", "0": "abm",
+                             "1/4": "m", "2": "zz", "5/2": "zz"}
+        assert rows("b") == {"0": "abm", "1/4": "abm"}
+        assert rows("m") == {"-1": "b", "-3/4": "bm", "-1/2": "bm", "-1/4": "abm", "0": "abm"}
+        assert rows("zz") == {"-3": "bm", "-11/4": "bm", "-5/2": "abm", "-9/4": "abm", "0": "zz"}
+        assert shifts.inputs == tuple(sorted(shifts.inputs))
+        assert least_losing(shifts, {"a"}) == "b"
+
+    def test_image_partly_in_a_gap_is_infeasible(self):
+        # t = [3/2, 12/5] is narrower than a = [0, 1], so every shift that
+        # moves a onto t alone sends part of a into the gap (1, 3/2): only
+        # the shift 0 is left at a, and no constant shift reaches t from a.
+        cover = CellCover((
+            ("a", IntervalCell(Fraction(0), Fraction(1))),
+            ("t", IntervalCell(Fraction(3, 2), Fraction(12, 5))),
+        ))
+        shifts = constant_shift_abstraction(cover)
+        assert shifts.available_inputs("a") == ("0/1",)
+        assert shifts.successors("a", "0/1") == frozenset({"a"})
+        spec = ReachAvoidSpec(frozenset(cover.names), frozenset({"t"}), frozenset())
+        assert synthesize_reach_avoid(shifts, spec) is None
+        assert least_losing(shifts, {"t"}) == "a"
 
 
 class TestRefinementBridge:

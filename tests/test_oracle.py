@@ -29,7 +29,7 @@ from symcret import (
     memoryless_controller,
     replay_memoryless_witness,
 )
-from symcret import jsonio
+from symcret import jsonio, oracle
 from symcret.cli import fig5_bundle
 from symcret.core import ContractError, DomainError, SymcretError
 from symcret.relations import RelationCheckError, StrictnessError, _validate_triplet
@@ -699,6 +699,23 @@ class TestAllControllers:
             fx.s2, fx.s2, ident, iface, budget=100
         )
         assert outcome.holds
+
+    def test_walks_the_relation_in_its_own_order(self, fx, monkeypatch):
+        # How much work runs before the first event depends on the walk's
+        # order: the relation's fixed order, not its pair set's, which
+        # follows the string-hash seed.
+        iface = maximal_interface(fx.s1, fx.s2_extended, fx.relation, RelationKind.MCR)
+        escape, seen = oracle._escape, []
+
+        def spy(s1, rel, x1, u1, row):
+            seen.append(x1)
+            return escape(s1, rel, x1, u1, row)
+
+        monkeypatch.setattr(oracle, "_escape", spy)
+        assert check_memoryless_concretization_all_controllers(
+            fx.s1, fx.s2_extended, fx.relation, iface).holds
+        order = [x1 for x1, _ in fx.relation._order]
+        assert len(set(seen)) > 1 and seen == sorted(seen, key=order.index)
 
     def test_budget_enforced(self, fx, asr_interface):
         with pytest.raises(BudgetExceededError):

@@ -4,14 +4,14 @@ import types
 from importlib.util import find_spec
 
 import symcret
-from symcret import jsonio, oracle, relations, synthesis
+from symcret import interval, jsonio, oracle, relations, synthesis
 
 PUBLIC = [
     "AbstractInput", "AffineMap", "AllControllersVerdict", "BrokenCertificateError",
     "BudgetExceededError", "CellCover", "ContractError", "Controller",
     "ControllerUndefinedError", "DomainError", "DynamicConcretizer",
     "DynamicConcretizerState", "ExtendedRelation",
-    "Fig8Case", "Fig8Report", "FiniteTransitionSystem", "Interface", "IntervalCell",
+    "FiniteTransitionSystem", "Interface", "IntervalCell",
     "OutOfDomainError", "PropertyVerdict", "PropertyWitness", "ReachAvoidSpec",
     "Relation", "RelationCheckError", "RelationKind", "RelationVerdict",
     "RelationWitness", "SpecVerdict", "StrictnessError", "SymcretError",
@@ -19,12 +19,11 @@ PUBLIC = [
     "check_controlled_simulability", "check_frr", "check_mcr",
     "check_memoryless_concretization",
     "check_memoryless_concretization_all_controllers", "check_relation", "check_spec",
-    "closed_loop_run", "controller_count",
+    "closed_loop_run", "constant_shift_abstraction", "controller_count",
     "count_dynamic_runs",
-    "extended_relation", "fig8_affine_inputs", "fig8_constant_inputs",
-    "fig8_cover", "fig8_target_spec", "is_sub_controller",
+    "extended_relation", "is_sub_controller",
     "maximal_interface", "mcr_extension", "memoryless_controller",
-    "prove_frr_infeasible_fig8", "quantize",
+    "quantize",
     "replay_memoryless_witness", "replay_witness", "scripted",
     "synthesize_reach_avoid", "translate_spec", "validate_interface",
     "verify_asr_interval", "verify_mcr_interval",
@@ -54,5 +53,8 @@ def test_test_only_methods_stay_out():
         assert not hasattr(oracle, name)
     assert not hasattr(relations, "compose")
     assert not hasattr(synthesis, "enumerate_controllers")
+    # fig8's constant cases are rows of constant_shift_abstraction.
+    for name in ("Fig8Case", "Fig8Report", "fig8_constant_inputs", "prove_frr_infeasible_fig8"):
+        assert not hasattr(interval, name)
     # The fig5 scenario is defined by its packaged bundle alone.
     assert find_spec("symcret.fixtures") is None

@@ -5,6 +5,8 @@ one library module while the call runs: exact, and independent of the
 machine's speed.  Line events do not see work inside builtins, so a bound
 is asserted as the ratio between sizes, not as a raw count, which also
 keeps the check independent of how Python versions number their events.
+A call that runs past ``CAP`` events is stopped and fails, so that a cost
+turned exponential fails at once instead of stalling the suite.
 """
 import sys
 from fractions import Fraction
@@ -12,18 +14,23 @@ from fractions import Fraction
 import pytest
 
 from symcret import (
-    ReachAvoidSpec, build_abstraction, check_spec, interval, jsonio, quantize, synthesis,
+    CellCover, Controller, FiniteTransitionSystem, IntervalCell, ReachAvoidSpec, Relation,
+    RelationKind, build_abstraction, check_spec, concretize, constant_shift_abstraction, core,
+    count_dynamic_runs, interval, jsonio, maximal_interface, quantize, synthesis,
     synthesize_reach_avoid, verify_asr_interval, verify_mcr_interval,
 )
 
 from conftest import chain, grid_cover_document
 
 SIZES = (200, 400, 800)
+# About three times the largest count a test here takes.
+CAP = 1_000_000
 
 
 def line_events(modules, fn, *args):
     """Line events in the source files of ``modules`` while ``fn(*args)``
-    runs.  A trace function set before the call is set again after it."""
+    runs, failing past ``CAP``.  A trace function set before the call is set
+    again after it."""
     sources = {module.__file__ for module in modules}
     count = 0
 
@@ -31,6 +38,8 @@ def line_events(modules, fn, *args):
         nonlocal count
         if event == "line":
             count += 1
+            if count > CAP:
+                raise AssertionError(f"{fn.__name__} ran past {CAP} line events")
         return local
 
     def calls(frame, event, arg):
@@ -95,6 +104,52 @@ def test_quantizing_a_point_does_not_grow_with_the_grid():
     point = Fraction(3, 7) * Fraction(101, 3)
     counts = [line_events((interval,), quantize, grid(n)[0], point) for n in SIZES]
     assert len(set(counts)) == 1, counts
+
+
+def test_dynamic_run_count_work_is_linear_in_the_horizon():
+    # Two states a and b, one input u with (x, u) -> {a, b}: 2^(h - 1) runs
+    # but 2h (x1, x2, depth) nodes, each explored once thanks to the memo.
+    s = FiniteTransitionSystem(("a", "b"), ("u",), {(x, "u"): frozenset("ab") for x in "ab"})
+    rel = Relation.identity(s.states)
+    args = (s, s, Controller({"a": ["u"], "b": ["u"]}), rel,
+            maximal_interface(s, s, rel, RelationKind.ASR), "a")
+    counts = [line_events((concretize,), count_dynamic_runs, *args, h) for h in (20, 40, 80)]
+    assert all(1.8 <= r <= 2.2 for r in ratios(counts)), (counts, ratios(counts))
+    assert count_dynamic_runs(*args, 80) == 2 ** 79
+
+
+def test_constant_shift_work_is_quadratic():
+    # O(n) shifts per cell for n cells: on the unit-width grid each doubling
+    # quadruples the rows and the work, including the table's fill in core,
+    # since the endpoint differences take O(n) values and so do the labels.
+    covers = [jsonio.cover_from_obj(grid_cover_document(k, 1))[0] for k in (10, 20, 40)]
+    rows = [sum(1 for succ in constant_shift_abstraction(cover).trans.values() if succ)
+            for cover in covers]
+    assert rows == [821, 3241, 12881]
+    counts = [line_events((interval, core), constant_shift_abstraction, cover) for cover in covers]
+    assert all(3.6 <= r <= 4.4 for r in ratios(counts)), (counts, ratios(counts))
+
+
+def test_constant_shift_table_is_cubic_on_distinct_differences():
+    # Endpoints 2^i - 1 have pairwise distinct differences, so the labels
+    # grow as n^2 and the table, dense over them, as n^3; the non-empty
+    # rows stay quadratic.  The work may grow no faster than the table.
+    def cell(i, n):
+        return IntervalCell(Fraction(2 ** i - 1), Fraction(2 ** (i + 1) - 1), True, i == n - 1)
+
+    covers = [CellCover((f"c{i:02d}", cell(i, n)) for i in range(n)) for n in (10, 20, 40)]
+    systems = [constant_shift_abstraction(cover) for cover in covers]
+    assert [sum(1 for succ in s.trans.values() if succ) for s in systems] == [280, 1160, 4720]
+    assert [len(s.inputs) for s in systems] == [211, 916, 3826]
+    assert all(len(s.trans) == len(s.states) * len(s.inputs) for s in systems)
+    counts = [line_events((interval, core), constant_shift_abstraction, cover) for cover in covers]
+    assert all(4 <= r <= 8.8 for r in ratios(counts)), (counts, ratios(counts))
+
+
+def test_work_past_the_cap_fails(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "CAP", 50)
+    with pytest.raises(AssertionError, match="synthesize_reach_avoid ran past 50 line events"):
+        line_events((synthesis,), synthesize_reach_avoid, *chain_problem(100))
 
 
 def test_trace_function_restored():
