@@ -593,4 +593,7 @@ def save(path: str | Path, obj: Mapping[str, Any]) -> None:
 @_nogc
 def load(path: str | Path) -> Any:
     with open(path, encoding="utf-8") as text:
-        return json.load(text)
+        try:
+            return json.load(text)
+        except RecursionError:  # the reader's depth guard, not a recursion of ours
+            raise FormatError("document nests too deeply to decode") from None

@@ -8,13 +8,14 @@ record the iteration at which a state entered and bound its distance to the
 target.  One pass of counter-based hyperarc reachability (Gallo, Longo,
 Pallottino & Nguyen 1993; Liu & Smolka 1998) computes both in O(states + rows
 + sum of successor-set sizes), and records the controller as the attractor
-grows (Thomas 1995).  :func:`check_spec` verifies a closed loop by reading
-the same ranks.
+grows (Thomas 1995).  :func:`check_spec` verifies a closed loop with the same
+pass, fed one hyperarc per state: no system or goal is built for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from math import prod
+from typing import Collection, Iterable, Mapping
 
 from .core import Controller, ContractError, FiniteTransitionSystem, ReachAvoidSpec, Trajectory
 
@@ -33,34 +34,33 @@ class SynthesisResult:
         object.__setattr__(self, "rank", dict(self.rank))
 
 
-def _attract(
-    sys: FiniteTransitionSystem, spec: ReachAvoidSpec
-) -> tuple[dict[str, int], dict[str, list[str]]]:
-    """The entry rank of every winning state, and the inputs that decrease it
-    at each winning non-target state.  Each usable row (tail neither target
-    nor obstacle, no obstacle head) counts its heads not yet winning; a row
-    whose count drops to 0 while rank k is processed completes at level k + 1,
-    where its tail enters unless ranked already.  The row joins the tail's
-    choices exactly when that level is the tail's rank (a row that completes
-    later has a head ranked no lower than its tail).  Every row and every head
-    is touched once: O(states + rows + sum of successor-set sizes)."""
-    spec.validate_for(sys)
-    if spec.target & spec.obstacle:
+def _attract(rows: Iterable[tuple[tuple[str, str], Collection[str]]], target: frozenset[str],
+             obstacle: frozenset[str]) -> tuple[dict[str, int], dict[str, list[str]]]:
+    """Over ``rows``, (tail, label) -> heads pairs, the entry rank of every
+    winning state and the labels that decrease it at each winning non-target
+    state; a head listed twice is waited for twice.  Each usable row (tail
+    neither target nor obstacle, no obstacle head) counts its heads not yet
+    winning; a row whose count drops to 0 while rank k is processed completes
+    at level k + 1, where its tail enters unless ranked already.  The row
+    joins the tail's choices exactly when that level is the tail's rank (a
+    row that completes later has a head ranked no lower than its tail).  Each
+    row and head is touched once: O(states + rows + sum of successor-set sizes)."""
+    if target & obstacle:
         raise ContractError("a target state may not also be an obstacle")
-    settled = spec.target | spec.obstacle
-    rows: list[tuple[str, str]] = []
+    settled = target | obstacle
+    keys: list[tuple[str, str]] = []
     pending: list[int] = []
     rows_into: dict[str, list[int]] = {}
-    for key, succ in sys.trans.items():
-        if succ and key[0] not in settled and succ.isdisjoint(spec.obstacle):
-            row = len(rows)
-            rows.append(key)
+    for key, succ in rows:
+        if succ and key[0] not in settled and obstacle.isdisjoint(succ):
+            row = len(keys)
+            keys.append(key)
             pending.append(len(succ))
             for xp in succ:
                 rows_into.setdefault(xp, []).append(row)
-    rank = dict.fromkeys(spec.target, 0)
+    rank = dict.fromkeys(target, 0)
     picks: dict[str, list[str]] = {}
-    frontier = list(spec.target)
+    frontier = list(target)
     level = 0
     while frontier:
         level += 1
@@ -69,7 +69,7 @@ def _attract(
             for row in rows_into.get(xp, ()):
                 pending[row] -= 1
                 if not pending[row]:
-                    x, u = rows[row]
+                    x, u = keys[row]
                     if x not in rank:
                         rank[x] = level
                         fresh.append(x)
@@ -88,7 +88,8 @@ def winning_region(
     iteration at which it enters, 0 on the target, otherwise the minimum over
     its rows of one more than the largest rank of the row's heads.  The pass
     of :func:`synthesize_reach_avoid` with its choices dropped."""
-    rank, _ = _attract(sys, spec)
+    spec.validate_for(sys)
+    rank, _ = _attract(sys.trans.items(), spec.target, spec.obstacle)
     return frozenset(rank), rank
 
 
@@ -96,7 +97,8 @@ def _synthesize(
     sys: FiniteTransitionSystem, spec: ReachAvoidSpec
 ) -> tuple[SynthesisResult | None, frozenset[str]]:
     """:func:`synthesize_reach_avoid`'s result, and the losing initial states."""
-    rank, picks = _attract(sys, spec)
+    spec.validate_for(sys)
+    rank, picks = _attract(sys.trans.items(), spec.target, spec.obstacle)
     losing = spec.initial.difference(rank)
     if losing:
         return None, losing
@@ -135,24 +137,22 @@ def check_spec(sys: FiniteTransitionSystem, spec: ReachAvoidSpec) -> SpecVerdict
     already on it.  The witness is the first violating run in (initial
     state, input, successor) order.
 
-    Runs do not depend on which input drives a move, so :func:`winning_region`
-    on a one-input copy, whose row at x is the union of x's rows, ranks
-    exactly the states all of whose runs satisfy the goal; the target is
-    tested first, so the copy's obstacles exclude it.  The goal holds iff
-    every initial state is ranked.  Otherwise the witness walk starts at the
-    least unranked initial state and enters the first unranked child until
-    it reaches an obstacle, a dead end or a state already on the run.  Every
-    other unranked state has such a child, so the walk never backtracks.
-    Cost O(states + rows + sum of successor-set sizes), plus O(states *
-    moves) for the witness.
+    Runs do not depend on which input drives a move, so the pass of
+    :func:`winning_region`, fed at each state one hyperarc chaining the heads
+    of all its rows (a repeated head is waited for once per occurrence, so
+    the arc completes with its last head), ranks exactly the states all of
+    whose runs satisfy the goal; the target is tested first, so the pass's
+    obstacles exclude it.  The goal holds iff every initial state is ranked.
+    Otherwise the witness walk starts at the least unranked initial state
+    and enters the first unranked child until it reaches an obstacle, a dead
+    end or a state already on the run.  Every other unranked state has such
+    a child, so the walk never backtracks.  Cost O(states + rows + sum of
+    successor-set sizes), plus O(states * moves) for the witness.
     """
     spec.validate_for(sys)
-    merged = FiniteTransitionSystem(sys.states, ("any",), {
-        (x, "any"): frozenset().union(*(sys.trans[(x, u)] for u in sys.inputs))
-        for x in sys.states
-    })
-    _, rank = winning_region(
-        merged, ReachAvoidSpec(frozenset(), spec.target, spec.obstacle - spec.target))
+    rank, _ = _attract((((x, x), [xp for u in us for xp in sys.trans[(x, u)]])
+                        for x, us in sys._avail.items()),  # type: ignore[attr-defined]
+                       spec.target, spec.obstacle - spec.target)
     x0 = next((x for x in sorted(spec.initial) if x not in rank), None)
     if x0 is None:
         return SpecVerdict(True, None)
@@ -184,7 +184,4 @@ def is_sub_controller(candidate: Controller, reference: Controller) -> bool:
 def controller_count(sys: FiniteTransitionSystem, domain: Iterable[str]) -> int:
     """Number of static controllers assigning each domain state a non-empty
     subset of its available inputs."""
-    total = 1
-    for x in sorted(set(domain)):
-        total *= 2 ** len(sys.available_inputs(x)) - 1
-    return total
+    return prod(2 ** len(sys.available_inputs(x)) - 1 for x in sorted(set(domain)))

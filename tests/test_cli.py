@@ -721,6 +721,14 @@ class TestErrors:
         doc = json.loads(err)
         assert doc["error"] == error and detail in doc["detail"]
 
+    def test_a_document_nested_too_deeply_is_a_validation_error(self, capsys, tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        code, out, err = run(capsys, "synthesize", "--sys", str(deep), "--spec", str(deep))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "validation", "detail": "document nests too deeply to decode"}
+
     def test_zero_simulability_horizon_is_a_validation_error(self, capsys, bundle_path):
         code, out, err = run(
             capsys, "verify", "--property", "one", "--horizon", "0",

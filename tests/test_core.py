@@ -399,6 +399,24 @@ class TestCheckSpec:
         assert verdict.witness.states == tuple(a for a, _ in layers)
 
 
+def test_check_spec_builds_no_system_and_no_goal(monkeypatch, fx):
+    # The closed loop's rows feed the attractor pass directly: no one-input
+    # copy of the system is sealed and no second goal is validated.
+    leaky = controlled_system(fx.s1, Controller({"1": {"0"}, "2": {"0", "1"}}))
+    detour = controlled_system(fx.s1, Controller({"1": {"1"}, "4": {"0"}}))
+    overlap = ReachAvoidSpec(frozenset({"1"}), frozenset({"5"}), frozenset({"3", "5"}))
+    built = []
+    seal, post_init = FiniteTransitionSystem._seal, ReachAvoidSpec.__post_init__
+    monkeypatch.setattr(FiniteTransitionSystem, "_seal",
+                        lambda *args: built.append("system") or seal(*args))
+    monkeypatch.setattr(ReachAvoidSpec, "__post_init__",
+                        lambda spec: built.append("goal") or post_init(spec))
+    verdicts = [check_spec(s, goal) for s, goal in
+                ((leaky, fx.spec1), (detour, fx.spec1), (detour, overlap))]
+    assert [v.holds for v in verdicts] == [False, True, True]
+    assert built == []
+
+
 class TestTrajectory:
     def test_shape_validation(self):
         with pytest.raises(ContractError):

@@ -312,7 +312,8 @@ def test_a_bar_is_refused_only_in_a_row():
 
 class TestLoad:
     """``load`` reads UTF-8 with universal newlines, from a ``str`` or a
-    ``Path``; a missing file is the ``OSError`` of ``open``."""
+    ``Path``; a missing file is the ``OSError`` of ``open``, and a document
+    nested deeper than the reader's depth guard a ``FormatError``."""
 
     DOC = {"format": "symcret/1", "kind": "spec", "target": ["β", "a"]}
 
@@ -330,3 +331,9 @@ class TestLoad:
         with pytest.raises(FileNotFoundError) as err:
             jsonio.load(as_path("no//pe.json"))
         assert str(err.value) == f"[Errno 2] No such file or directory: {named!r}"
+
+    def test_a_document_nested_too_deeply_is_a_format_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        with pytest.raises(jsonio.FormatError, match="^document nests too deeply to decode$"):
+            jsonio.load(path)

@@ -15,12 +15,13 @@ import pytest
 
 from symcret import (
     CellCover, Controller, FiniteTransitionSystem, IntervalCell, ReachAvoidSpec, Relation,
-    RelationKind, build_abstraction, check_spec, concretize, constant_shift_abstraction, core,
-    count_dynamic_runs, interval, jsonio, maximal_interface, quantize, synthesis,
+    RelationKind, build_abstraction, check_asr, check_controlled_simulability, check_spec,
+    concretize, constant_shift_abstraction, core, count_dynamic_runs, interval, jsonio,
+    maximal_interface, mcr_extension, oracle, quantize, relations, synthesis,
     synthesize_reach_avoid, verify_asr_interval, verify_mcr_interval,
 )
 
-from conftest import chain, grid_cover_document
+from conftest import chain, cycle_product, grid_cover_document, overlapping_line
 
 SIZES = (200, 400, 800)
 # About three times the largest count a test here takes.
@@ -144,6 +145,36 @@ def test_constant_shift_table_is_cubic_on_distinct_differences():
     assert all(len(s.trans) == len(s.states) * len(s.inputs) for s in systems)
     counts = [line_events((interval, core), constant_shift_abstraction, cover) for cover in covers]
     assert all(4 <= r <= 8.8 for r in ratios(counts)), (counts, ratios(counts))
+
+
+@pytest.mark.parametrize("fn, modules, extra", [
+    (check_asr, (relations,), ()),
+    (maximal_interface, (relations,), (RelationKind.ASR,)),
+    (mcr_extension, (relations, core), ()),
+], ids=["check_asr", "maximal_interface", "mcr_extension"])
+def test_relation_walk_work_is_linear(fn, modules, extra):
+    # One visit per related pair and input, each image tested once: on the
+    # overlapping line, whose cells, rows and pairs all grow with it, each
+    # doubling doubles the work.
+    lines = [overlapping_line(n, 7) for n in (25, 50, 100)]
+    counts = [line_events(modules, fn, *line, *extra) for line in lines]
+    assert all(1.8 <= r <= 2.2 for r in ratios(counts)), (counts, ratios(counts))
+
+
+def test_simulability_without_a_horizon_is_linear_in_the_witness():
+    # Breadth-first over (plant state, tracked set) nodes, each expanded
+    # once: on the cycle product the nodes grow with the shortest failure.
+    # The work per witness state may only creep up, since each tracked set
+    # holds one state per cycle, while the witness grows x7 and then x11.
+    # A return to path enumeration fails inside CAP.
+    counts, lengths = [], []
+    for cycles in ((2, 3, 5), (2, 3, 5, 7), (2, 3, 5, 7, 11)):
+        case = cycle_product(cycles)
+        lengths.append(len(check_controlled_simulability(*case).witness.concrete))
+        counts.append(line_events((oracle,), check_controlled_simulability, *case))
+    assert lengths == [30, 210, 2310]
+    per_state = [count / length for count, length in zip(counts, lengths)]
+    assert all(r <= 1.3 for r in ratios(per_state)), (counts, per_state)
 
 
 def test_work_past_the_cap_fails(monkeypatch):
